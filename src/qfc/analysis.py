@@ -6,13 +6,27 @@ at the point) before comparison against the tolerance.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from .domain import Domain, grid_points, point_map
+from .domain import Domain, grid_points
 from .errors import InconclusiveError, SingularPointError
-from .jets import DEFAULT_SINGULAR_SQ_TOL, Point4, WirtingerJet, eval_jet
-from .lowering import QFunction, conj_qf, inverse_qf, norm_sq_expr, product_qf, sum_qf
+from .jets import (
+    DEFAULT_SINGULAR_SQ_TOL,
+    Point4,
+    WirtingerJet,
+    eval_jet,
+    jet_add,
+    jet_conj,
+    jet_div,
+    jet_mul,
+    jet_neg,
+    vanishes,
+)
+from .lowering import QFunction, product_qf, sum_qf
 from .quaternion import UNIT_J, Quaternion, modulus, quat_mul
 from .report import MaskedPoint, ResidualReport
 
@@ -102,14 +116,32 @@ def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
     return max(j1.magnitude(), j2.magnitude())
 
 
+def _cauchy_fueter_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> DValue:
+    c1 = 0.5 * (j1.d_z1bar - j2.d_z2bar.conjugate())
+    c2 = 0.5 * (j1.d_z2bar + j2.d_z1bar.conjugate())
+    return DValue(c1, c2)
+
+
 def cauchy_fueter(
     f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
 ) -> DValue:
     """Apply the modified Cauchy-Fueter operator to f at p."""
-    j1, j2 = _jet_pair(f, p, singular_sq_tol)
-    c1 = 0.5 * (j1.d_z1bar - j2.d_z2bar.conjugate())
-    c2 = 0.5 * (j1.d_z2bar + j2.d_z1bar.conjugate())
-    return DValue(c1, c2)
+    return _cauchy_fueter_from_jets(*_jet_pair(f, p, singular_sq_tol))
+
+
+def norm_sq_jet(j1: WirtingerJet, j2: WirtingerJet) -> WirtingerJet:
+    """Jet of norm_sq_expr(f) from the jets of f's components."""
+    return jet_add(jet_mul(j1, jet_conj(j1)), jet_mul(j2, jet_conj(j2)))
+
+
+def inverse_jets(
+    j1: WirtingerJet, j2: WirtingerJet, singular_sq_tol: float
+) -> tuple[WirtingerJet, WirtingerJet]:
+    """Jets of inverse_qf(f), conj(f)/norm_sq(f), from the jets of f."""
+    n = norm_sq_jet(j1, j2)
+    if vanishes(n.val, singular_sq_tol):
+        raise SingularPointError("norm_sq of the function vanishes")
+    return jet_div(jet_conj(j1), n), jet_div(jet_neg(j2), n)
 
 
 def _hyperholomorphy_from_jets(
@@ -124,8 +156,7 @@ def hyperholomorphy_residual(
     f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
 ) -> tuple[float, float]:
     """Residual magnitudes of the two component equations of 2*D(f)=0."""
-    j1, j2 = _jet_pair(f, p, singular_sq_tol)
-    return _hyperholomorphy_from_jets(j1, j2)
+    return _hyperholomorphy_from_jets(*_jet_pair(f, p, singular_sq_tol))
 
 
 def _inverse_system_from_jets(
@@ -154,8 +185,7 @@ def inverse_hyperholomorphy_residual(
     For hyperholomorphic f, this vanishes exactly when the right inverse
     of f is hyperholomorphic off the zero set of f.
     """
-    j1, j2 = _jet_pair(f, p, singular_sq_tol)
-    return _inverse_system_from_jets(j1, j2)
+    return _inverse_system_from_jets(*_jet_pair(f, p, singular_sq_tol))
 
 
 def _require_real(values: list[complex], real_tol: float, what: str) -> None:
@@ -176,9 +206,25 @@ def real_linear_residual(
     """Residuals of the linear first-order system for real-component f."""
     j1, j2 = _jet_pair(f, p, singular_sq_tol)
     _require_real([j1.val, j2.val], real_tol, "real_linear_residual")
+    return _real_linear_from_jets(j1, j2)
+
+
+def _real_linear_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> tuple[float, float]:
     e1 = j2.d_z1 + j1.d_z2bar
     e2 = j1.d_z1 - j2.d_z2bar
     return (abs(e1), abs(e2))
+
+
+def sum_pde_from_jets(j1: WirtingerJet, j2: WirtingerJet, mask_threshold: float) -> float:
+    """sum_pde_residual from h's jets; conj_qf(h) has the jets conj(j1), -j2."""
+    nj = norm_sq_jet(j1, j2)
+    n = nj.val.real
+    if n < mask_threshold:
+        raise SingularPointError("norm_sq below mask threshold")
+    hbar = Quaternion(j1.val.conjugate(), -j2.val)
+    dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
+    dhbar = _cauchy_fueter_from_jets(jet_conj(j1), jet_neg(j2)).as_quaternion()
+    return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
 def sum_pde_residual(
@@ -192,16 +238,7 @@ def sum_pde_residual(
     Raises SingularPointError when norm_sq(h) at p is below mask_threshold,
     since the PDE divides by the norm there.
     """
-    nexpr = norm_sq_expr(h)
-    nj = eval_jet(nexpr, p, singular_sq_tol)
-    n = nj.val.real
-    if n < mask_threshold:
-        raise SingularPointError(f"norm_sq below mask threshold at {p}")
-    j1, j2 = _jet_pair(h, p, singular_sq_tol)
-    hbar = Quaternion(j1.val.conjugate(), -j2.val)
-    dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
-    dhbar = cauchy_fueter(conj_qf(h), p, singular_sq_tol).as_quaternion()
-    return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
+    return sum_pde_from_jets(*_jet_pair(h, p, singular_sq_tol), mask_threshold)
 
 
 def real_sum_branch(
@@ -336,56 +373,81 @@ def product_rule_check(
     return ProductRuleCheck(lhs, first, second)
 
 
-def _probe_grid(
+Rows = list[tuple[Point4, tuple[tuple[float, ...], ...]]]
+Systems = Callable[[WirtingerJet, WirtingerJet], tuple[tuple[float, ...], ...]]
+
+
+def _probe(f: QFunction, p: Point4, threshold: float, systems: Systems, singular_sq_tol: float):
+    """The systems' residuals at p and None, or None and the reason p is masked."""
+    values = None
+    try:
+        j1, j2 = _jet_pair(f, p, singular_sq_tol)
+        if abs(j1.val) ** 2 + abs(j2.val) ** 2 < threshold:
+            return None, "norm_sq below threshold"
+        if all(map(cmath.isfinite, (*vars(j1).values(), *vars(j2).values()))):
+            values = systems(j1, j2)
+    except SingularPointError:
+        return None, "singular"
+    except OverflowError:
+        return None, "overflow"
+    if values is None or not all(math.isfinite(v) for vs in values for v in vs):
+        return None, "overflow"
+    return values, None
+
+
+def sample(
     f: QFunction,
-    pts: list[Point4],
-    threshold: float,
+    d: Domain,
+    grid_n: int,
+    systems: Systems,
     singular_sq_tol: float,
-    with_inverse: bool = True,
-):
-    """Jets of f (and of its inverse) at each point, or a mask reason."""
-    inv = inverse_qf(f) if with_inverse else None
+) -> tuple[Rows, list[MaskedPoint]]:
+    """Evaluate f's two component jets once per grid point and derive
+    every residual system from them: systems(j1, j2) returns one tuple of
+    residuals per system that applies at the point.  Callers report the
+    first len(names) tuples (see _reports); any later tuples are per-point
+    values for the caller's own use.  Every tuple is checked for
+    finiteness, whether it is reported or not.
 
-    def probe(p: Point4):
-        try:
-            j1, j2 = _jet_pair(f, p, singular_sq_tol)
-        except SingularPointError:
-            return (p, None, "singular")
-        nsq = abs(j1.val) ** 2 + abs(j2.val) ** 2
-        if nsq < threshold:
-            return (p, None, "norm_sq below threshold")
-        if inv is None:
-            return (p, (j1, j2, None, None), None)
-        try:
-            k1, k2 = _jet_pair(inv, p, singular_sq_tol)
-        except SingularPointError:
-            return (p, None, "singular")
-        return (p, (j1, j2, k1, k2), None)
+    A point is masked "singular" when f or a system divides by a
+    vanishing value there, "norm_sq below threshold" when |f1|^2 + |f2|^2
+    is below the domain's excluded threshold, and "overflow" when that
+    sum, a jet slot or a residual is not finite.  Returns the unmasked
+    points with their residuals and the masked points, in grid order.
+    """
+    rows: Rows = []
+    masked: list[MaskedPoint] = []
+    for p in grid_points(d, grid_n):
+        values, reason = _probe(f, p, d.excluded_threshold, systems, singular_sq_tol)
+        if reason is None:
+            rows.append((p, values))
+        else:
+            masked.append(MaskedPoint(p, reason))
+    return rows, masked
 
-    return point_map(probe, pts)
+
+def _reports(names: tuple[str, ...], rows: Rows, masked: list[MaskedPoint]) -> list[ResidualReport]:
+    return [ResidualReport(n, [(p, vs[k]) for p, vs in rows], masked) for k, n in enumerate(names)]
+
+
+def _classify_systems(j1: WirtingerJet, j2: WirtingerJet, singular_sq_tol: float):
+    """f's system, its inverse's system, |f2|, and the two systems' largest
+    residuals normalized by 1 + the largest jet magnitude."""
+    k1, k2 = inverse_jets(j1, j2, singular_sq_tol)
+    e = _hyperholomorphy_from_jets(j1, j2)
+    e_inv = _hyperholomorphy_from_jets(k1, k2)
+    scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
+    return e, e_inv, (abs(j2.val),), (max(e) / scale, max(e_inv) / scale_inv)
 
 
 def _pair_passes(
-    h: QFunction,
-    pts: list[Point4],
-    threshold: float,
-    tol: float,
-    singular_sq_tol: float,
+    h: QFunction, d: Domain, grid_n: int, tol: float, systems: Systems, singular_sq_tol: float
 ) -> bool:
     """True if h and its inverse pass the first-order system on the
-    unmasked part of pts (normalized residuals), with at least one
+    unmasked grid points (normalized residuals), with at least one
     unmasked point."""
-    seen = False
-    for _, jets, reason in _probe_grid(h, pts, threshold, singular_sq_tol):
-        if reason is not None:
-            continue
-        j1, j2, k1, k2 = jets
-        seen = True
-        if max(_hyperholomorphy_from_jets(j1, j2)) / (1.0 + _jet_scale(j1, j2)) > tol:
-            return False
-        if max(_hyperholomorphy_from_jets(k1, k2)) / (1.0 + _jet_scale(k1, k2)) > tol:
-            return False
-    return seen
+    rows, _ = sample(h, d, grid_n, systems, singular_sq_tol)
+    return bool(rows) and all(max(vs[3]) <= tol for _, vs in rows)
 
 
 def classify(
@@ -398,49 +460,23 @@ def classify(
 ) -> tuple[ClassificationLabel, list[ResidualReport]]:
     """Sample f on a grid and classify it by its PDE residuals.
 
-    Masks points with norm_sq(f) below the domain's excluded threshold
-    or where evaluation is singular.  Raises InconclusiveError when
-    fewer than half of the grid points survive masking.  A witness list
+    Masks points as sample does.  Raises InconclusiveError when fewer
+    than half of the grid points survive masking.  A witness list
     upgrades WHypermeromorphic to Hypermeromorphic-candidate when sums
     and products with every witness stay in the class on the same grid.
     """
     if d is None:
         d = Domain()
-    pts = grid_points(d, grid_n)
-    probes = _probe_grid(f, pts, d.excluded_threshold, singular_sq_tol)
-
-    eq1_rows: list[tuple[Point4, tuple[float, ...]]] = []
-    inv_rows: list[tuple[Point4, tuple[float, ...]]] = []
-    comp2_rows: list[tuple[Point4, tuple[float, ...]]] = []
-    masked: list[MaskedPoint] = []
-    eq1_norm_max = 0.0
-    inv_norm_max = 0.0
-    comp2_max = 0.0
-
-    for p, jets, reason in probes:
-        if reason is not None:
-            masked.append(MaskedPoint(p, reason))
-            continue
-        j1, j2, k1, k2 = jets
-        e = _hyperholomorphy_from_jets(j1, j2)
-        eq1_rows.append((p, e))
-        eq1_norm_max = max(eq1_norm_max, max(e) / (1.0 + _jet_scale(j1, j2)))
-        e = _hyperholomorphy_from_jets(k1, k2)
-        inv_rows.append((p, e))
-        inv_norm_max = max(inv_norm_max, max(e) / (1.0 + _jet_scale(k1, k2)))
-        comp2_rows.append((p, (abs(j2.val),)))
-        comp2_max = max(comp2_max, abs(j2.val))
-
-    if len(eq1_rows) * 2 < len(pts):
-        raise InconclusiveError(
-            f"only {len(eq1_rows)} of {len(pts)} grid points are unmasked"
-        )
-
-    reports = [
-        ResidualReport("hyperholomorphy", eq1_rows, masked),
-        ResidualReport("inverse_hyperholomorphy", inv_rows, masked),
-        ResidualReport("second_component", comp2_rows, masked),
-    ]
+    systems = partial(_classify_systems, singular_sq_tol=singular_sq_tol)
+    rows, masked = sample(f, d, grid_n, systems, singular_sq_tol)
+    total = len(rows) + len(masked)
+    if len(rows) * 2 < total:
+        raise InconclusiveError(f"only {len(rows)} of {total} grid points are unmasked")
+    names = ("hyperholomorphy", "inverse_hyperholomorphy", "second_component")
+    reports = _reports(names, rows, masked)
+    eq1_norm_max = max(vs[3][0] for _, vs in rows)
+    inv_norm_max = max(vs[3][1] for _, vs in rows)
+    comp2_max = reports[2].max_residual
 
     if eq1_norm_max > tol:
         label = "NonHyperholomorphic"
@@ -450,7 +486,7 @@ def classify(
         label = "WHypermeromorphic"
         if witnesses:
             upgraded = all(
-                _pair_passes(h, pts, d.excluded_threshold, tol, singular_sq_tol)
+                _pair_passes(h, d, grid_n, tol, systems, singular_sq_tol)
                 for w in witnesses
                 for h in (sum_qf(f, w), product_qf(f, w), product_qf(w, f))
             )
@@ -459,3 +495,27 @@ def classify(
     else:
         label = "Hyperholomorphic"
     return ClassificationLabel(label, tol), reports
+
+
+def residual_reports(f: QFunction, d: Domain, grid_n: int) -> list[ResidualReport]:
+    """Reports of the hyperholomorphy, inverse and sum systems on the
+    grid, plus the real-component linear system when f is real-valued at
+    every unmasked point.  The linear system is sampled at each point where
+    f is real-valued, so its overflow masks the point even when the report
+    is not emitted."""
+
+    def systems(j1: WirtingerJet, j2: WirtingerJet):
+        values = (
+            _hyperholomorphy_from_jets(j1, j2),
+            _inverse_system_from_jets(j1, j2),
+            (sum_pde_from_jets(j1, j2, d.excluded_threshold),),
+        )
+        if max(abs(j1.val.imag), abs(j2.val.imag)) <= DEFAULT_REAL_TOL:
+            values += (_real_linear_from_jets(j1, j2),)
+        return values
+
+    rows, masked = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
+    names = ("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde")
+    if all(len(vs) > len(names) for _, vs in rows):
+        names += ("real_linear",)
+    return _reports(names, rows, masked)

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: classify, residuals, verify-paper, zero-set, order.
-Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 inconclusive (too many masked points).
+Exit codes: 0 success, 1 verification failure, 2 parse error or an
+expression nested too deeply, 3 inconclusive (too many masked points).
 """
 from __future__ import annotations
 
@@ -16,24 +16,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import (
-    classify,
-    hyperholomorphy_residual,
-    inverse_hyperholomorphy_residual,
-    real_linear_residual,
-    sum_pde_residual,
-)
-from .domain import Domain, grid_points
+from .analysis import classify, residual_reports
+from .domain import Domain
 from .errors import InconclusiveError, ParseError
-from .errors import SingularPointError
 from .expr import parse_definitions
-from .jets import eval_value
 from .lowering import QFunction, inverse_qf, lower
 from .report import (
     CSV_HEADER,
     SCHEMA,
-    MaskedPoint,
-    ResidualReport,
     dumps_json,
     render_text_table,
     residual_csv_rows,
@@ -227,52 +217,6 @@ def _fmt_order(x) -> str:
     return f"{x:.4f}" if isinstance(x, float) else str(x)
 
 
-def _function_reports(
-    f: QFunction, cfg: RunConfig
-) -> tuple[list[ResidualReport], int]:
-    d = cfg.domain()
-    pts = grid_points(d, cfg.grid_n)
-    masked: list[MaskedPoint] = []
-    eq1_rows: list = []
-    inv_rows: list = []
-    sum_rows: list = []
-    lin_rows: list = []
-    real_ok = True
-    for p in pts:
-        try:
-            v1 = eval_value(f.f1, p)
-            v2 = eval_value(f.f2, p)
-        except SingularPointError:
-            masked.append(MaskedPoint(p, "singular"))
-            continue
-        if abs(v1) ** 2 + abs(v2) ** 2 < d.excluded_threshold:
-            masked.append(MaskedPoint(p, "norm_sq below threshold"))
-            continue
-        try:
-            e1 = hyperholomorphy_residual(f, p)
-            e2 = inverse_hyperholomorphy_residual(f, p)
-            s = sum_pde_residual(f, p, d.excluded_threshold)
-        except SingularPointError:
-            masked.append(MaskedPoint(p, "singular"))
-            continue
-        eq1_rows.append((p, e1))
-        inv_rows.append((p, e2))
-        sum_rows.append((p, (s,)))
-        if real_ok:
-            try:
-                lin_rows.append((p, real_linear_residual(f, p)))
-            except ValueError:
-                real_ok = False
-    reports = [
-        ResidualReport("hyperholomorphy", eq1_rows, masked),
-        ResidualReport("inverse_hyperholomorphy", inv_rows, masked),
-        ResidualReport("sum_pde", sum_rows, masked),
-    ]
-    if real_ok:
-        reports.append(ResidualReport("real_linear", lin_rows, masked))
-    return reports, len(eq1_rows)
-
-
 def _cmd_classify(cfg: RunConfig) -> int:
     functions = _load_functions(cfg)
     d = cfg.domain()
@@ -318,10 +262,11 @@ def _cmd_classify(cfg: RunConfig) -> int:
 
 def _cmd_residuals(cfg: RunConfig) -> int:
     functions = _load_functions(cfg)
+    d = cfg.domain()
     results = []
     for name, f in functions:
-        reports, unmasked = _function_reports(f, cfg)
-        if unmasked == 0:
+        reports = residual_reports(f, d, cfg.grid_n)
+        if not reports[0].rows:
             print(f"inconclusive: {name}: every grid point is masked", file=sys.stderr)
             return 3
         results.append((name, reports))
@@ -538,6 +483,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nests too deeply to evaluate", file=sys.stderr)
         return 2
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -60,36 +58,9 @@ def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
     """The grid_n**4 lattice of the box, x1 varying slowest, y2 fastest."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    axes = [np.linspace(lo, hi, grid_n) for (lo, hi) in domain.box]
-    return [
-        Point4.from_reals(x1, y1, x2, y2)
-        for x1, y1, x2, y2 in product(*(a.tolist() for a in axes))
-    ]
+    x1, y1, x2, y2 = (np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in domain.box)
+    # grid_n**2 distinct values per variable, shared by the points that use them
+    z1s = [complex(x, y) for x, y in product(x1, y1)]
+    z2s = [complex(x, y) for x, y in product(x2, y2)]
+    return [Point4(z1, z2) for z1, z2 in product(z1s, z2s)]
 
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def point_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map fn over items, optionally threaded via QFC_THREADS.
-
-    Unset: serial.  0: one thread per CPU.  N >= 1: that many threads.
-    Result order always matches input order.
-    """
-    raw = os.environ.get("QFC_THREADS")
-    items = list(items)
-    if raw is None:
-        return [fn(x) for x in items]
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QFC_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError("QFC_THREADS must be non-negative")
-    if n == 0:
-        n = os.cpu_count() or 1
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

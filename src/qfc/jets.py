@@ -3,7 +3,9 @@
 A jet carries the value of a scalar expression at a point together with
 its four first-order Wirtinger partials with respect to z1, conj(z1),
 z2, conj(z2).  Conjugation swaps the barred and unbarred slots and
-conjugates them; all other rules are the usual bilinear ones.
+conjugates them; all other rules are the usual bilinear ones.  The jet_*
+helpers carry these rules; eval_jet and the from-jets forms in analysis
+share them, so a derived jet is bit-identical to evaluating its tree.
 """
 from __future__ import annotations
 
@@ -68,6 +70,69 @@ class WirtingerJet:
 _ZERO_JET = (0j, 0j, 0j, 0j)
 
 
+def jet_add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    return WirtingerJet(
+        a.val + b.val,
+        a.d_z1 + b.d_z1,
+        a.d_z1bar + b.d_z1bar,
+        a.d_z2 + b.d_z2,
+        a.d_z2bar + b.d_z2bar,
+    )
+
+
+def jet_sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    return WirtingerJet(
+        a.val - b.val,
+        a.d_z1 - b.d_z1,
+        a.d_z1bar - b.d_z1bar,
+        a.d_z2 - b.d_z2,
+        a.d_z2bar - b.d_z2bar,
+    )
+
+
+def jet_neg(a: WirtingerJet) -> WirtingerJet:
+    return WirtingerJet(-a.val, -a.d_z1, -a.d_z1bar, -a.d_z2, -a.d_z2bar)
+
+
+def jet_mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    return WirtingerJet(
+        a.val * b.val,
+        a.d_z1 * b.val + a.val * b.d_z1,
+        a.d_z1bar * b.val + a.val * b.d_z1bar,
+        a.d_z2 * b.val + a.val * b.d_z2,
+        a.d_z2bar * b.val + a.val * b.d_z2bar,
+    )
+
+
+def vanishes(den: complex, singular_sq_tol: float) -> bool:
+    """True when den is too close to zero to divide by."""
+    return den.real * den.real + den.imag * den.imag < singular_sq_tol
+
+
+def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    """Quotient jet; the caller checks vanishes(b.val, ...) first."""
+    den = b.val
+    val = a.val / den
+    return WirtingerJet(
+        val,
+        (a.d_z1 - val * b.d_z1) / den,
+        (a.d_z1bar - val * b.d_z1bar) / den,
+        (a.d_z2 - val * b.d_z2) / den,
+        (a.d_z2bar - val * b.d_z2bar) / den,
+    )
+
+
+def jet_conj(a: WirtingerJet) -> WirtingerJet:
+    """Conjugation swaps the barred and unbarred slots."""
+    return WirtingerJet(
+        a.val.conjugate(),
+        a.d_z1bar.conjugate(),
+        a.d_z1.conjugate(),
+        a.d_z2bar.conjugate(),
+        a.d_z2.conjugate(),
+    )
+
+
 def eval_jet(
     e: QExpr, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
 ) -> WirtingerJet:
@@ -88,52 +153,19 @@ def eval_jet(
         case UnitJ():
             raise ValueError("j has no scalar jet; lower the expression first")
         case Add(l, r):
-            a = eval_jet(l, p, singular_sq_tol)
-            b = eval_jet(r, p, singular_sq_tol)
-            return WirtingerJet(
-                a.val + b.val,
-                a.d_z1 + b.d_z1,
-                a.d_z1bar + b.d_z1bar,
-                a.d_z2 + b.d_z2,
-                a.d_z2bar + b.d_z2bar,
-            )
+            return jet_add(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
         case Sub(l, r):
-            a = eval_jet(l, p, singular_sq_tol)
-            b = eval_jet(r, p, singular_sq_tol)
-            return WirtingerJet(
-                a.val - b.val,
-                a.d_z1 - b.d_z1,
-                a.d_z1bar - b.d_z1bar,
-                a.d_z2 - b.d_z2,
-                a.d_z2bar - b.d_z2bar,
-            )
+            return jet_sub(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
         case Neg(x):
-            a = eval_jet(x, p, singular_sq_tol)
-            return WirtingerJet(-a.val, -a.d_z1, -a.d_z1bar, -a.d_z2, -a.d_z2bar)
+            return jet_neg(eval_jet(x, p, singular_sq_tol))
         case Mul(l, r):
-            a = eval_jet(l, p, singular_sq_tol)
-            b = eval_jet(r, p, singular_sq_tol)
-            return WirtingerJet(
-                a.val * b.val,
-                a.d_z1 * b.val + a.val * b.d_z1,
-                a.d_z1bar * b.val + a.val * b.d_z1bar,
-                a.d_z2 * b.val + a.val * b.d_z2,
-                a.d_z2bar * b.val + a.val * b.d_z2bar,
-            )
+            return jet_mul(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
         case Div(l, r):
             a = eval_jet(l, p, singular_sq_tol)
             b = eval_jet(r, p, singular_sq_tol)
-            den = b.val
-            if den.real * den.real + den.imag * den.imag < singular_sq_tol:
+            if vanishes(b.val, singular_sq_tol):
                 raise SingularPointError(f"denominator vanishes near {p}")
-            val = a.val / den
-            return WirtingerJet(
-                val,
-                (a.d_z1 - val * b.d_z1) / den,
-                (a.d_z1bar - val * b.d_z1bar) / den,
-                (a.d_z2 - val * b.d_z2) / den,
-                (a.d_z2bar - val * b.d_z2bar) / den,
-            )
+            return jet_div(a, b)
         case Pow(b, n):
             a = eval_jet(b, p, singular_sq_tol)
             factor = n * a.val ** (n - 1)
@@ -145,14 +177,7 @@ def eval_jet(
                 factor * a.d_z2bar,
             )
         case Conj(x):
-            a = eval_jet(x, p, singular_sq_tol)
-            return WirtingerJet(
-                a.val.conjugate(),
-                a.d_z1bar.conjugate(),
-                a.d_z1.conjugate(),
-                a.d_z2bar.conjugate(),
-                a.d_z2.conjugate(),
-            )
+            return jet_conj(eval_jet(x, p, singular_sq_tol))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -185,7 +210,7 @@ def eval_value(
             return eval_value(l, p, singular_sq_tol) * eval_value(r, p, singular_sq_tol)
         case Div(l, r):
             den = eval_value(r, p, singular_sq_tol)
-            if den.real * den.real + den.imag * den.imag < singular_sq_tol:
+            if vanishes(den, singular_sq_tol):
                 raise SingularPointError(f"denominator vanishes near {p}")
             return eval_value(l, p, singular_sq_tol) / den
         case Pow(b, n):

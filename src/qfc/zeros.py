@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, grid_points
 from .errors import SingularPointError
 from .jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_value
 from .lowering import QFunction, inverse_qf
@@ -31,12 +31,8 @@ def zero_set_scan(
     """
     if d is None:
         d = Domain()
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    axes = [np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in d.box]
     hits: dict[tuple[int, int, int, int], Point4] = {}
-    for idx in product(*(range(grid_n),) * 4):
-        p = Point4.from_reals(*(axes[k][idx[k]] for k in range(4)))
+    for p, idx in zip(grid_points(d, grid_n), product(range(grid_n), repeat=4)):
         try:
             v1 = eval_value(f.f1, p, singular_sq_tol)
             v2 = eval_value(f.f2, p, singular_sq_tol)

@@ -191,9 +191,52 @@ def test_out_file_holds_the_report(capsys, tmp_path: Path, funcs_file: str) -> N
     assert doc["schema"] == "qfc-report/1"
 
 
-def test_thread_env_does_not_change_output(capsys, funcs_file: str, monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv("QFC_THREADS", raising=False)
-    _, serial, _ = _run(capsys, ["residuals", "--input", funcs_file, "--grid", "3", "--format", "json"])
-    monkeypatch.setenv("QFC_THREADS", "2")
-    _, threaded, _ = _run(capsys, ["residuals", "--input", funcs_file, "--grid", "3", "--format", "json"])
-    assert serial == threaded
+
+def _expected_reason(point: list[float]) -> str | None:
+    """Mask reason of z1*z2 at a grid point of the overflow boxes."""
+    x1, y1, x2, y2 = point
+    if (x1, y1) == (0.0, 0.0) or (x2, y2) == (0.0, 0.0):
+        return "norm_sq below threshold"
+    if abs(x1) == 1e200 or abs(x2) == 1e200:
+        return "overflow"
+    return None
+
+
+@pytest.mark.parametrize(
+    "box, grid",
+    [
+        ("--box=-1e200,1e200,-1,1,-1e200,1e200,-1,1", 3),  # most points overflow
+        ("--box=0.5,1e200,0.5,1,0.5,1,0.5,1", 2),  # half of the points overflow
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "residuals"])
+def test_overflowing_points_are_masked(capsys, tmp_path: Path, command: str, box: str, grid: int) -> None:
+    path = tmp_path / "holo.txt"
+    path.write_text("holo = z1 * z2\n", encoding="utf-8")
+    code, out, err = _run(capsys, [command, "--input", str(path), box, "--grid", str(grid), "--format", "json"])
+    if code == 3:
+        assert command == "classify" and err.startswith("inconclusive:")
+        return
+    assert code == 0 and err == ""
+    assert "Infinity" not in out and "NaN" not in out
+    reports = json.loads(out)["functions"][0]["reports"]
+    for rep in reports:
+        assert len(rep["points"]) + len(rep["masked"]) == grid**4
+        for row in rep["points"]:
+            assert _expected_reason(row["point"]) is None
+        for m in rep["masked"]:
+            assert m["reason"] == _expected_reason(m["point"])
+    assert any(m["reason"] == "overflow" for m in reports[0]["masked"])
+
+
+def test_deeply_nested_input_is_refused(capsys, tmp_path: Path) -> None:
+    deep = tmp_path / "deep.txt"
+    deep.write_text("f = " + " + ".join(["z1"] * 3000) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["classify", "--input", str(deep), "--grid", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nests too deeply")
+    shallow = tmp_path / "shallow.txt"
+    shallow.write_text("f = " + " + ".join(["z1"] * 200) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["classify", "--input", str(shallow), "--grid", "3"])
+    assert code == 0 and err == ""
+    assert "f: Holomorphic" in out

@@ -1,12 +1,10 @@
-"""Sampling domains, grid enumeration, and parallel point evaluation."""
+"""Sampling domains and grid enumeration."""
 
 from __future__ import annotations
 
 import pytest
 
-from qfc import Domain, Point4, grid_points, norm_sq, point_map
-from qfc.generators import example_pair
-from qfc import eval_qfunction
+from qfc import Domain, Point4, grid_points
 
 
 def test_default_domain_is_the_unit_box() -> None:
@@ -49,31 +47,3 @@ def test_grid_points_respect_the_box() -> None:
     assert {p.z1.imag for p in pts} == {0.0}
     assert {p.z2.imag for p in pts} == {-1.0, 0.0}
 
-
-def test_point_map_serial_values() -> None:
-    f = example_pair(0.0, 0.0)
-    pts = grid_points(Domain(), 3)[:5]
-    got = point_map(lambda p: norm_sq(eval_qfunction(f, p)), pts)
-    assert got == [16.0, 16.0, 16.0, 8.0, 8.0]
-
-
-def test_point_map_thread_parity(monkeypatch: pytest.MonkeyPatch) -> None:
-    f = example_pair(1.0, 2.0)
-    pts = grid_points(Domain(), 3)
-    fn = lambda p: norm_sq(eval_qfunction(f, p))
-    monkeypatch.delenv("QFC_THREADS", raising=False)
-    serial = point_map(fn, pts)
-    monkeypatch.setenv("QFC_THREADS", "2")
-    threaded = point_map(fn, pts)
-    assert serial == threaded
-    monkeypatch.setenv("QFC_THREADS", "0")
-    assert point_map(fn, pts) == serial
-
-
-def test_point_map_rejects_a_bad_thread_count(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv("QFC_THREADS", "x")
-    with pytest.raises(ValueError, match="QFC_THREADS must be an integer"):
-        point_map(lambda p: 0.0, grid_points(Domain(), 2)[:2])
-    monkeypatch.setenv("QFC_THREADS", "-1")
-    with pytest.raises(ValueError):
-        point_map(lambda p: 0.0, grid_points(Domain(), 2)[:2])
