@@ -6,28 +6,37 @@ at the point) before comparison against the tolerance.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .domain import Domain, grid_points
-from .errors import InconclusiveError, SingularPointError
+from .errors import InconclusiveError
 from .jets import (
+    BELOW_THRESHOLD,
     DEFAULT_SINGULAR_SQ_TOL,
+    MASK_REASONS,
+    OVERFLOW,
+    CArray,
     Point4,
+    PointEvents,
     WirtingerJet,
     eval_jet,
+    grid_jets,
     jet_add,
     jet_conj,
     jet_div,
     jet_mul,
     jet_neg,
+    maximum,
+    refuse,
     vanishes,
 )
 from .lowering import QFunction, product_qf, sum_qf
-from .quaternion import UNIT_J, Quaternion, modulus, quat_mul
+from .quaternion import UNIT_J, Quaternion, modulus, quat_mul, square
 from .report import MaskedPoint, ResidualReport
 
 LABELS = (
@@ -113,7 +122,7 @@ def _jet_pair(
 
 
 def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
-    return max(j1.magnitude(), j2.magnitude())
+    return maximum(j1.magnitude(), j2.magnitude())
 
 
 def _cauchy_fueter_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> DValue:
@@ -139,8 +148,7 @@ def inverse_jets(
 ) -> tuple[WirtingerJet, WirtingerJet]:
     """Jets of inverse_qf(f), conj(f)/norm_sq(f), from the jets of f."""
     n = norm_sq_jet(j1, j2)
-    if vanishes(n.val, singular_sq_tol):
-        raise SingularPointError("norm_sq of the function vanishes")
+    refuse(n.val, vanishes(n.val, singular_sq_tol), "norm_sq of the function vanishes")
     return jet_div(jet_conj(j1), n), jet_div(jet_neg(j2), n)
 
 
@@ -219,8 +227,7 @@ def sum_pde_from_jets(j1: WirtingerJet, j2: WirtingerJet, mask_threshold: float)
     """sum_pde_residual from h's jets; conj_qf(h) has the jets conj(j1), -j2."""
     nj = norm_sq_jet(j1, j2)
     n = nj.val.real
-    if n < mask_threshold:
-        raise SingularPointError("norm_sq below mask threshold")
+    refuse(nj.val, n < mask_threshold, "norm_sq below mask threshold")
     hbar = Quaternion(j1.val.conjugate(), -j2.val)
     dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
     dhbar = _cauchy_fueter_from_jets(jet_conj(j1), jet_neg(j2)).as_quaternion()
@@ -373,26 +380,15 @@ def product_rule_check(
     return ProductRuleCheck(lhs, first, second)
 
 
-Rows = list[tuple[Point4, tuple[tuple[float, ...], ...]]]
-Systems = Callable[[WirtingerJet, WirtingerJet], tuple[tuple[float, ...], ...]]
+Rows = list[tuple[Point4, tuple[tuple[float, ...], ...], tuple[float, ...] | None]]
+Systems = Callable[
+    [WirtingerJet, WirtingerJet, PointEvents],
+    tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...], np.ndarray | bool],
+]
 
 
-def _probe(f: QFunction, p: Point4, threshold: float, systems: Systems, singular_sq_tol: float):
-    """The systems' residuals at p and None, or None and the reason p is masked."""
-    values = None
-    try:
-        j1, j2 = _jet_pair(f, p, singular_sq_tol)
-        if abs(j1.val) ** 2 + abs(j2.val) ** 2 < threshold:
-            return None, "norm_sq below threshold"
-        if all(map(cmath.isfinite, (*vars(j1).values(), *vars(j2).values()))):
-            values = systems(j1, j2)
-    except SingularPointError:
-        return None, "singular"
-    except OverflowError:
-        return None, "overflow"
-    if values is None or not all(math.isfinite(v) for vs in values for v in vs):
-        return None, "overflow"
-    return values, None
+def _per_point(values: tuple[np.ndarray, ...], n: int) -> list[tuple[float, ...]]:
+    return list(zip(*(np.broadcast_to(v, (n,)).tolist() for v in values)))
 
 
 def sample(
@@ -402,42 +398,81 @@ def sample(
     systems: Systems,
     singular_sq_tol: float,
 ) -> tuple[Rows, list[MaskedPoint]]:
-    """Evaluate f's two component jets once per grid point and derive
-    every residual system from them: systems(j1, j2) returns one tuple of
-    residuals per system that applies at the point.  Callers report the
-    first len(names) tuples (see _reports); any later tuples are per-point
-    values for the caller's own use.  Every tuple is checked for
-    finiteness, whether it is reported or not.
+    """Evaluate f's two component jets at all grid points at once and
+    derive every residual system from them.
 
-    A point is masked "singular" when f or a system divides by a
-    vanishing value there, "norm_sq below threshold" when |f1|^2 + |f2|^2
-    is below the domain's excluded threshold, and "overflow" when that
-    sum, a jet slot or a residual is not finite.  Returns the unmasked
-    points with their residuals and the masked points, in grid order.
+    systems(j1, j2, events) returns (reported, extra, holds): reported has
+    one tuple of residual arrays per reported system; extra is a tuple of
+    further arrays for the caller's own use, defined where holds is true
+    (classify's normalized maxima, everywhere; residuals' real_linear
+    system, at real-valued points).  Each row is (point, the reported
+    tuples, the extra tuple or None where it does not hold).  Every
+    reported value, and every extra value where it holds, is checked for
+    finiteness.
+
+    A point is masked "singular" when f or a system divides by a vanishing
+    value there, "norm_sq below threshold" when |f1|^2 + |f2|^2 is below
+    the domain's excluded threshold, and "overflow" when Python's
+    arithmetic would overflow, or that sum, a jet slot or a checked value
+    is not finite.  A point keeps its first event, in the order evaluating
+    it alone would meet them: f1's tree, f2's tree, the norm, the jets,
+    the systems in call order, then the checked values.  The arithmetic is
+    CPython's (see CArray), so every value equals the per-point one.
+    Returns the unmasked points with their values and the masked points,
+    in grid order.
     """
+    points = grid_points(d, grid_n)
+    n = len(points)
+    events = PointEvents(n)
+    with np.errstate(all="ignore"):
+        z1 = CArray.of([p.z1 for p in points], events)
+        z2 = CArray.of([p.z2 for p in points], events)
+        j1, j2 = grid_jets((f.f1, f.f2), z1, z2, singular_sq_tol)
+        # abs(v) ** 2 raises OverflowError, masking the point, where a
+        # finite abs squares to inf; two finite squares may still sum to inf
+        a1, a2 = abs(j1.val), abs(j2.val)
+        s1, s2 = square(a1), square(a2)
+        events.flag((np.isfinite(a1) & np.isinf(s1)) | (np.isfinite(a2) & np.isinf(s2)), OVERFLOW)
+        events.flag(s1 + s2 < d.excluded_threshold, BELOW_THRESHOLD)
+        finite = True
+        for slot in (*vars(j1).values(), *vars(j2).values()):
+            finite = finite & slot.isfinite()
+        events.flag(~finite, OVERFLOW)
+        reported, extra, holds = systems(j1, j2, events)
+        for v in (v for values in reported for v in values):
+            events.flag(~np.isfinite(v), OVERFLOW)
+        for v in extra:
+            events.flag(~np.isfinite(v) & holds, OVERFLOW)
+    columns = [_per_point(values, n) for values in reported]
+    extras = _per_point(extra, n)
     rows: Rows = []
     masked: list[MaskedPoint] = []
-    for p in grid_points(d, grid_n):
-        values, reason = _probe(f, p, d.excluded_threshold, systems, singular_sq_tol)
-        if reason is None:
-            rows.append((p, values))
+    for i, (p, code, has_extra) in enumerate(
+        zip(points, events.code.tolist(), np.broadcast_to(holds, (n,)).tolist())
+    ):
+        if code:
+            masked.append(MaskedPoint(p, MASK_REASONS[code]))
         else:
-            masked.append(MaskedPoint(p, reason))
+            rows.append((p, tuple(c[i] for c in columns), extras[i] if has_extra else None))
     return rows, masked
 
 
 def _reports(names: tuple[str, ...], rows: Rows, masked: list[MaskedPoint]) -> list[ResidualReport]:
-    return [ResidualReport(n, [(p, vs[k]) for p, vs in rows], masked) for k, n in enumerate(names)]
+    return [ResidualReport(n, [(p, vs[k]) for p, vs, _ in rows], masked) for k, n in enumerate(names)]
 
 
-def _classify_systems(j1: WirtingerJet, j2: WirtingerJet, singular_sq_tol: float):
-    """f's system, its inverse's system, |f2|, and the two systems' largest
-    residuals normalized by 1 + the largest jet magnitude."""
+def _classify_systems(
+    j1: WirtingerJet, j2: WirtingerJet, events: PointEvents, singular_sq_tol: float
+):
+    """f's system, its inverse's system and |f2|, and as the extra value
+    the two systems' largest residuals normalized by 1 + the largest jet
+    magnitude."""
     k1, k2 = inverse_jets(j1, j2, singular_sq_tol)
     e = _hyperholomorphy_from_jets(j1, j2)
     e_inv = _hyperholomorphy_from_jets(k1, k2)
     scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
-    return e, e_inv, (abs(j2.val),), (max(e) / scale, max(e_inv) / scale_inv)
+    reported = (e, e_inv, (abs(j2.val),))
+    return reported, (maximum(*e) / scale, maximum(*e_inv) / scale_inv), True
 
 
 def _pair_passes(
@@ -447,9 +482,7 @@ def _pair_passes(
     unmasked grid points (normalized residuals), with at least one
     unmasked point."""
     rows, _ = sample(h, d, grid_n, systems, singular_sq_tol)
-    return bool(rows) and all(max(vs[3]) <= tol for _, vs in rows)
-
-
+    return bool(rows) and all(max(norm_max) <= tol for _, _, norm_max in rows)
 def classify(
     f: QFunction,
     d: Domain | None = None,
@@ -474,8 +507,8 @@ def classify(
         raise InconclusiveError(f"only {len(rows)} of {total} grid points are unmasked")
     names = ("hyperholomorphy", "inverse_hyperholomorphy", "second_component")
     reports = _reports(names, rows, masked)
-    eq1_norm_max = max(vs[3][0] for _, vs in rows)
-    inv_norm_max = max(vs[3][1] for _, vs in rows)
+    eq1_norm_max = max(norm_max[0] for _, _, norm_max in rows)
+    inv_norm_max = max(norm_max[1] for _, _, norm_max in rows)
     comp2_max = reports[2].max_residual
 
     if eq1_norm_max > tol:
@@ -497,25 +530,31 @@ def classify(
     return ClassificationLabel(label, tol), reports
 
 
+def _residual_systems(
+    j1: WirtingerJet, j2: WirtingerJet, events: PointEvents, mask_threshold: float
+):
+    """The hyperholomorphy, inverse and sum systems, and as the extra value
+    the real-component linear system, which holds where f is real-valued."""
+    reported = (
+        _hyperholomorphy_from_jets(j1, j2),
+        _inverse_system_from_jets(j1, j2),
+        (sum_pde_from_jets(j1, j2, mask_threshold),),
+    )
+    real = maximum(abs(j1.val.imag), abs(j2.val.imag)) <= DEFAULT_REAL_TOL
+    with events.only(real):
+        linear = _real_linear_from_jets(j1, j2)
+    return reported, linear, real
+
+
 def residual_reports(f: QFunction, d: Domain, grid_n: int) -> list[ResidualReport]:
     """Reports of the hyperholomorphy, inverse and sum systems on the
     grid, plus the real-component linear system when f is real-valued at
     every unmasked point.  The linear system is sampled at each point where
     f is real-valued, so its overflow masks the point even when the report
     is not emitted."""
-
-    def systems(j1: WirtingerJet, j2: WirtingerJet):
-        values = (
-            _hyperholomorphy_from_jets(j1, j2),
-            _inverse_system_from_jets(j1, j2),
-            (sum_pde_from_jets(j1, j2, d.excluded_threshold),),
-        )
-        if max(abs(j1.val.imag), abs(j2.val.imag)) <= DEFAULT_REAL_TOL:
-            values += (_real_linear_from_jets(j1, j2),)
-        return values
-
+    systems = partial(_residual_systems, mask_threshold=d.excluded_threshold)
     rows, masked = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
-    names = ("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde")
-    if all(len(vs) > len(names) for _, vs in rows):
-        names += ("real_linear",)
-    return _reports(names, rows, masked)
+    reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde"), rows, masked)
+    if all(linear is not None for _, _, linear in rows):
+        reports.append(ResidualReport("real_linear", [(p, linear) for p, _, linear in rows], masked))
+    return reports

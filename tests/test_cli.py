@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qfc
 from qfc.cli import main
 
 FUNCS = (
@@ -213,7 +217,19 @@ def _expected_reason(point: list[float]) -> str | None:
 def test_overflowing_points_are_masked(capsys, tmp_path: Path, command: str, box: str, grid: int) -> None:
     path = tmp_path / "holo.txt"
     path.write_text("holo = z1 * z2\n", encoding="utf-8")
-    code, out, err = _run(capsys, [command, "--input", str(path), box, "--grid", str(grid), "--format", "json"])
+    argv = [command, "--input", str(path), box, "--grid", str(grid), "--format", "json"]
+    code, out, err = _run(capsys, argv)
+    # A command of its own prints what a run leaks to stderr, numpy's
+    # RuntimeWarnings included, which pytest would capture here.
+    src = str(Path(qfc.__file__).resolve().parents[1])
+    alone = subprocess.run(
+        [sys.executable, "-m", "qfc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
     if code == 3:
         assert command == "classify" and err.startswith("inconclusive:")
         return
