@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -387,6 +387,12 @@ Systems = Callable[
 ]
 
 
+# Points evaluated together.  Each jet awaiting a user holds ten float64
+# arrays of this length, so memory stays bounded on any grid; elementwise
+# arithmetic makes the values independent of it.
+_BLOCK_POINTS = 4096
+
+
 def _per_point(values: tuple[np.ndarray, ...], n: int) -> list[tuple[float, ...]]:
     return list(zip(*(np.broadcast_to(v, (n,)).tolist() for v in values)))
 
@@ -418,10 +424,28 @@ def sample(
     it alone would meet them: f1's tree, f2's tree, the norm, the jets,
     the systems in call order, then the checked values.  The arithmetic is
     CPython's (see CArray), so every value equals the per-point one.
+    Grids larger than _BLOCK_POINTS are evaluated a block at a time.
     Returns the unmasked points with their values and the masked points,
     in grid order.
     """
     points = grid_points(d, grid_n)
+    rows: Rows = []
+    masked: list[MaskedPoint] = []
+    for start in range(0, len(points), _BLOCK_POINTS):
+        block = points[start : start + _BLOCK_POINTS]
+        for p, code, values in _sample_block(f, block, d.excluded_threshold, systems, singular_sq_tol):
+            if code:
+                masked.append(MaskedPoint(p, MASK_REASONS[code]))
+            else:
+                rows.append((p, *values))
+    return rows, masked
+
+
+def _sample_block(
+    f: QFunction, points: list[Point4], threshold: float, systems: Systems, singular_sq_tol: float
+) -> Iterator[tuple[Point4, int, tuple]]:
+    """sample's evaluation of one block of points: each point with its
+    reason code (0 if unmasked) and its (reported, extra or None) values."""
     n = len(points)
     events = PointEvents(n)
     with np.errstate(all="ignore"):
@@ -433,7 +457,7 @@ def sample(
         a1, a2 = abs(j1.val), abs(j2.val)
         s1, s2 = square(a1), square(a2)
         events.flag((np.isfinite(a1) & np.isinf(s1)) | (np.isfinite(a2) & np.isinf(s2)), OVERFLOW)
-        events.flag(s1 + s2 < d.excluded_threshold, BELOW_THRESHOLD)
+        events.flag(s1 + s2 < threshold, BELOW_THRESHOLD)
         finite = True
         for slot in (*vars(j1).values(), *vars(j2).values()):
             finite = finite & slot.isfinite()
@@ -445,16 +469,10 @@ def sample(
             events.flag(~np.isfinite(v) & holds, OVERFLOW)
     columns = [_per_point(values, n) for values in reported]
     extras = _per_point(extra, n)
-    rows: Rows = []
-    masked: list[MaskedPoint] = []
     for i, (p, code, has_extra) in enumerate(
         zip(points, events.code.tolist(), np.broadcast_to(holds, (n,)).tolist())
     ):
-        if code:
-            masked.append(MaskedPoint(p, MASK_REASONS[code]))
-        else:
-            rows.append((p, tuple(c[i] for c in columns), extras[i] if has_extra else None))
-    return rows, masked
+        yield p, code, (tuple(c[i] for c in columns), extras[i] if has_extra else None)
 
 
 def _reports(names: tuple[str, ...], rows: Rows, masked: list[MaskedPoint]) -> list[ResidualReport]:
@@ -483,6 +501,8 @@ def _pair_passes(
     unmasked point."""
     rows, _ = sample(h, d, grid_n, systems, singular_sq_tol)
     return bool(rows) and all(max(norm_max) <= tol for _, _, norm_max in rows)
+
+
 def classify(
     f: QFunction,
     d: Domain | None = None,

@@ -155,13 +155,13 @@ class CArray:
     __slots__ = ("real", "imag", "events")
     __array_ufunc__ = None  # so float_array * CArray calls CArray.__rmul__
 
-    def __init__(self, real: np.ndarray, imag: np.ndarray, events: PointEvents | None = None):
+    def __init__(self, real: np.ndarray, imag: np.ndarray, events: PointEvents):
         self.real = real
         self.imag = imag
         self.events = events
 
     @classmethod
-    def of(cls, values, events: PointEvents | None = None) -> CArray:
+    def of(cls, values, events: PointEvents) -> CArray:
         return cls(
             np.array([z.real for z in values], dtype=float),
             np.array([z.imag for z in values], dtype=float),
@@ -170,10 +170,6 @@ class CArray:
 
     def _new(self, parts: tuple) -> CArray:
         return CArray(parts[0], parts[1], self.events)
-
-    def _flag(self, where: np.ndarray, code: int) -> None:
-        if self.events is not None:
-            self.events.flag(where, code)
 
     def __add__(self, other) -> CArray:
         br, bi = _parts(other)
@@ -194,7 +190,7 @@ class CArray:
 
     def __truediv__(self, other) -> CArray:
         re, im, zero = _quot(self.real, self.imag, *_parts(other))
-        self._flag(zero, SINGULAR)
+        self.events.flag(zero, SINGULAR)
         return self._new((re, im))
 
     def __pow__(self, n: int) -> CArray:
@@ -210,12 +206,12 @@ class CArray:
             power = self._new((np.ones_like(self.real), np.zeros_like(self.imag)))
         else:
             power = self._new(_powu(self.real, self.imag, n))
-        self._flag(np.isinf(power.real) | np.isinf(power.imag), OVERFLOW)
+        self.events.flag(np.isinf(power.real) | np.isinf(power.imag), OVERFLOW)
         return power
 
     def __abs__(self) -> np.ndarray:
         r = np.hypot(self.real, self.imag)
-        self._flag(np.isfinite(self.real) & np.isfinite(self.imag) & np.isinf(r), OVERFLOW)
+        self.events.flag(np.isfinite(self.real) & np.isfinite(self.imag) & np.isinf(r), OVERFLOW)
         return r
 
     def conjugate(self) -> CArray:
@@ -392,7 +388,9 @@ def grid_jets(
     A vanishing divisor is flagged "singular" on z1.events, an overflowing
     power "overflow".  Structurally equal subtrees are evaluated once: a
     node's key is its type, its leaf fields and its children's keys, built
-    without recursion, so trees too deep to hash still evaluate.
+    without recursion, so trees too deep to hash still evaluate.  The
+    memory held grows with the number of points times the number of jets
+    awaiting a user, so callers evaluate large grids in blocks.
     """
     events = z1.events
 
@@ -436,7 +434,7 @@ def grid_jets(
 
     key_of: dict[int, int] = {}  # id(node) -> key index; every node stays alive meanwhile
     index: dict[tuple, int] = {}
-    jets: list[WirtingerJet] = []
+    plan: list[tuple[QExpr, list[int]]] = []  # distinct nodes in post-order, with their children's keys
     for root in exprs:
         stack = [root]
         while stack:
@@ -453,13 +451,27 @@ def grid_jets(
             stack.pop()
             # repr keeps RealConst(-0.0) apart from RealConst(0.0)
             leaves = tuple(repr(v) for v in fields if not isinstance(v, QExpr))
-            key = (type(e), leaves, *(key_of[id(k)] for k in kids))
+            kid_keys = [key_of[id(k)] for k in kids]
+            key = (type(e), leaves, *kid_keys)
             k = index.get(key)
             if k is None:
-                k = index[key] = len(jets)
-                jets.append(rule(e, [jets[key_of[id(c)]] for c in kids]))
+                k = index[key] = len(plan)
+                plan.append((e, kid_keys))
             key_of[id(e)] = k
-    return [jets[key_of[id(e)]] for e in exprs]
+    roots = [key_of[id(e)] for e in exprs]
+    # A jet is dropped once its last user is evaluated, so only the walk's
+    # frontier is held, not every distinct node's jet.
+    uses = [0] * len(plan)
+    for k in (*roots, *(c for _, kid_keys in plan for c in kid_keys)):
+        uses[k] += 1
+    jets: list[WirtingerJet | None] = [None] * len(plan)
+    for k, (e, kid_keys) in enumerate(plan):
+        jets[k] = rule(e, [jets[c] for c in kid_keys])
+        for c in kid_keys:
+            uses[c] -= 1
+            if not uses[c]:
+                jets[c] = None
+    return [jets[k] for k in roots]
 
 
 def eval_value(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -38,7 +39,7 @@ from qfc.domain import Domain, grid_points
 from qfc.errors import SingularPointError
 from qfc.expr import parse
 from qfc.generators import example_pair, random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import eval_jet
+from qfc.jets import CArray, Point4, PointEvents, eval_jet, grid_jets
 from qfc.lowering import lower
 from qfc.report import MaskedPoint
 
@@ -179,3 +180,28 @@ def test_trees_too_deep_to_hash_are_sampled() -> None:
     with pytest.raises(RecursionError):
         hash(f.f1)
     _compare(f, Domain(), 2, 1e-12)
+
+
+def test_blocks_of_points_give_the_same_rows(monkeypatch: pytest.MonkeyPatch) -> None:
+    """A grid split into blocks, the last one partial, samples as one."""
+    monkeypatch.setattr(qfc.analysis, "_BLOCK_POINTS", 7)
+    for kind in ("rational", *FIXED):
+        for box in ("default", "wide"):
+            _compare(_function(kind, 5), Domain.from_flat(BOXES[box], MASKS[box]), 3, 1e-12)
+
+
+def test_grid_jets_holds_only_the_jets_awaiting_a_user() -> None:
+    """A 300-term sum has 300 distinct Add nodes; their jets are dropped
+    as the walk passes them, so the peak is a few jets, not 300."""
+    f = lower(parse(" + ".join(["z1*z2"] * 300) + " + z2*j"))
+    n, p = 4096, complex(0.5, 0.25)
+    z = CArray.of([p] * n, PointEvents(n))
+    tracemalloc.start()
+    try:
+        j1, _ = grid_jets((f.f1, f.f2), z, z, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert j1.val.real.tolist() == [eval_jet(f.f1, Point4(p, p)).val.real] * n
+    jet_bytes = 10 * 8 * n  # five complex slots of n points
+    assert peak < 20 * jet_bytes
