@@ -2,7 +2,8 @@
 
 Subcommands: classify, residuals, verify-paper, zero-set, order.
 Exit codes: 0 success, 1 verification failure, 2 parse error or an
-expression nested too deeply, 3 inconclusive (too many masked points).
+expression nested too deeply, 3 inconclusive (too many masked points, or
+every grid point of a zero or pole scan skipped).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .analysis import classify, residual_reports
 from .domain import Domain
 from .errors import InconclusiveError, ParseError
 from .expr import parse_definitions
-from .lowering import QFunction, inverse_qf, lower
+from .lowering import QFunction, lower
 from .report import (
     CSV_HEADER,
     SCHEMA,
@@ -29,7 +30,7 @@ from .report import (
     residual_csv_rows,
 )
 from .verify import run_verify
-from .zeros import estimate_order, zero_set_scan
+from .zeros import estimate_order, pole_set_scan, zero_set_scan
 
 _FORMATS = ("text", "json", "csv")
 
@@ -344,9 +345,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_zero_set(cfg: RunConfig) -> int:
     functions = _load_functions(cfg)
     d = cfg.domain()
-    results = [
-        (name, zero_set_scan(f, d, cfg.grid_n, cfg.tol)) for name, f in functions
-    ]
+    results = []
+    for name, f in functions:
+        try:
+            results.append((name, zero_set_scan(f, d, cfg.grid_n, cfg.tol)))
+        except InconclusiveError as exc:
+            print(f"inconclusive: {name}: {exc}", file=sys.stderr)
+            return 3
 
     if cfg.output_format == "json":
         doc = {
@@ -392,8 +397,12 @@ def _cmd_order(cfg: RunConfig) -> int:
     d = cfg.domain()
     results = []
     for name, f in functions:
-        target = f if cfg.kind == "zero" else inverse_qf(f)
-        clusters = zero_set_scan(target, d, cfg.grid_n, cfg.tol)
+        scan = zero_set_scan if cfg.kind == "zero" else pole_set_scan
+        try:
+            clusters = scan(f, d, cfg.grid_n, cfg.tol)
+        except InconclusiveError as exc:
+            print(f"inconclusive: {name}: {exc}", file=sys.stderr)
+            return 3
         estimates = []
         for ci, cluster in enumerate(clusters):
             q = cluster[0]

@@ -54,11 +54,16 @@ class Domain:
         return cls(box, excluded_threshold)
 
 
-def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
-    """The grid_n**4 lattice of the box, x1 varying slowest, y2 fastest."""
+def grid_axes(domain: Domain, grid_n: int) -> list[list[float]]:
+    """The grid_n values of each of x1, y1, x2, y2."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    x1, y1, x2, y2 = (np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in domain.box)
+    return [np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in domain.box]
+
+
+def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
+    """The grid_n**4 lattice of the box, x1 varying slowest, y2 fastest."""
+    x1, y1, x2, y2 = grid_axes(domain, grid_n)
     # grid_n**2 distinct values per variable, shared by the points that use them
     z1s = [complex(x, y) for x, y in product(x1, y1)]
     z2s = [complex(x, y) for x, y in product(x2, y2)]

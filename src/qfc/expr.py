@@ -10,7 +10,10 @@ The surface language is parsed by a small recursive-descent parser:
 Multiplication is quaternionic, so operand order is preserved everywhere,
 and p/q means p * rinv(q).  Trees are immutable; the operator overloads
 build new nodes with constant folding (real-constant arithmetic plus the
-0/1 identities) and nothing more.
+0/1 identities) and nothing more.  No fold hides a division: a quotient
+of real constants folds only for a nonzero divisor, and 0 * e folds to 0
+only when e has no Div node, so 0/0 or 0 * (1/z1) stays undefined where
+its divisor vanishes.
 
 A tree containing no UnitJ node denotes a complex-valued function of
 z1, conj(z1), z2, conj(z2); lowering produces pairs of such trees.
@@ -198,7 +201,7 @@ def _sub(a: QExpr, b: QExpr) -> QExpr:
 def _mul(a: QExpr, b: QExpr) -> QExpr:
     if isinstance(a, RealConst) and isinstance(b, RealConst):
         return RealConst(a.value * b.value)
-    if _is_zero(a) or _is_zero(b):
+    if (_is_zero(a) and _total(b)) or (_is_zero(b) and _total(a)):
         return RealConst(0.0)
     if _is_one(a):
         return b
@@ -207,11 +210,24 @@ def _mul(a: QExpr, b: QExpr) -> QExpr:
     return Mul(a, b)
 
 
+def _total(e: QExpr) -> bool:
+    """True when e has no Div node, so it is defined wherever z1 and z2
+    are and 0 * e is 0."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Div):
+            return False
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(v for v in vars(x).values() if isinstance(v, QExpr))
+    return True
+
+
 def _div(a: QExpr, b: QExpr) -> QExpr:
     if _is_one(b):
         return a
-    if _is_zero(a):
-        return RealConst(0.0)
     if isinstance(a, RealConst) and isinstance(b, RealConst) and b.value != 0.0:
         return RealConst(a.value / b.value)
     return Div(a, b)

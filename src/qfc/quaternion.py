@@ -44,9 +44,6 @@ class Quaternion:
     def conj(self) -> Quaternion:
         return quat_conj(self)
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 ONE = Quaternion(1 + 0j, 0j)
 UNIT_I = Quaternion(1j, 0j)
@@ -105,17 +102,3 @@ def rinv(q: Quaternion, singular_sq_tol: float = 0.0) -> Quaternion:
     c = quat_conj(q)
     return Quaternion(c.z1 / n, c.z2 / n)
 
-
-def _fmt_complex(z: complex) -> str:
-    re, im = z.real, z.imag
-    if im == 0:
-        return repr(re)
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
-
-
-def render(q: Quaternion) -> str:
-    """Textual form "a+bi + (c+di)j" used in reports."""
-    if q.z2 == 0:
-        return _fmt_complex(q.z1)
-    return f"{_fmt_complex(q.z1)} + ({_fmt_complex(q.z2)})j"

@@ -1,18 +1,79 @@
-"""Zero-set scanning and local order estimation."""
+"""Zero-set scanning and local order estimation.
+
+Both evaluate their trees over arrays of points, a block of at most
+_BLOCK_POINTS at a time, with grid_jets on CArray coordinates.  CArray
+replays CPython's complex arithmetic, so each value equals the one a
+per-point evaluation gives, and a point where that evaluation would
+raise (a vanishing divisor, an overflowing power or magnitude) carries
+that event instead and is skipped.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
-from .domain import Domain, grid_points
-from .errors import SingularPointError
-from .jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_value
+from .analysis import _BLOCK_POINTS
+from .domain import Domain, grid_axes
+from .errors import InconclusiveError
+from .jets import DEFAULT_SINGULAR_SQ_TOL, MASK_REASONS, SINGULAR, CArray, Point4, PointEvents, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
+
+# The x1, y1, x2, y2 coordinates of a block of points.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A block's candidates, each point's event code (0 where it was evaluated)
+# and the two magnitudes compared with the tolerance.
+Test = Callable[[Columns], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _columns(z1: list[complex], z2: list[complex]) -> Columns:
+    return (
+        np.array([z.real for z in z1]),
+        np.array([z.imag for z in z1]),
+        np.array([z.real for z in z2]),
+        np.array([z.imag for z in z2]),
+    )
+
+
+def _values(exprs: tuple, z: Columns, singular_sq_tol: float) -> tuple[list[CArray], PointEvents]:
+    """Values of j-free trees at a block of points, and the first event
+    evaluating them meets at each point."""
+    events = PointEvents(len(z[0]))
+    z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
+    return [j.val for j in grid_jets(exprs, z1, z2, singular_sq_tol)], events
+
+
+def _zero_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
+    """Points where both components of f are within tol of zero."""
+
+    def test(z: Columns):
+        (v1, v2), events = _values((f.f1, f.f2), z, singular_sq_tol)
+        a1 = abs(v1)
+        with events.only(a1 <= tol):  # |v2| is taken only where |v1| passes
+            a2 = abs(v2)
+        code = events.code
+        return (code == 0) & (a1 <= tol) & (a2 <= tol), code, a1, a2
+
+    return test
+
+
+def _pole_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
+    """Points where the right inverse of f is within tol of zero, and
+    nodes where both the inverse and f divide by a vanishing value."""
+    inverse_zero = _zero_test(inverse_qf(f), tol, singular_sq_tol)
+
+    def test(z: Columns):
+        hit, code, w1, w2 = inverse_zero(z)
+        _, events = _values((f.f1, f.f2), z, singular_sq_tol)
+        node = (code == SINGULAR) & (events.code == SINGULAR)
+        return hit | node, np.where(node, 0, code), w1, w2
+
+    return test
 
 
 def zero_set_scan(
@@ -27,19 +88,42 @@ def zero_set_scan(
 
     Adjacency is Chebyshev distance one on the index lattice.  Clusters
     are returned in grid order of their first member, members in grid
-    order; singular grid points are skipped.
+    order; points where f is singular or overflows are skipped, and
+    InconclusiveError is raised when every point is.
     """
-    if d is None:
-        d = Domain()
+    return _scan(d or Domain(), grid_n, _zero_test(f, tol, singular_sq_tol))
+
+
+def pole_set_scan(
+    f: QFunction,
+    d: Domain | None = None,
+    grid_n: int = 21,
+    tol: float = 1e-9,
+    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+) -> list[list[Point4]]:
+    """Pole candidates of f, clustered as zero_set_scan clusters zeros:
+    grid points where the right inverse of f is within tol of zero, and
+    grid points where f itself is singular, so its inverse is too."""
+    return _scan(d or Domain(), grid_n, _pole_test(f, tol, singular_sq_tol))
+
+
+def _scan(d: Domain, grid_n: int, test: Test) -> list[list[Point4]]:
+    axes = grid_axes(d, grid_n)
+    columns = np.array(axes)
+    total = grid_n**4
     hits: dict[tuple[int, int, int, int], Point4] = {}
-    for p, idx in zip(grid_points(d, grid_n), product(range(grid_n), repeat=4)):
-        try:
-            v1 = eval_value(f.f1, p, singular_sq_tol)
-            v2 = eval_value(f.f2, p, singular_sq_tol)
-        except SingularPointError:
-            continue
-        if abs(v1) <= tol and abs(v2) <= tol:
-            hits[idx] = p
+    skipped = np.zeros(max(MASK_REASONS) + 1, dtype=int)
+    for start in range(0, total, _BLOCK_POINTS):
+        lattice = np.unravel_index(np.arange(start, min(start + _BLOCK_POINTS, total)), (grid_n,) * 4)
+        with np.errstate(all="ignore"):
+            hit, code, _, _ = test(tuple(columns[k][i] for k, i in enumerate(lattice)))
+        skipped += np.bincount(code, minlength=len(skipped))
+        for i in np.flatnonzero(hit).tolist():
+            idx = tuple(int(k[i]) for k in lattice)
+            hits[idx] = Point4.from_reals(*(axes[k][j] for k, j in enumerate(idx)))
+    if skipped[1:].sum() == total:
+        reasons = ", ".join(f"{n} {MASK_REASONS[c]}" for c, n in enumerate(skipped.tolist()) if c and n)
+        raise InconclusiveError(f"every grid point is skipped ({reasons})")
 
     parent: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {
         k: k for k in hits
@@ -108,7 +192,9 @@ def estimate_order(
     Samples eight radii from 1e-1 down to 1e-4 along n_directions random
     unit directions drawn from a seeded generator.  kind="zero" requires
     both components of f to vanish at q within zero_tol; kind="pole"
-    requires q to be a candidate zero of the right inverse of f.
+    requires q to be a point pole_set_scan would report.  A sample of a
+    component counts where evaluating that component alone is not
+    singular and does not overflow.
     """
     if kind not in ("zero", "pole"):
         raise ValueError("kind must be 'zero' or 'pole'")
@@ -122,16 +208,19 @@ def estimate_order(
         v /= np.linalg.norm(v)
         dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
 
-    samples: tuple[list[tuple[float, float]], list[tuple[float, float]]] = ([], [])
-    for u1, u2 in dirs:
-        for r in radii:
-            p = Point4(q.z1 + r * u1, q.z2 + r * u2)
-            for comp, bucket in ((f.f1, samples[0]), (f.f2, samples[1])):
-                try:
-                    v = eval_value(comp, p, singular_sq_tol)
-                except SingularPointError:
-                    continue
-                bucket.append((math.log(r), math.log(max(abs(v), 1e-300))))
+    z1 = [q.z1 + r * u1 for u1, _ in dirs for r in radii]
+    z2 = [q.z2 + r * u2 for _, u2 in dirs for r in radii]
+    z = _columns(z1, z2)
+    log_r = [math.log(r) for _ in dirs for r in radii]
+    samples = []
+    for comp in (f.f1, f.f2):
+        with np.errstate(all="ignore"):
+            (v,), events = _values((comp,), z, singular_sq_tol)
+            counts = (events.code == 0).tolist()
+            magnitudes = np.broadcast_to(abs(v), (len(z1),)).tolist()
+        samples.append(
+            [(lr, math.log(max(a, 1e-300))) for lr, a, ok in zip(log_r, magnitudes, counts) if ok]
+        )
 
     per: list[float] = []
     for bucket in samples:
@@ -152,31 +241,15 @@ def estimate_order(
 def _check_candidate(
     f: QFunction, q: Point4, kind: str, zero_tol: float, singular_sq_tol: float
 ) -> None:
-    if kind == "zero":
-        try:
-            v1 = eval_value(f.f1, q, singular_sq_tol)
-            v2 = eval_value(f.f2, q, singular_sq_tol)
-        except SingularPointError as exc:
-            raise ValueError(f"{q} is not a zero candidate: {exc}") from exc
-        if abs(v1) > zero_tol or abs(v2) > zero_tol:
-            raise ValueError(
-                f"{q} is not a zero candidate (component magnitudes "
-                f"{abs(v1):.3e}, {abs(v2):.3e})"
-            )
+    """Raise ValueError unless q is a point the scan for kind would report."""
+    test = (_zero_test if kind == "zero" else _pole_test)(f, zero_tol, singular_sq_tol)
+    with np.errstate(all="ignore"):
+        hit, code, a1, a2 = test(_columns([q.z1], [q.z2]))
+    if hit[0]:
         return
-    inv = inverse_qf(f)
-    try:
-        w1 = eval_value(inv.f1, q, singular_sq_tol)
-        w2 = eval_value(inv.f2, q, singular_sq_tol)
-    except SingularPointError:
-        try:
-            eval_value(f.f1, q, singular_sq_tol)
-            eval_value(f.f2, q, singular_sq_tol)
-        except SingularPointError:
-            return
-        raise ValueError(f"{q} is not a pole candidate") from None
-    if abs(w1) > zero_tol or abs(w2) > zero_tol:
-        raise ValueError(
-            f"{q} is not a pole candidate (inverse magnitudes "
-            f"{abs(w1):.3e}, {abs(w2):.3e})"
-        )
+    if code[0]:
+        raise ValueError(f"{q} is not a {kind} candidate: {MASK_REASONS[int(code[0])]}")
+    what = "component" if kind == "zero" else "inverse"
+    raise ValueError(
+        f"{q} is not a {kind} candidate ({what} magnitudes {a1[0]:.3e}, {a2[0]:.3e})"
+    )

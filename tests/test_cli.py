@@ -35,6 +35,20 @@ def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def _run_alone(argv: list[str]) -> tuple[int, str, str]:
+    """The command in a process of its own, which prints what a run leaks
+    to stderr, numpy's RuntimeWarnings and tracebacks included."""
+    src = str(Path(qfc.__file__).resolve().parents[1])
+    alone = subprocess.run(
+        [sys.executable, "-m", "qfc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    return alone.returncode, alone.stdout, alone.stderr
+
+
 def test_classify_json_shape_and_labels(capsys, funcs_file: str) -> None:
     code, out, err = _run(capsys, ["classify", "--input", funcs_file, "--grid", "4", "--format", "json"])
     assert code == 0 and err == ""
@@ -219,17 +233,7 @@ def test_overflowing_points_are_masked(capsys, tmp_path: Path, command: str, box
     path.write_text("holo = z1 * z2\n", encoding="utf-8")
     argv = [command, "--input", str(path), box, "--grid", str(grid), "--format", "json"]
     code, out, err = _run(capsys, argv)
-    # A command of its own prints what a run leaks to stderr, numpy's
-    # RuntimeWarnings included, which pytest would capture here.
-    src = str(Path(qfc.__file__).resolve().parents[1])
-    alone = subprocess.run(
-        [sys.executable, "-m", "qfc.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=False,
-    )
-    assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
+    assert _run_alone(argv) == (code, out, err)
     if code == 3:
         assert command == "classify" and err.startswith("inconclusive:")
         return
@@ -243,6 +247,45 @@ def test_overflowing_points_are_masked(capsys, tmp_path: Path, command: str, box
         for m in rep["masked"]:
             assert m["reason"] == _expected_reason(m["point"])
     assert any(m["reason"] == "overflow" for m in reports[0]["masked"])
+
+
+@pytest.mark.parametrize("command", ["zero-set", "order"])
+@pytest.mark.parametrize(
+    "box, expected",
+    [
+        # x1 = 0 is on the grid, so the zero at the origin is still found
+        ("--box=-1e10,1e10,-1,1,-1,1,-1,1", 0),
+        # z1 is real and at least 1e10 at every point, so z1^40 overflows everywhere
+        ("--box=1e10,2e10,0,0,-1,1,-1,1", 3),
+    ],
+)
+def test_scans_skip_overflowing_points(capsys, tmp_path: Path, command: str, box: str, expected: int) -> None:
+    path = tmp_path / "big.txt"
+    path.write_text("big = z1^40 + z2*j\n", encoding="utf-8")
+    argv = [command, "--input", str(path), box, "--grid", "3", "--format", "json"]
+    code, out, err = _run_alone(argv)
+    assert (code, out, err) == _run(capsys, argv)
+    assert code == expected
+    if code == 3:
+        assert out == "" and err == "inconclusive: big: every grid point is skipped (81 overflow)\n"
+        return
+    assert err == ""
+    (fn,) = json.loads(out)["functions"]
+    if command == "zero-set":
+        assert fn["clusters"] == [[[0.0, 0.0, 0.0, 0.0]]]
+    else:
+        (est,) = fn["estimates"]
+        assert est["location"] == [0.0, 0.0, 0.0, 0.0] and est["display_order"] == 1.0
+
+
+def test_a_pole_on_a_grid_node_has_order_one(capsys, tmp_path: Path) -> None:
+    path = tmp_path / "pole.txt"
+    path.write_text("f = 1 / ((z1 - 0.2) + (z2 + 0.2) * j)\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["order", "--input", str(path), "--kind", "pole", "--grid", "11", "--format", "json"])
+    assert code == 0 and err == ""
+    (est,) = json.loads(out)["functions"][0]["estimates"]
+    assert est["location"] == pytest.approx([0.2, 0.0, -0.2, 0.0], abs=1e-12)
+    assert est["display_order"] == 1.0
 
 
 def test_deeply_nested_input_is_refused(capsys, tmp_path: Path) -> None:

@@ -144,10 +144,20 @@ def test_operator_folding_identities() -> None:
     assert const(2.0) + const(0.5) == RealConst(2.5)
     assert const(2.0) * const(0.5) == RealConst(1.0)
     assert -const(2.0) == RealConst(-2.0)
-    assert zero / z1 == RealConst(0.0)
+    assert zero / z1 == Div(RealConst(0.0), z1)
     # Division only folds away a denominator equal to one.
     assert z1 / const(2.0) == Div(z1, RealConst(2.0))
     assert z1 / one == z1
+
+
+def test_no_fold_hides_a_division() -> None:
+    z1 = Var("z1")
+    zero, one = const(0.0), const(1.0)
+    assert zero / zero == Div(RealConst(0.0), RealConst(0.0))
+    assert const(1.0) / const(4.0) == RealConst(0.25)
+    assert zero * (one / z1) == Mul(zero, Div(one, z1))
+    assert (one / z1).conj() * zero == Mul((one / z1).conj(), zero)
+    assert zero * (z1 * z1 + one) == RealConst(0.0)
 
 
 def test_conjugation_folding() -> None:

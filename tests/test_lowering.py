@@ -8,6 +8,7 @@ import pytest
 from qfc import (
     Add,
     ConjVar,
+    InconclusiveError,
     Mul,
     ONE,
     Point4,
@@ -19,6 +20,7 @@ from qfc import (
     Sub,
     UnitJ,
     Var,
+    classify,
     conj_qf,
     const_qf,
     eval_qexpr,
@@ -132,3 +134,12 @@ def test_lowering_is_sound_against_direct_evaluation() -> None:
         assert modulus(direct - lowered) <= SOUNDNESS_REL_TOL * (1.0 + modulus(direct))
         checked += 1
     assert checked >= N_SOUNDNESS_TREES // 2
+
+
+def test_zero_over_zero_is_undefined_everywhere() -> None:
+    """0/0 used to fold to the constant 0, so z1 + 0/0 was Holomorphic
+    with no point masked."""
+    assert lower(parse("0/0")) != QFunction(RealConst(0.0), RealConst(0.0))
+    for text in ("z1 + 0/0", "z1 + z2 * j + (0 * z1) / (z1 - z1)"):
+        with pytest.raises(InconclusiveError, match="only 0 of 81 grid points are unmasked"):
+            classify(lower(parse(text)), grid_n=3)

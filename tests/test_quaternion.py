@@ -130,12 +130,3 @@ def test_negation_and_subtraction() -> None:
     assert -q == Quaternion(-1 - 2j, -3 + 4j)
     assert q - q == Quaternion(0j, 0j)
     assert q + (-q) == Quaternion(0j, 0j)
-
-
-def test_rendering_of_common_values() -> None:
-    assert str(Quaternion(1 + 2j, 3 - 4j)) == "1.0+2.0i + (3.0-4.0i)j"
-    assert str(ONE) == "1.0"
-    assert str(Quaternion(0j, 0j)) == "0.0"
-    assert str(Quaternion(-1.5 + 0j, 2j)) == "-1.5 + (0.0+2.0i)j"
-    assert str(UNIT_I) == "0.0+1.0i"
-    assert str(UNIT_J) == "0.0 + (1.0)j"

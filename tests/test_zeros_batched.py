@@ -1,0 +1,265 @@
+"""Zero and pole scans and order estimates against the per-point loops
+they replaced.
+
+zeros evaluates its trees over arrays of points with grid_jets.  The
+oracles here are copies of the per-point loops: eval_value at each grid
+point or probe, a point skipped where evaluating it raises, and the same
+lattice clustering and order fit.  Scans must give the same clusters and
+order estimates the same floats, bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qfc.jets
+import qfc.zeros
+from qfc.cli import main
+from qfc.domain import Domain, grid_axes, grid_points
+from qfc.errors import InconclusiveError, SingularPointError
+from qfc.expr import UnitJ, Var, const, parse
+from qfc.generators import random_polynomial_qf, random_rational_meromorphic
+from qfc.jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_value
+from qfc.lowering import QFunction, inverse_qf, lower
+from qfc.zeros import _TINY, OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
+
+Z1, Z2 = Var("z1"), Var("z2")
+# Each axis of a random box; the last one makes squares overflow.
+INTERVALS = ((-1.0, 1.0), (-2.0, 0.5), (0.0, 1.0), (-0.3, 0.3), (-1e200, 1e200))
+KINDS = ("planted", "rational", "pole", "polynomial", "meromorphic")
+
+
+def _function(kind: str, rng: np.random.Generator, axes: list[list[float]]) -> QFunction:
+    """A random function of the given kind whose zeros or singular points
+    sit on nodes of the grid with these axes."""
+
+    def node():
+        x1, y1, x2, y2 = (axis[rng.integers(len(axis))] for axis in axes)
+        return complex(x1, y1), complex(x2, y2)
+
+    def coeff():
+        return const(complex(*rng.uniform(-1.0, 1.0, 2)))
+
+    (a, b), (c, e) = node(), node()
+    k, m = (int(x) for x in rng.integers(1, 4, 2))
+    u, w = Z1 - const(a), Z2 - const(b)
+    planted = coeff() * u**k + coeff() * w + (w**m + coeff() * u) * UnitJ()
+    if kind == "planted":
+        return lower(planted)
+    if kind == "rational":  # singular where z1 = c or z2 = e
+        return lower(planted / ((Z1 - const(c)) * (Z2 - const(e))))
+    if kind == "pole":  # singular at the node (c, e) alone
+        return lower(planted / ((Z1 - const(c)) + (Z2 - const(e)) * UnitJ()))
+    if kind == "polynomial":
+        return random_polynomial_qf(rng)
+    return random_rational_meromorphic(rng)
+
+
+def _zero_at(g: QFunction, p: Point4, tol: float, singular_sq_tol: float):
+    """Whether both components of g are within tol of zero at p, or the
+    exception evaluating them raises."""
+    try:
+        v1 = eval_value(g.f1, p, singular_sq_tol)
+        v2 = eval_value(g.f2, p, singular_sq_tol)
+        return abs(v1) <= tol and abs(v2) <= tol
+    except (SingularPointError, OverflowError) as exc:
+        return exc
+
+
+def _candidate(f: QFunction, p: Point4, kind: str, tol: float, singular_sq_tol: float):
+    if kind == "zero":
+        return _zero_at(f, p, tol, singular_sq_tol)
+    at = _zero_at(inverse_qf(f), p, tol, singular_sq_tol)
+    if isinstance(at, SingularPointError) and isinstance(_zero_at(f, p, tol, singular_sq_tol), SingularPointError):
+        return True
+    return at
+
+
+def _per_point_scan(f, d, grid_n, tol, singular_sq_tol, kind="zero"):
+    """The scan one grid point at a time; clusters are components of the
+    hits under Chebyshev adjacency, in grid order of their first member."""
+    hits, skipped = {}, 0
+    for p, idx in zip(grid_points(d, grid_n), product(range(grid_n), repeat=4)):
+        at = _candidate(f, p, kind, tol, singular_sq_tol)
+        if isinstance(at, Exception):
+            skipped += 1
+        elif at:
+            hits[idx] = p
+    if skipped == grid_n**4:
+        raise InconclusiveError("every grid point is skipped")
+    clusters, seen = [], set()
+    for start in hits:
+        if start in seen:
+            continue
+        members, todo = [], [start]
+        seen.add(start)
+        while todo:
+            idx = todo.pop()
+            members.append(idx)
+            for off in product((-1, 0, 1), repeat=4):
+                nb = tuple(i + o for i, o in zip(idx, off))
+                if nb in hits and nb not in seen:
+                    seen.add(nb)
+                    todo.append(nb)
+        clusters.append([hits[idx] for idx in sorted(members)])
+    return clusters
+
+
+def _per_point_order(
+    f, q, kind="zero", *, seed=0, zero_tol=1e-9, singular_sq_tol=DEFAULT_SINGULAR_SQ_TOL, probe=complex
+):
+    """estimate_order one probe at a time.  probe=complex evaluates with
+    Python's complex arithmetic; the identity keeps the numpy.complex128
+    probes of the loop the array path replaced."""
+    if _candidate(f, q, kind, zero_tol, singular_sq_tol) is not True:
+        raise ValueError("not a candidate")
+    radii = np.geomspace(1e-1, 1e-4, 8)
+    rng = np.random.default_rng(seed)
+    dirs = []
+    for _ in range(16):
+        v = rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    samples = ([], [])
+    for u1, u2 in dirs:
+        for r in radii:
+            p = Point4(probe(q.z1 + r * u1), probe(q.z2 + r * u2))
+            for comp, bucket in ((f.f1, samples[0]), (f.f2, samples[1])):
+                try:
+                    v = eval_value(comp, p, singular_sq_tol)
+                except (SingularPointError, OverflowError):
+                    continue
+                bucket.append((math.log(r), math.log(max(abs(v), 1e-300))))
+    per = []
+    for bucket in samples:
+        if len(bucket) < len(radii):
+            raise ValueError("too few valid samples around the candidate point")
+        if all(lv < math.log(_TINY) for _, lv in bucket):
+            per.append(math.inf if kind == "zero" else 0.0)
+            continue
+        slope = float(np.polyfit([lr for lr, _ in bucket], [lv for _, lv in bucket], 1)[0])
+        per.append(max(0.0, slope if kind == "zero" else -slope))
+    return OrderEstimate(q, kind, min(per) if kind == "zero" else max(per), (per[0], per[1]))
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return repr(run(*args, **kwargs))
+    except ValueError:
+        return "refused"
+    except np.exceptions.RankWarning:  # samples left at too few radii
+        return "poorly conditioned"
+
+
+def _compare(f, d, grid_n, tol, singular_sq_tol, kind):
+    """Assert the scans and the order estimates at each cluster's first
+    point agree; the per-point clusters, or None where every point is
+    skipped."""
+    scan = zero_set_scan if kind == "zero" else pole_set_scan
+    try:
+        expected = _per_point_scan(f, d, grid_n, tol, singular_sq_tol, kind)
+    except InconclusiveError:
+        with pytest.raises(InconclusiveError):
+            scan(f, d, grid_n, tol, singular_sq_tol)
+        return None
+    assert repr(scan(f, d, grid_n, tol, singular_sq_tol)) == repr(expected)
+    for q in [c[0] for c in expected] + [Point4(0j, 0j)]:
+        args = (f, q, kind)
+        kwargs = {"zero_tol": tol, "singular_sq_tol": singular_sq_tol}
+        assert _outcome(estimate_order, *args, **kwargs) == _outcome(_per_point_order, *args, **kwargs)
+    return expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    box=st.lists(st.sampled_from(INTERVALS), min_size=4, max_size=4),
+    grid_n=st.integers(min_value=2, max_value=9),
+    tol=st.sampled_from((1e-9, 0.25, 2.0)),
+    singular_sq_tol=st.sampled_from((1e-12, 1e-2)),
+)
+def test_batched_zero_scan_equals_the_per_point_loop(kind, seed, box, grid_n, tol, singular_sq_tol) -> None:
+    d = Domain(tuple(box))
+    f = _function(kind, np.random.default_rng(seed), grid_axes(d, grid_n))
+    _compare(f, d, grid_n, tol, singular_sq_tol, "zero")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    box=st.lists(st.sampled_from(INTERVALS[:-1]), min_size=4, max_size=4),
+    grid_n=st.integers(min_value=2, max_value=5),
+    tol=st.sampled_from((1e-9, 0.25)),
+)
+def test_batched_pole_scan_equals_the_per_point_loop(kind, seed, box, grid_n, tol) -> None:
+    """On boxes where nothing overflows: where a point both overflows and
+    divides by a vanishing value, the array path records the event of the
+    numerator (jets evaluate it first), eval_value the denominator's."""
+    d = Domain(tuple(box))
+    f = _function(kind, np.random.default_rng(seed), grid_axes(d, grid_n))
+    _compare(f, d, grid_n, tol, 1e-12, "pole")
+
+
+def test_the_comparison_finds_clusters_and_skips() -> None:
+    """A fixed sweep meets zero clusters, pole nodes and an all-skipped
+    grid, so the comparisons above are not vacuous."""
+    found = {"zero": 0, "pole": 0}
+    for seed in range(3):
+        for kind in KINDS:
+            d = Domain((INTERVALS[seed], INTERVALS[seed + 1], INTERVALS[0], INTERVALS[3]))
+            f = _function(kind, np.random.default_rng(seed), grid_axes(d, 4))
+            for scan_kind in found:
+                found[scan_kind] += len(_compare(f, d, 4, 1e-9, 1e-12, scan_kind) or [])
+    assert found["zero"] and found["pole"], found
+    real_z1 = Domain(((1e10, 2e10), (0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0)))  # z1^40 overflows everywhere
+    assert _compare(lower(parse("z1^40 + z2*j")), real_z1, 3, 1e-9, 1e-12, "zero") is None
+    # |f2| overflows everywhere; it is only taken, and skips the point, where |f1| <= tol
+    huge = "(1.5e308 + 1.5e308 * i) * j"
+    assert _compare(lower(parse(huge)), Domain(), 2, 1e-9, 1e-12, "zero") is None
+    assert _compare(lower(parse(f"1 + {huge}")), Domain(), 2, 1e-9, 1e-12, "zero") == []
+
+
+def test_order_keeps_the_numpy_probes_bits_without_division() -> None:
+    """Without a quotient, numpy.complex128 and Python complex arithmetic
+    agree, so the estimates equal those of the replaced loop, whose probe
+    coordinates were numpy.complex128."""
+    for seed in range(6):
+        for kind in ("planted", "polynomial"):
+            rng = np.random.default_rng(seed)
+            f = _function(kind, rng, grid_axes(Domain(), 5))
+            for q in [Point4(0j, 0j), *(c[0] for c in zero_set_scan(f, Domain(), 5))]:
+                for order_kind in ("zero", "pole"):
+                    old = _outcome(_per_point_order, f, q, order_kind, probe=lambda z: z)
+                    assert _outcome(estimate_order, f, q, order_kind) == old
+
+
+def test_scans_are_evaluated_in_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
+    """A grid split into blocks, the last one partial, scans as one."""
+    monkeypatch.setattr(qfc.zeros, "_BLOCK_POINTS", 7)
+    d = Domain(((-1.0, 1.0), (-2.0, 0.5), (0.0, 1.0), (-0.3, 0.3)))
+    for kind in ("planted", "rational", "pole"):
+        f = _function(kind, np.random.default_rng(3), grid_axes(d, 4))
+        for scan_kind in ("zero", "pole"):
+            _compare(f, d, 4, 0.25, 1e-12, scan_kind)
+
+
+def test_zero_set_and_order_never_evaluate_per_point(monkeypatch: pytest.MonkeyPatch, capsys, tmp_path) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_value called while scanning")
+
+    monkeypatch.setattr(qfc.jets, "eval_value", refuse)
+    assert not hasattr(qfc.zeros, "eval_value")
+    path = tmp_path / "f.txt"
+    path.write_text("f = (z1 - 0.5)^2 + (z2 + 0.5) * j\ng = 1 / ((z1 - 0.5) + (z2 + 0.5) * j)\n")
+    for argv in (["zero-set"], ["order"], ["order", "--kind", "pole"]):
+        assert main([*argv, "--input", str(path), "--grid", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "f: 1 candidate cluster(s)" in out and "g: 1 candidate cluster(s)" in out
+
