@@ -14,12 +14,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .domain import Domain, grid_points
-from .errors import InconclusiveError
+from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
 from .jets import (
-    BELOW_THRESHOLD,
     DEFAULT_SINGULAR_SQ_TOL,
-    MASK_REASONS,
-    OVERFLOW,
     CArray,
     Point4,
     PointEvents,
@@ -36,7 +33,7 @@ from .jets import (
     vanishes,
 )
 from .lowering import QFunction, product_qf, sum_qf
-from .quaternion import UNIT_J, Quaternion, modulus, quat_mul, square
+from .quaternion import UNIT_J, Quaternion, modulus, norm_sq, quat_mul
 from .report import MaskedPoint, ResidualReport
 
 LABELS = (
@@ -66,7 +63,12 @@ class DValue:
         return Quaternion(self.z1, self.z2.conjugate())
 
     def magnitude(self) -> float:
-        return math.hypot(abs(self.z1), abs(self.z2))
+        """math.hypot of the parts' magnitudes, elementwise for grid parts:
+        np.hypot differs from math.hypot in the last bit on some pairs."""
+        a1, a2 = abs(self.z1), abs(self.z2)
+        if not isinstance(a1, np.ndarray):
+            return math.hypot(a1, a2)
+        return np.array(list(map(math.hypot, *(a.tolist() for a in np.broadcast_arrays(a1, a2)))))
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,6 @@ class ProductRuleCheck:
     @property
     def gap(self) -> float:
         return modulus(self.lhs - self.rhs)
-
-
-@dataclass(frozen=True)
-class BranchReport:
-    """Pointwise dichotomy report for the real-component sum system.
-
-    The system factors: at each point either the algebraic expression
-    vanishes or the derivative system does.  branch records which side
-    holds within tol ("algebraic", "derivative", "both", "neither").
-    """
-
-    expression_residuals: tuple[float, float]
-    algebraic_residual: float
-    derivative_residuals: tuple[float, float, float]
-    branch: str
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +183,11 @@ def inverse_hyperholomorphy_residual(
 
 
 def _require_real(values: list[complex], real_tol: float, what: str) -> None:
-    worst = max((abs(v.imag) for v in values), default=0.0)
+    """Raise ValueError unless every value is real within real_tol; for
+    grid values, at the first point where one is not."""
+    worst = maximum(*(abs(v.imag) for v in values))
+    if isinstance(worst, np.ndarray):
+        worst = worst.tolist()[int(np.argmax(worst > real_tol))]
     if worst > real_tol:
         raise ValueError(
             f"{what} requires real-valued components at the point "
@@ -248,38 +238,6 @@ def sum_pde_residual(
     return sum_pde_from_jets(*_jet_pair(h, p, singular_sq_tol), mask_threshold)
 
 
-def real_sum_branch(
-    h: QFunction,
-    p: Point4,
-    tol: float = DEFAULT_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> BranchReport:
-    """Factored form of the sum PDE for real-component h, with branch."""
-    j1, j2 = _jet_pair(h, p, singular_sq_tol)
-    v1, v2 = j1.val, j2.val
-    _require_real([v1, v2], real_tol, "real_sum_branch")
-    e_a = -(v1 * v1) * j1.d_z1bar + 3.0 * (v2 * v2) * j2.d_z2
-    e_b = -(v1 * v1) * j2.d_z2 + (v2 * v2) * j1.d_z1bar
-    algebraic = abs(v1**4 - 3.0 * v2**4)
-    derivative = (
-        abs(j1.d_z1bar),
-        abs(j2.d_z2),
-        abs(j1.d_z2 + j2.d_z1bar),
-    )
-    alg_ok = algebraic <= tol
-    der_ok = max(derivative) <= tol
-    if alg_ok and der_ok:
-        branch = "both"
-    elif alg_ok:
-        branch = "algebraic"
-    elif der_ok:
-        branch = "derivative"
-    else:
-        branch = "neither"
-    return BranchReport((abs(e_a), abs(e_b)), algebraic, derivative, branch, tol)
-
-
 def product_system_residual(
     f: QFunction,
     g: QFunction,
@@ -291,8 +249,12 @@ def product_system_residual(
     The system is order-sensitive: it constrains the left factor's
     derivatives through the right factor's first component value.
     """
-    jf1, jf2 = _jet_pair(f, p, singular_sq_tol)
-    jg1, jg2 = _jet_pair(g, p, singular_sq_tol)
+    return _product_system_from_jets(*_jet_pair(f, p, singular_sq_tol), *_jet_pair(g, p, singular_sq_tol))
+
+
+def _product_system_from_jets(
+    jf1: WirtingerJet, jf2: WirtingerJet, jg1: WirtingerJet, jg2: WirtingerJet
+) -> tuple[float, float]:
     u, v = jf1.val, jf2.val
     w = u - u.conjugate()
     g1 = jg1.val
@@ -311,20 +273,6 @@ def product_system_residual(
     return (abs(p1), abs(p2))
 
 
-def real_product_residual(
-    f: QFunction,
-    g: QFunction,
-    p: Point4,
-    real_tol: float = DEFAULT_REAL_TOL,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> float:
-    """Bilinear product condition for real-component f and g."""
-    jf1, jf2 = _jet_pair(f, p, singular_sq_tol)
-    jg1, jg2 = _jet_pair(g, p, singular_sq_tol)
-    _require_real([jf1.val, jf2.val, jg1.val, jg2.val], real_tol, "real_product_residual")
-    return abs(jf1.d_z1 * jg2.d_z2 + jf1.d_z2 * jg2.d_z1)
-
-
 def real_combined_residual(
     f: QFunction,
     g: QFunction,
@@ -340,6 +288,12 @@ def real_combined_residual(
     _require_real(
         [jf1.val, jf2.val, jg1.val, jg2.val], real_tol, "real_combined_residual"
     )
+    return _real_combined_from_jets(jf1, jf2, jg1, jg2)
+
+
+def _real_combined_from_jets(
+    jf1: WirtingerJet, jf2: WirtingerJet, jg1: WirtingerJet, jg2: WirtingerJet
+) -> tuple[float, float, float, float, float]:
     return (
         abs(jf2.d_z1 + jf1.d_z2),
         abs(jf1.d_z1 - jf2.d_z2),
@@ -361,8 +315,22 @@ def product_rule_check(
     of g; it reduces to f*D(g) when f is real-valued and g satisfies the
     real-component linear system.
     """
-    jf1, jf2 = _jet_pair(f, p, singular_sq_tol)
-    jg1, jg2 = _jet_pair(g, p, singular_sq_tol)
+    return _product_rule_from_jets(
+        *_jet_pair(f, p, singular_sq_tol),
+        *_jet_pair(g, p, singular_sq_tol),
+        *_jet_pair(product_qf(f, g), p, singular_sq_tol),
+    )
+
+
+def _product_rule_from_jets(
+    jf1: WirtingerJet,
+    jf2: WirtingerJet,
+    jg1: WirtingerJet,
+    jg2: WirtingerJet,
+    jp1: WirtingerJet,
+    jp2: WirtingerJet,
+) -> ProductRuleCheck:
+    """product_rule_check from the jets of f, g and product_qf(f, g)."""
     u, v = jf1.val, jf2.val
     gq = Quaternion(jg1.val, jg2.val)
 
@@ -376,7 +344,7 @@ def product_rule_check(
     y2 = u * jg2.d_z2bar + v * jg1.d_z2.conjugate()
     second = Quaternion(0.5 * (x1 - y2.conjugate()), 0.5 * (y1 + x2.conjugate()))
 
-    lhs = cauchy_fueter(product_qf(f, g), p, singular_sq_tol).as_quaternion()
+    lhs = _cauchy_fueter_from_jets(jp1, jp2).as_quaternion()
     return ProductRuleCheck(lhs, first, second)
 
 
@@ -452,12 +420,7 @@ def _sample_block(
         z1 = CArray.of([p.z1 for p in points], events)
         z2 = CArray.of([p.z2 for p in points], events)
         j1, j2 = grid_jets((f.f1, f.f2), z1, z2, singular_sq_tol)
-        # abs(v) ** 2 raises OverflowError, masking the point, where a
-        # finite abs squares to inf; two finite squares may still sum to inf
-        a1, a2 = abs(j1.val), abs(j2.val)
-        s1, s2 = square(a1), square(a2)
-        events.flag((np.isfinite(a1) & np.isinf(s1)) | (np.isfinite(a2) & np.isinf(s2)), OVERFLOW)
-        events.flag(s1 + s2 < threshold, BELOW_THRESHOLD)
+        events.flag(norm_sq(Quaternion(j1.val, j2.val)) < threshold, BELOW_THRESHOLD)
         finite = True
         for slot in (*vars(j1).values(), *vars(j2).values()):
             finite = finite & slot.isfinite()

@@ -1,5 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the reason codes with
+which grid evaluation records why it masks or skips a point."""
 from __future__ import annotations
+
+SINGULAR, BELOW_THRESHOLD, OVERFLOW = 1, 2, 3
+MASK_REASONS = {SINGULAR: "singular", BELOW_THRESHOLD: "norm_sq below threshold", OVERFLOW: "overflow"}
 
 
 class ParseError(ValueError):

@@ -210,19 +210,26 @@ def _mul(a: QExpr, b: QExpr) -> QExpr:
     return Mul(a, b)
 
 
-def _total(e: QExpr) -> bool:
-    """True when e has no Div node, so it is defined wherever z1 and z2
-    are and 0 * e is 0."""
+def _contains(e: QExpr, kind: type) -> bool:
+    """True when e has a node of type kind.  Each distinct node object is
+    visited once, without recursion, so shared subtrees cost nothing extra
+    and deep trees do not overflow the stack."""
     seen: set[int] = set()
     stack = [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Div):
-            return False
+        if isinstance(x, kind):
+            return True
         if id(x) not in seen:
             seen.add(id(x))
             stack.extend(v for v in vars(x).values() if isinstance(v, QExpr))
-    return True
+    return False
+
+
+def _total(e: QExpr) -> bool:
+    """True when e has no Div node, so it is defined wherever z1 and z2
+    are and 0 * e is 0."""
+    return not _contains(e, Div)
 
 
 def _div(a: QExpr, b: QExpr) -> QExpr:
@@ -266,17 +273,7 @@ def _conj(a: QExpr) -> QExpr:
 
 
 def has_unit_j(e: QExpr) -> bool:
-    match e:
-        case UnitJ():
-            return True
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
-            return has_unit_j(l) or has_unit_j(r)
-        case Neg(x) | Conj(x):
-            return has_unit_j(x)
-        case Pow(b, _):
-            return has_unit_j(b)
-        case _:
-            return False
+    return _contains(e, UnitJ)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import OVERFLOW, SINGULAR, SingularPointError
 from .expr import (
     Add,
     Conj,
@@ -55,10 +55,6 @@ class Point4(NamedTuple):
 
     def reals(self) -> tuple[float, float, float, float]:
         return (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
-
-
-SINGULAR, BELOW_THRESHOLD, OVERFLOW = 1, 2, 3
-MASK_REASONS = {SINGULAR: "singular", BELOW_THRESHOLD: "norm_sq below threshold", OVERFLOW: "overflow"}
 
 
 class PointEvents:

@@ -8,7 +8,7 @@ Multiplication follows the right-module convention
 which encodes the commutation rule z*j = j*conj(z).  All values are
 immutable; every operation returns a fresh instance.  The parts may
 also be grid arrays (jets.CArray), for which norm_sq and modulus work
-elementwise with Python's float semantics.
+elementwise with Python's float semantics, flagging where it raises.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import OVERFLOW, SingularPointError
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,17 @@ def square(x):
 
 
 def norm_sq(q: Quaternion) -> float:
-    """|z1|^2 + |z2|^2; equals the scalar part of q * conj(q)."""
-    return square(abs(q.z1)) + square(abs(q.z2))
+    """|z1|^2 + |z2|^2; equals the scalar part of q * conj(q).
+
+    For grid parts, a point where a finite magnitude squares to inf, so
+    Python's ** raises OverflowError, is flagged "overflow" on the parts'
+    events, as abs flags its own overflow.
+    """
+    a1, a2 = abs(q.z1), abs(q.z2)
+    s1, s2 = square(a1), square(a2)
+    if isinstance(s1, np.ndarray):
+        q.z1.events.flag((np.isfinite(a1) & np.isinf(s1)) | (np.isfinite(a2) & np.isinf(s2)), OVERFLOW)
+    return s1 + s2
 
 
 def modulus(q: Quaternion) -> float:

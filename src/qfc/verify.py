@@ -5,25 +5,37 @@ with known behavior, including negative controls with known nonzero
 residuals, and reports the worst residual among the checks expected to
 be small.  Everything is driven by one seeded generator, so a repeated
 run with the same seed produces identical numbers.
+
+Each check evaluates the jets of its functions over its whole point set
+with grid_jets and derives every residual from them with the from-jets
+formulas in analysis.  CArray replays CPython's complex arithmetic, so
+each value, and each item, equals that of evaluating one point at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .analysis import (
-    cauchy_fueter,
-    hyperholomorphy_residual,
-    inverse_hyperholomorphy_residual,
-    product_rule_check,
-    product_system_residual,
-    real_combined_residual,
-    real_linear_residual,
-    sum_pde_residual,
+    _BLOCK_POINTS,
+    DEFAULT_REAL_TOL,
+    _cauchy_fueter_from_jets,
+    _hyperholomorphy_from_jets,
+    _inverse_system_from_jets,
+    _per_point,
+    _product_rule_from_jets,
+    _product_system_from_jets,
+    _real_combined_from_jets,
+    _real_linear_from_jets,
+    _require_real,
+    inverse_jets,
+    norm_sq_jet,
+    sum_pde_from_jets,
 )
 from .domain import Domain, grid_points
-from .errors import SingularPointError
+from .errors import MASK_REASONS, OVERFLOW, SingularPointError
 from .expr import ConjVar, RealConst, Var, const, parse
 from .generators import (
     counterexample_pair,
@@ -36,19 +48,18 @@ from .generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from .jets import Point4, eval_jet, eval_qfunction
-from .lowering import (
-    QFunction,
-    const_qf,
-    inverse_qf,
-    lower,
-    norm_sq_expr,
-    product_qf,
-    sum_qf,
-)
+from .jets import DEFAULT_SINGULAR_SQ_TOL, CArray, Point4, PointEvents, WirtingerJet, grid_jets
+from .lowering import QFunction, const_qf, lower, product_qf, sum_qf
 from .quaternion import Quaternion, modulus, quat_mul
 
 _FAIL_FLOOR = 1e-3
+_MASK_THRESHOLD = 1e-6  # sum_pde_residual's default
+
+Jets = tuple[WirtingerJet, WirtingerJet]
+# A stage maps the jets of a check's functions to a tuple of values, one
+# array each, and says whether a point where it meets a singular value is
+# skipped (True) or raises (False).
+Stage = tuple[Callable[..., tuple], bool]
 
 
 @dataclass(frozen=True)
@@ -59,14 +70,109 @@ class VerifyItem:
     detail: str
 
 
-def _max_eq1(f: QFunction, pts: list[Point4]) -> float:
-    worst = 0.0
-    for p in pts:
-        try:
-            worst = max(worst, max(hyperholomorphy_residual(f, p)))
-        except SingularPointError:
-            continue
+def _jets(fs: list[QFunction], points: list[Point4]) -> tuple[list[Jets], PointEvents]:
+    """The component jets of each function at points, from one grid_jets
+    call, so subtrees the functions share are evaluated once; and the
+    first event evaluating them meets at each point."""
+    events = PointEvents(len(points))
+    z1 = CArray.of([p.z1 for p in points], events)
+    z2 = CArray.of([p.z2 for p in points], events)
+    jets = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z1, z2, DEFAULT_SINGULAR_SQ_TOL)
+    return list(zip(jets[::2], jets[1::2])), events
+
+
+def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterator[list[tuple]]:
+    """For each point in order, the values of the stages, each a tuple of
+    floats, up to the first stage that meets an event there.
+
+    The stages run as one try block of the per-point path: a point drops
+    out at the first stage whose evaluation is singular there if that
+    stage skips it, and raises SingularPointError otherwise; overflow
+    always raises OverflowError.  The functions' tree events count from
+    the first stage, so fs lists functions whose trees meet no event
+    their first stage's functions do not, such as f, g and their sum and
+    product.  Points are evaluated _BLOCK_POINTS at a time.
+    """
+    for start in range(0, len(points), _BLOCK_POINTS):
+        block = points[start : start + _BLOCK_POINTS]
+        with np.errstate(all="ignore"):
+            jets, events = _jets(fs, block)
+            columns = []
+            for values_of, skips in stages:
+                values = _per_point(values_of(*jets), len(block))
+                columns.append((values, events.code.tolist(), skips))
+        for i, p in enumerate(block):
+            out = []
+            for values, code, skips in columns:
+                if code[i] == OVERFLOW:
+                    raise OverflowError(f"overflow near {p}")
+                if code[i] and not skips:
+                    raise SingularPointError(f"{MASK_REASONS[code[i]]} near {p}")
+                if code[i]:
+                    break
+                out.append(values[i])
+            yield out
+
+
+def _fold(worst: float, fs: list[QFunction], points: list[Point4], *stages: Stage) -> float:
+    """worst, raised with Python's max to the largest value of each stage
+    at each point, point by point in order."""
+    for values in _stages(fs, points, *stages):
+        for v in values:
+            worst = max(worst, max(v))
     return worst
+
+
+def _at(fs: list[QFunction], p: Point4, values_of: Callable[..., tuple]) -> tuple:
+    """values_of at the one point p, as a tuple of floats."""
+    [[values]] = _stages(fs, [p], (values_of, False))
+    return values
+
+
+def _eq1(f: Jets) -> tuple:
+    return _hyperholomorphy_from_jets(*f)
+
+
+def _inverse_eq(f: Jets) -> tuple:
+    return _inverse_system_from_jets(*f)
+
+
+def _inverse_derivative(f: Jets) -> tuple:
+    """|D| of the right inverse of f."""
+    return (_cauchy_fueter_from_jets(*inverse_jets(*f, DEFAULT_SINGULAR_SQ_TOL)).magnitude(),)
+
+
+def _sum_pde(h: Jets) -> tuple:
+    return (sum_pde_from_jets(*h, _MASK_THRESHOLD),)
+
+
+def _real_linear(f: Jets) -> tuple:
+    _require_real([f[0].val, f[1].val], DEFAULT_REAL_TOL, "real_linear_residual")
+    return _real_linear_from_jets(*f)
+
+
+def _product_system(f: Jets, g: Jets, *_: Jets) -> tuple:
+    return _product_system_from_jets(*f, *g)
+
+
+def _real_combined(f: Jets, g: Jets) -> tuple:
+    _require_real([f[0].val, f[1].val, g[0].val, g[1].val], DEFAULT_REAL_TOL, "real_combined_residual")
+    return _real_combined_from_jets(*f, *g)
+
+
+def _product_gap(f: Jets, g: Jets, fg: Jets) -> tuple:
+    return (_product_rule_from_jets(*f, *g, *fg).gap,)
+
+
+def _correction_gap(f: Jets, g: Jets, fg: Jets) -> tuple:
+    """How far the correction term is from f*D(g)."""
+    expect = quat_mul(Quaternion(f[0].val, f[1].val), _cauchy_fueter_from_jets(*g).as_quaternion())
+    return (modulus(_product_rule_from_jets(*f, *g, *fg).second_term - expect),)
+
+
+def _sum_pde_identity(h: Jets) -> tuple:
+    """The sum PDE residual, norm_sq and the inverse's |D| of h."""
+    return (*_sum_pde(h), norm_sq_jet(*h).val.real, *_inverse_derivative(h))
 
 
 def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[VerifyItem]:
@@ -89,18 +195,15 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     # and a non-member control
     worst = 0.0
     for f in (e00, e12, holo, counter):
-        worst = max(worst, _max_eq1(f, pts))
+        worst = _fold(worst, [f], pts, (_eq1, True))
     curated = [f for _, f in curated_hyperholomorphic()]
     for _ in range(6):
         f = curated[int(rng.integers(0, len(curated)))]
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
-        for p in samples:
-            worst = max(worst, max(hyperholomorphy_residual(h, p)))
+        worst = _fold(worst, [h], samples, (_eq1, False))
     passed = worst <= tol
-    control = max(
-        hyperholomorphy_residual(QFunction(ConjVar("z2"), zero), samples[0])
-    )
+    control = max(_at([QFunction(ConjVar("z2"), zero)], samples[0], _eq1))
     passed = passed and control >= _FAIL_FLOOR
     items.append(
         VerifyItem(
@@ -118,17 +221,14 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     for _ in range(20):
         f = random_polynomial_qf(rng)
         g = random_polynomial_qf(rng)
-        for _ in range(3):
-            worst = max(worst, product_rule_check(f, g, random_point(rng)).gap)
+        points = [random_point(rng) for _ in range(3)]
+        worst = _fold(worst, [f, g, product_qf(f, g)], points, (_product_gap, False))
     cor_worst = 0.0
     for _ in range(5):
         f = random_real_hyperholomorphic(rng)
         g = random_real_hyperholomorphic(rng)
-        for _ in range(2):
-            p = random_point(rng)
-            chk = product_rule_check(f, g, p)
-            expect = quat_mul(eval_qfunction(f, p), cauchy_fueter(g, p).as_quaternion())
-            cor_worst = max(cor_worst, modulus(chk.second_term - expect))
+        points = [random_point(rng) for _ in range(2)]
+        cor_worst = _fold(cor_worst, [f, g, product_qf(f, g)], points, (_correction_gap, False))
     worst = max(worst, cor_worst)
     items.append(
         VerifyItem(
@@ -146,15 +246,10 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     for _ in range(5):
         passing.append(random_rational_meromorphic(rng))
     for f in passing:
-        for p in samples:
-            try:
-                worst = max(worst, max(inverse_hyperholomorphy_residual(f, p)))
-                worst = max(worst, cauchy_fueter(inverse_qf(f), p).magnitude())
-            except SingularPointError:
-                continue
+        worst = _fold(worst, [f], samples, (_inverse_eq, True), (_inverse_derivative, True))
     p_off = Point4(1 + 1j, 1 + 0j)
-    res_fail = max(inverse_hyperholomorphy_residual(counter, p_off))
-    dinv_fail = cauchy_fueter(inverse_qf(counter), p_off).magnitude()
+    res_fail = max(_at([counter], p_off, _inverse_eq))
+    (dinv_fail,) = _at([counter], p_off, _inverse_derivative)
     passed = worst <= tol and res_fail >= _FAIL_FLOOR and dinv_fail >= _FAIL_FLOOR
     items.append(
         VerifyItem(
@@ -172,13 +267,12 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     for _ in range(3):
         real_members.append(random_real_hyperholomorphic(rng))
     for f in real_members:
-        for p in coarse:
-            worst = max(worst, max(real_linear_residual(f, p)))
+        worst = _fold(worst, [f], coarse, (_real_linear, False))
     x1_tree = const(0.5) * (Var("z1") + ConjVar("z1"))
-    res = real_linear_residual(QFunction(x1_tree, zero), samples[1])
+    res = _at([QFunction(x1_tree, zero)], samples[1], _real_linear)
     value_ok = abs(res[1] - 0.5) <= 1e-12 and res[1] >= _FAIL_FLOOR
     try:
-        real_linear_residual(QFunction(Var("z1"), zero), Point4(0.3 + 0.4j, 0j))
+        _at([QFunction(Var("z1"), zero)], Point4(0.3 + 0.4j, 0j), _real_linear)
         precondition_ok = False
     except ValueError:
         precondition_ok = True
@@ -201,22 +295,16 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
         sum_qf(e00, m_const),
     ]
     for h in sum_members:
-        for p in coarse:
-            try:
-                worst = max(worst, sum_pde_residual(h, p))
-            except SingularPointError:
-                continue
+        worst = _fold(worst, [h], coarse, (_sum_pde, True))
     for _ in range(3):
         h = sum_qf(random_rational_meromorphic(rng), random_rational_meromorphic(rng))
-        for p in samples[:6]:
-            worst = max(worst, sum_pde_residual(h, p))
+        worst = _fold(worst, [h], samples[:6], (_sum_pde, False))
     ident_worst = 0.0
     for p in (p_off, Point4(0.5 - 0.7j, -0.3 + 0.4j)):
-        a = sum_pde_residual(counter, p)
-        n = eval_jet(norm_sq_expr(counter), p).val.real
-        b = 2.0 * n * n * cauchy_fueter(inverse_qf(counter), p).magnitude()
+        a, n, dinv = _at([counter], p, _sum_pde_identity)
+        b = 2.0 * n * n * dinv
         ident_worst = max(ident_worst, abs(a - b) / (1.0 + a + b))
-    neg = sum_pde_residual(counter, p_off)
+    (neg,) = _at([counter], p_off, _sum_pde)
     passed = worst <= tol and ident_worst <= tol and neg >= _FAIL_FLOOR
     worst = max(worst, ident_worst)
     items.append(
@@ -230,18 +318,20 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
 
     # product system: ordered products that stay in the class, plus an
     # order-sensitive control with known residual value
-    worst = 0.0
-    for p in coarse:
-        worst = max(worst, max(product_system_residual(m_const, e00, p)))
-        worst = max(worst, _max_eq1(product_qf(m_const, e00), [p]))
+    worst = _fold(
+        0.0,
+        [m_const, e00, product_qf(m_const, e00)],
+        coarse,
+        (_product_system, False),
+        (lambda m, e, me: _eq1(me), True),
+    )
     for _ in range(3):
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
-        for p in samples[:6]:
-            worst = max(worst, max(product_system_residual(f, g, p)))
+        worst = _fold(worst, [f, g], samples[:6], (_product_system, False))
     g_anti = QFunction(ConjVar("z2"), zero)
     p0 = Point4(0.4 + 0.2j, 0.7 - 0.3j)
-    res = product_system_residual(e00, g_anti, p0)
+    res = _at([e00, g_anti], p0, _product_system)
     expected = 2.0 * abs(p0.z2)
     value_ok = (
         min(res) >= _FAIL_FLOOR
@@ -259,13 +349,16 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     )
 
     # combined system for real-component pairs closed under sum and product
-    worst = 0.0
-    for p in coarse:
-        worst = max(worst, max(real_combined_residual(e00, e12, p)))
-        worst = max(worst, max(real_combined_residual(e00, m_const, p)))
+    worst = _fold(
+        0.0,
+        [e00, e12, m_const],
+        coarse,
+        (lambda e, f, m: _real_combined(e, f), False),
+        (lambda e, f, m: _real_combined(e, m), False),
+    )
     g_sq = QFunction(x1_tree**2, zero)
     p1 = Point4(0.7 + 0.4j, -0.2 + 0.1j)
-    five = real_combined_residual(e00, g_sq, p1)
+    five = _at([e00, g_sq], p1, _real_combined)
     bilinear = five[4]
     value_ok = bilinear >= _FAIL_FLOOR and abs(bilinear - 0.7) <= 1e-12
     items.append(
@@ -283,19 +376,24 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[Verify
     for _ in range(5):
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
-        for p in samples[:4]:
-            worst = max(worst, max(hyperholomorphy_residual(f, p)))
-            worst = max(worst, max(inverse_hyperholomorphy_residual(f, p)))
-            worst = max(worst, sum_pde_residual(sum_qf(f, g), p))
-            worst = max(worst, max(product_system_residual(f, g, p)))
-            worst = max(worst, max(hyperholomorphy_residual(product_qf(f, g), p)))
-    for p in coarse:
-        try:
-            worst = max(worst, max(hyperholomorphy_residual(sum_qf(m_const, e00), p)))
-            worst = max(worst, sum_pde_residual(sum_qf(m_const, e00), p))
-            worst = max(worst, max(product_system_residual(m_const, e00, p)))
-        except SingularPointError:
-            continue
+        worst = _fold(
+            worst,
+            [f, g, sum_qf(f, g), product_qf(f, g)],
+            samples[:4],
+            (lambda f, g, fpg, fg: _eq1(f), False),
+            (lambda f, g, fpg, fg: _inverse_eq(f), False),
+            (lambda f, g, fpg, fg: _sum_pde(fpg), False),
+            (_product_system, False),
+            (lambda f, g, fpg, fg: _eq1(fg), False),
+        )
+    worst = _fold(
+        worst,
+        [sum_qf(m_const, e00), m_const, e00],
+        coarse,
+        (lambda h, m, e: _eq1(h), True),
+        (lambda h, m, e: _sum_pde(h), True),
+        (lambda h, m, e: _product_system(m, e), True),
+    )
     items.append(
         VerifyItem(
             "meromorphic_substructure",

@@ -18,8 +18,8 @@ import numpy as np
 
 from .analysis import _BLOCK_POINTS
 from .domain import Domain, grid_axes
-from .errors import InconclusiveError
-from .jets import DEFAULT_SINGULAR_SQ_TOL, MASK_REASONS, SINGULAR, CArray, Point4, PointEvents, grid_jets
+from .errors import MASK_REASONS, SINGULAR, InconclusiveError
+from .jets import DEFAULT_SINGULAR_SQ_TOL, CArray, Point4, PointEvents, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
@@ -194,7 +194,8 @@ def estimate_order(
     both components of f to vanish at q within zero_tol; kind="pole"
     requires q to be a point pole_set_scan would report.  A sample of a
     component counts where evaluating that component alone is not
-    singular and does not overflow.
+    singular and does not overflow.  Raises ValueError when a component
+    keeps fewer samples than there are radii, or samples at one radius.
     """
     if kind not in ("zero", "pole"):
         raise ValueError("kind must be 'zero' or 'pole'")
@@ -226,6 +227,8 @@ def estimate_order(
     for bucket in samples:
         if len(bucket) < len(radii):
             raise ValueError("too few valid samples around the candidate point")
+        if len({lr for lr, _ in bucket}) < 2:  # a line fit needs two abscissae
+            raise ValueError("valid samples around the candidate point at fewer than two radii")
         if all(lv < math.log(_TINY) for _, lv in bucket):
             per.append(math.inf if kind == "zero" else 0.0)
             continue

@@ -38,8 +38,6 @@ from qfc import (
     quat_mul,
     real_combined_residual,
     real_linear_residual,
-    real_product_residual,
-    real_sum_branch,
     scale_right_qf,
     sum_pde_residual,
     sum_qf,
@@ -161,23 +159,6 @@ def test_sum_pde_masks_the_zero_set() -> None:
         sum_pde_residual(f, Point4(0j, 0j))
 
 
-def test_real_sum_branch_values_on_the_linear_example() -> None:
-    report = real_sum_branch(example_pair(0.0, 0.0), Point4(0.5 + 0j, 0.25 + 0j))
-    assert report.expression_residuals == (1.5, 2.0)
-    assert report.algebraic_residual == 4.875
-    assert report.derivative_residuals == (1.0, 1.0, 0.0)
-    assert report.branch == "neither"
-
-
-def test_real_sum_branch_labels_cover_all_cases() -> None:
-    p = Point4(0.5 + 0j, 0.25 + 0j)
-    root4 = 3.0 ** 0.25
-    assert real_sum_branch(const_qf(Quaternion(1 + 0j, 1 + 0j)), p).branch == "derivative"
-    assert real_sum_branch(const_qf(Quaternion(root4 + 0j, 1 + 0j)), p).branch == "both"
-    assert real_sum_branch(QFunction(const(root4) * X1, X1), p).branch == "algebraic"
-    assert real_sum_branch(QFunction(X1, X2), p).branch == "neither"
-
-
 def test_product_system_distinguishes_factor_order() -> None:
     e00 = example_pair(0.0, 0.0)
     m = const_qf(Quaternion(1.5 + 0j, 0j))
@@ -194,15 +175,6 @@ def test_product_system_on_holomorphic_pairs_and_a_failing_partner() -> None:
     bad = product_system_residual(example_pair(0.0, 0.0), QFunction(Var("z2").conj(), RealConst(0.0)), p)
     assert bad[0] == pytest.approx(2.0 * abs(p.z2), rel=1e-12)
     assert bad[1] == pytest.approx(2.0 * abs(p.z2), rel=1e-12)
-
-
-def test_real_product_system_values() -> None:
-    e00 = example_pair(0.0, 0.0)
-    p = Point4(0.6 + 0.3j, -0.8 + 0.5j)
-    assert real_product_residual(e00, const_qf(Quaternion(2 + 0j, 3 + 0j)), p) == 0.0
-    assert real_product_residual(e00, e00, p) == 0.0
-    fx = QFunction(X1 ** 2, X2 ** 2)
-    assert real_product_residual(fx, fx, p) == pytest.approx(abs(0.6 * -0.8), rel=1e-12)
 
 
 def test_real_combined_system_values() -> None:

@@ -299,3 +299,15 @@ def test_deeply_nested_input_is_refused(capsys, tmp_path: Path) -> None:
     code, out, err = _run(capsys, ["classify", "--input", str(shallow), "--grid", "3"])
     assert code == 0 and err == ""
     assert "f: Holomorphic" in out
+
+
+def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
+    """Around this pole at the box corner, the first component keeps its
+    samples at one radius only, so no slope can be fitted: the cluster
+    gets an error entry, and numpy prints no warning."""
+    path = tmp_path / "corner.txt"
+    path.write_text("g = 1 / ((z1 + 1 + i) * (z2 + 1 + i))\n", encoding="utf-8")
+    code, out, err = _run_alone(["order", "--input", str(path), "--kind", "pole", "--grid", "2", "--format", "json"])
+    assert code == 0 and err == ""
+    (est,) = json.loads(out)["functions"][0]["estimates"]
+    assert est == {"cluster": 0, "error": "valid samples around the candidate point at fewer than two radii"}

@@ -226,3 +226,17 @@ def test_parse_definitions_errors() -> None:
         parse_definitions("f = g + 1")
     with pytest.raises(ParseError, match=r"line 1: unexpected token '\*'"):
         parse_definitions("f = z1 +* 2")
+
+
+def test_has_unit_j_walks_deep_chains_and_shared_subtrees() -> None:
+    deep = Var("z1")
+    for _ in range(3000):
+        deep = Neg(deep)
+    assert not has_unit_j(deep)
+    assert has_unit_j(Add(deep, UnitJ()))
+    # 2**64 paths through 65 distinct nodes
+    shared = Var("z2")
+    for _ in range(64):
+        shared = Mul(shared, shared)
+    assert not has_unit_j(shared)
+    assert has_unit_j(Sub(shared, Mul(shared, UnitJ())))

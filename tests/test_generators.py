@@ -27,10 +27,10 @@ from qfc.generators import (
     random_quaternion,
     random_rational_meromorphic,
     random_real_hyperholomorphic,
-    random_scalar_tree,
-    random_surface_tree,
     right_combination,
 )
+
+from random_trees import random_scalar_tree, random_surface_tree
 
 SEED = 3301
 COORDS = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

@@ -25,7 +25,9 @@ from qfc import (
     eval_value,
     fd_jet,
 )
-from qfc.generators import random_point, random_scalar_tree
+from qfc.generators import random_point
+
+from random_trees import random_scalar_tree
 
 FD_TOL = 1e-6
 SEED = 1902

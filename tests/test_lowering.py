@@ -37,7 +37,9 @@ from qfc import (
     scale_right_qf,
     sum_qf,
 )
-from qfc.generators import random_point, random_surface_tree
+from qfc.generators import random_point
+
+from random_trees import random_surface_tree
 
 SOUNDNESS_REL_TOL = 1e-10
 N_SOUNDNESS_TREES = 200
