@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -348,7 +348,6 @@ def _product_rule_from_jets(
     return ProductRuleCheck(lhs, first, second)
 
 
-Rows = list[tuple[Point4, tuple[tuple[float, ...], ...], tuple[float, ...] | None]]
 Systems = Callable[
     [WirtingerJet, WirtingerJet, PointEvents],
     tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...], np.ndarray | bool],
@@ -361,8 +360,25 @@ Systems = Callable[
 _BLOCK_POINTS = 4096
 
 
+class Sample(NamedTuple):
+    """sample's result, in grid order: the unmasked points as rows
+    (x1, y1, x2, y2); one array per reported system with a row of
+    residuals per unmasked point; the extra values, a row per unmasked
+    point, and where they hold; and the masked points."""
+
+    points: np.ndarray
+    reported: list[np.ndarray]
+    extra: np.ndarray
+    holds: np.ndarray
+    masked: list[MaskedPoint]
+
+
 def _per_point(values: tuple[np.ndarray, ...], n: int) -> list[tuple[float, ...]]:
     return list(zip(*(np.broadcast_to(v, (n,)).tolist() for v in values)))
+
+
+def _columns(values: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    return np.column_stack([np.broadcast_to(v, (n,)) for v in values])
 
 
 def sample(
@@ -371,7 +387,7 @@ def sample(
     grid_n: int,
     systems: Systems,
     singular_sq_tol: float,
-) -> tuple[Rows, list[MaskedPoint]]:
+) -> Sample:
     """Evaluate f's two component jets at all grid points at once and
     derive every residual system from them.
 
@@ -379,10 +395,8 @@ def sample(
     one tuple of residual arrays per reported system; extra is a tuple of
     further arrays for the caller's own use, defined where holds is true
     (classify's normalized maxima, everywhere; residuals' real_linear
-    system, at real-valued points).  Each row is (point, the reported
-    tuples, the extra tuple or None where it does not hold).  Every
-    reported value, and every extra value where it holds, is checked for
-    finiteness.
+    system, at real-valued points).  Every reported value, and every
+    extra value where it holds, is checked for finiteness.
 
     A point is masked "singular" when f or a system divides by a vanishing
     value there, "norm_sq below threshold" when |f1|^2 + |f2|^2 is below
@@ -393,27 +407,24 @@ def sample(
     the systems in call order, then the checked values.  The arithmetic is
     CPython's (see CArray), so every value equals the per-point one.
     Grids larger than _BLOCK_POINTS are evaluated a block at a time.
-    Returns the unmasked points with their values and the masked points,
-    in grid order.
     """
     points = grid_points(d, grid_n)
-    rows: Rows = []
-    masked: list[MaskedPoint] = []
-    for start in range(0, len(points), _BLOCK_POINTS):
-        block = points[start : start + _BLOCK_POINTS]
-        for p, code, values in _sample_block(f, block, d.excluded_threshold, systems, singular_sq_tol):
-            if code:
-                masked.append(MaskedPoint(p, MASK_REASONS[code]))
-            else:
-                rows.append((p, *values))
-    return rows, masked
+    blocks = [
+        _sample_block(f, points[start : start + _BLOCK_POINTS], d.excluded_threshold, systems, singular_sq_tol)
+        for start in range(0, len(points), _BLOCK_POINTS)
+    ]
+    code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
+    masked = [MaskedPoint(p, MASK_REASONS[c]) for p, c in zip(points, code.tolist()) if c]
+    coords, extra, holds, *reported = (c[code == 0] for c in columns)
+    return Sample(coords, reported, extra, holds, masked)
 
 
 def _sample_block(
     f: QFunction, points: list[Point4], threshold: float, systems: Systems, singular_sq_tol: float
-) -> Iterator[tuple[Point4, int, tuple]]:
-    """sample's evaluation of one block of points: each point with its
-    reason code (0 if unmasked) and its (reported, extra or None) values."""
+) -> tuple[np.ndarray, ...]:
+    """sample's evaluation of one block of points: each point's reason
+    code (0 if unmasked) and coordinates, the extra values and where they
+    hold, and a residual array per reported system, a row per point."""
     n = len(points)
     events = PointEvents(n)
     with np.errstate(all="ignore"):
@@ -430,16 +441,13 @@ def _sample_block(
             events.flag(~np.isfinite(v), OVERFLOW)
         for v in extra:
             events.flag(~np.isfinite(v) & holds, OVERFLOW)
-    columns = [_per_point(values, n) for values in reported]
-    extras = _per_point(extra, n)
-    for i, (p, code, has_extra) in enumerate(
-        zip(points, events.code.tolist(), np.broadcast_to(holds, (n,)).tolist())
-    ):
-        yield p, code, (tuple(c[i] for c in columns), extras[i] if has_extra else None)
+    coords = _columns((z1.real, z1.imag, z2.real, z2.imag), n)
+    holds = np.broadcast_to(holds, (n,))
+    return events.code, coords, _columns(extra, n), holds, *(_columns(values, n) for values in reported)
 
 
-def _reports(names: tuple[str, ...], rows: Rows, masked: list[MaskedPoint]) -> list[ResidualReport]:
-    return [ResidualReport(n, [(p, vs[k]) for p, vs, _ in rows], masked) for k, n in enumerate(names)]
+def _reports(names: tuple[str, ...], s: Sample) -> list[ResidualReport]:
+    return [ResidualReport(n, s.points, r, s.masked) for n, r in zip(names, s.reported)]
 
 
 def _classify_systems(
@@ -462,8 +470,8 @@ def _pair_passes(
     """True if h and its inverse pass the first-order system on the
     unmasked grid points (normalized residuals), with at least one
     unmasked point."""
-    rows, _ = sample(h, d, grid_n, systems, singular_sq_tol)
-    return bool(rows) and all(max(norm_max) <= tol for _, _, norm_max in rows)
+    s = sample(h, d, grid_n, systems, singular_sq_tol)
+    return len(s.points) > 0 and bool((s.extra <= tol).all())
 
 
 def classify(
@@ -484,14 +492,12 @@ def classify(
     if d is None:
         d = Domain()
     systems = partial(_classify_systems, singular_sq_tol=singular_sq_tol)
-    rows, masked = sample(f, d, grid_n, systems, singular_sq_tol)
-    total = len(rows) + len(masked)
-    if len(rows) * 2 < total:
-        raise InconclusiveError(f"only {len(rows)} of {total} grid points are unmasked")
-    names = ("hyperholomorphy", "inverse_hyperholomorphy", "second_component")
-    reports = _reports(names, rows, masked)
-    eq1_norm_max = max(norm_max[0] for _, _, norm_max in rows)
-    inv_norm_max = max(norm_max[1] for _, _, norm_max in rows)
+    s = sample(f, d, grid_n, systems, singular_sq_tol)
+    total = len(s.points) + len(s.masked)
+    if len(s.points) * 2 < total:
+        raise InconclusiveError(f"only {len(s.points)} of {total} grid points are unmasked")
+    reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "second_component"), s)
+    eq1_norm_max, inv_norm_max = s.extra.max(axis=0).tolist()
     comp2_max = reports[2].max_residual
 
     if eq1_norm_max > tol:
@@ -536,8 +542,8 @@ def residual_reports(f: QFunction, d: Domain, grid_n: int) -> list[ResidualRepor
     f is real-valued, so its overflow masks the point even when the report
     is not emitted."""
     systems = partial(_residual_systems, mask_threshold=d.excluded_threshold)
-    rows, masked = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
-    reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde"), rows, masked)
-    if all(linear is not None for _, _, linear in rows):
-        reports.append(ResidualReport("real_linear", [(p, linear) for p, _, linear in rows], masked))
+    s = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
+    reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde"), s)
+    if s.holds.all():
+        reports.append(ResidualReport("real_linear", s.points, s.extra, s.masked))
     return reports

@@ -1,15 +1,14 @@
 """Command line interface.
 
 Subcommands: classify, residuals, verify-paper, zero-set, order.
-Exit codes: 0 success, 1 verification failure, 2 parse error or an
-expression nested too deeply, 3 inconclusive (too many masked points, or
-every grid point of a zero or pole scan skipped).
+Exit codes: 0 success, 1 verification failure, 2 bad input (a parse
+error, a bad option such as a non-finite --tol or a box wider than a
+float, or an expression nested too deeply), 3 inconclusive (too many
+masked points, or every grid point of a zero or pole scan skipped).
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -22,13 +21,7 @@ from .domain import Domain
 from .errors import InconclusiveError, ParseError
 from .expr import parse_definitions
 from .lowering import QFunction, lower
-from .report import (
-    CSV_HEADER,
-    SCHEMA,
-    dumps_json,
-    render_text_table,
-    residual_csv_rows,
-)
+from .report import SCHEMA, write_report
 from .verify import run_verify
 from .zeros import estimate_order, pole_set_scan, zero_set_scan
 
@@ -153,20 +146,22 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for lo, hi in zip(box[0::2], box[1::2]):
         if not (lo <= hi) or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParseError(f"bad box interval ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ParseError(f"bad box interval ({lo}, {hi}): its width overflows")
 
     try:
         grid_n = int(cfg["grid"])
         tol = float(cfg["tol"])
         mask = float(cfg["mask"])
         seed = int(cfg["seed"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad numeric option: {exc}") from exc
     fmt = str(cfg["format"])
     kind = str(cfg["kind"])
     if grid_n < 2:
         raise ParseError("grid must be at least 2")
-    if not (tol > 0.0) or not (mask > 0.0):
-        raise ParseError("tol and mask must be positive")
+    if not (0.0 < tol < math.inf and 0.0 < mask < math.inf):
+        raise ParseError("tol and mask must be positive and finite")
     if fmt not in _FORMATS:
         raise ParseError(f"format must be one of {', '.join(_FORMATS)}")
     if kind not in ("zero", "pole"):
@@ -185,13 +180,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load_functions(cfg: RunConfig) -> list[tuple[str, QFunction]]:
     if not cfg.input_path:
         raise ParseError(f"--input is required for {cfg.command}")
@@ -202,294 +190,89 @@ def _load_functions(cfg: RunConfig) -> list[tuple[str, QFunction]]:
     return [(name, lower(expr)) for name, expr in parse_definitions(text).items()]
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _finite_or_str(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
-def _fmt_order(x) -> str:
-    return f"{x:.4f}" if isinstance(x, float) else str(x)
+def _classify(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
+    label, reports = classify(f, d, cfg.grid_n, cfg.tol)
+    return {"label": label.label, "tolerance": label.tol, "reports": reports}
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    functions = _load_functions(cfg)
-    d = cfg.domain()
-    results = []
-    for name, f in functions:
-        try:
-            label, reports = classify(f, d, cfg.grid_n, cfg.tol)
-        except InconclusiveError as exc:
-            print(f"inconclusive: {name}: {exc}", file=sys.stderr)
-            return 3
-        results.append((name, label, reports))
-
-    if cfg.output_format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "classify",
-            "config": cfg.embedded(),
-            "functions": [
-                {
-                    "name": name,
-                    "label": label.label,
-                    "tolerance": label.tol,
-                    "reports": [r.to_dict() for r in reports],
-                }
-                for name, label, reports in results
-            ],
-        }
-        _emit(dumps_json(doc), cfg)
-    elif cfg.output_format == "csv":
-        rows = []
-        for name, label, reports in results:
-            rows.extend(residual_csv_rows(reports, prefix=(name, label.label)))
-        _emit(_csv_text(["function", "label", *CSV_HEADER], rows), cfg)
-    else:
-        chunks = []
-        for name, label, reports in results:
-            chunks.append(f"{name}: {label.label} (tol {label.tol:g})\n")
-            chunks.append(render_text_table(reports))
-            chunks.append("\n")
-        _emit("".join(chunks), cfg)
-    return 0
+def _residuals(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
+    reports = residual_reports(f, d, cfg.grid_n)
+    if not len(reports[0].points):
+        raise InconclusiveError("every grid point is masked")
+    return {"reports": reports}
 
 
-def _cmd_residuals(cfg: RunConfig) -> int:
-    functions = _load_functions(cfg)
-    d = cfg.domain()
-    results = []
-    for name, f in functions:
-        reports = residual_reports(f, d, cfg.grid_n)
-        if not reports[0].rows:
-            print(f"inconclusive: {name}: every grid point is masked", file=sys.stderr)
-            return 3
-        results.append((name, reports))
-
-    if cfg.output_format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "residuals",
-            "config": cfg.embedded(),
-            "functions": [
-                {"name": name, "reports": [r.to_dict() for r in reports]}
-                for name, reports in results
-            ],
-        }
-        _emit(dumps_json(doc), cfg)
-    elif cfg.output_format == "csv":
-        rows = []
-        for name, reports in results:
-            rows.extend(residual_csv_rows(reports, prefix=(name,)))
-        _emit(_csv_text(["function", *CSV_HEADER], rows), cfg)
-    else:
-        chunks = []
-        for name, reports in results:
-            chunks.append(f"{name}\n")
-            chunks.append(render_text_table(reports))
-            chunks.append("\n")
-        _emit("".join(chunks), cfg)
-    return 0
+def _zero_set(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
+    clusters = zero_set_scan(f, d, cfg.grid_n, cfg.tol)
+    return {
+        "cluster_count": len(clusters),
+        "clusters": [[list(p.reals()) for p in cluster] for cluster in clusters],
+    }
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    items = run_verify(seed=cfg.seed, grid_n=cfg.grid_n, tol=cfg.tol)
-    all_passed = all(it.passed for it in items)
+def _estimate(cfg: RunConfig, f: QFunction, ci: int, q) -> dict:
+    try:
+        est = estimate_order(f, q, cfg.kind, seed=cfg.seed, zero_tol=cfg.tol)
+    except ValueError as exc:
+        return {"cluster": ci, "error": str(exc)}
+    return {
+        "cluster": ci,
+        "location": list(q.reals()),
+        "kind": est.kind,
+        "order": _finite_or_str(est.order),
+        "display_order": _finite_or_str(est.display_order),
+        "per_component": [_finite_or_str(x) for x in est.per_component],
+    }
 
-    if cfg.output_format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "verify-paper",
-            "config": cfg.embedded(),
-            "all_passed": all_passed,
-            "items": [
-                {
-                    "name": it.name,
-                    "passed": it.passed,
-                    "worst_residual": it.worst_residual,
-                    "detail": it.detail,
-                }
-                for it in items
-            ],
-        }
-        _emit(dumps_json(doc), cfg)
-    elif cfg.output_format == "csv":
-        rows = [
-            [it.name, str(it.passed), repr(it.worst_residual), it.detail]
+
+def _order(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
+    scan = zero_set_scan if cfg.kind == "zero" else pole_set_scan
+    clusters = scan(f, d, cfg.grid_n, cfg.tol)
+    return {"estimates": [_estimate(cfg, f, ci, cluster[0]) for ci, cluster in enumerate(clusters)]}
+
+
+# Each command but verify-paper runs once per input function, and the
+# function's entry of the document is its name and what the command returns.
+_PER_FUNCTION = {"classify": _classify, "residuals": _residuals, "zero-set": _zero_set, "order": _order}
+
+
+def _document(cfg: RunConfig) -> dict:
+    """The command's report: the schema, the command, its embedded config
+    and the command's results."""
+    doc = {"schema": SCHEMA, "command": cfg.command, "config": cfg.embedded()}
+    if cfg.command == "verify-paper":
+        items = run_verify(seed=cfg.seed, grid_n=cfg.grid_n, tol=cfg.tol)
+        doc["all_passed"] = all(it.passed for it in items)
+        doc["items"] = [
+            {"name": it.name, "passed": it.passed, "worst_residual": it.worst_residual, "detail": it.detail}
             for it in items
         ]
-        _emit(_csv_text(["item", "passed", "worst_residual", "detail"], rows), cfg)
-    else:
-        lines = [
-            f"{'PASS' if it.passed else 'FAIL'}  {it.name:<26} "
-            f"worst {it.worst_residual:.3e}  {it.detail}"
-            for it in items
-        ]
-        n_pass = sum(it.passed for it in items)
-        lines.append(f"{n_pass}/{len(items)} checks passed")
-        _emit("\n".join(lines) + "\n", cfg)
-
-    if not all_passed:
-        worst = max(it.worst_residual for it in items if not it.passed)
-        print(f"verification failed, worst residual {worst:.6e}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_zero_set(cfg: RunConfig) -> int:
-    functions = _load_functions(cfg)
-    d = cfg.domain()
-    results = []
+        return doc
+    functions, d = _load_functions(cfg), cfg.domain()
+    doc["functions"] = []
     for name, f in functions:
         try:
-            results.append((name, zero_set_scan(f, d, cfg.grid_n, cfg.tol)))
+            doc["functions"].append({"name": name, **_PER_FUNCTION[cfg.command](cfg, f, d)})
         except InconclusiveError as exc:
-            print(f"inconclusive: {name}: {exc}", file=sys.stderr)
-            return 3
-
-    if cfg.output_format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "zero-set",
-            "config": cfg.embedded(),
-            "functions": [
-                {
-                    "name": name,
-                    "cluster_count": len(clusters),
-                    "clusters": [
-                        [list(p.reals()) for p in cluster] for cluster in clusters
-                    ],
-                }
-                for name, clusters in results
-            ],
-        }
-        _emit(dumps_json(doc), cfg)
-    elif cfg.output_format == "csv":
-        rows = []
-        for name, clusters in results:
-            for ci, cluster in enumerate(clusters):
-                for p in cluster:
-                    rows.append([name, str(ci), *(repr(c) for c in p.reals())])
-        _emit(_csv_text(["function", "cluster", "x1", "y1", "x2", "y2"], rows), cfg)
-    else:
-        chunks = []
-        for name, clusters in results:
-            chunks.append(f"{name}: {len(clusters)} cluster(s)\n")
-            for ci, cluster in enumerate(clusters):
-                head = ", ".join(
-                    "(" + ", ".join(f"{c:.4g}" for c in p.reals()) + ")"
-                    for p in cluster[:4]
-                )
-                more = "" if len(cluster) <= 4 else f" and {len(cluster) - 4} more"
-                chunks.append(f"  cluster {ci}: {len(cluster)} point(s): {head}{more}\n")
-        _emit("".join(chunks), cfg)
-    return 0
-
-
-def _cmd_order(cfg: RunConfig) -> int:
-    functions = _load_functions(cfg)
-    d = cfg.domain()
-    results = []
-    for name, f in functions:
-        scan = zero_set_scan if cfg.kind == "zero" else pole_set_scan
-        try:
-            clusters = scan(f, d, cfg.grid_n, cfg.tol)
-        except InconclusiveError as exc:
-            print(f"inconclusive: {name}: {exc}", file=sys.stderr)
-            return 3
-        estimates = []
-        for ci, cluster in enumerate(clusters):
-            q = cluster[0]
-            try:
-                est = estimate_order(
-                    f, q, cfg.kind, seed=cfg.seed, zero_tol=cfg.tol
-                )
-            except ValueError as exc:
-                estimates.append({"cluster": ci, "error": str(exc)})
-                continue
-            estimates.append(
-                {
-                    "cluster": ci,
-                    "location": list(q.reals()),
-                    "kind": est.kind,
-                    "order": _finite_or_str(est.order),
-                    "display_order": _finite_or_str(est.display_order),
-                    "per_component": [_finite_or_str(x) for x in est.per_component],
-                }
-            )
-        results.append((name, estimates))
-
-    if cfg.output_format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "order",
-            "config": cfg.embedded(),
-            "functions": [
-                {"name": name, "estimates": ests} for name, ests in results
-            ],
-        }
-        _emit(dumps_json(doc), cfg)
-    elif cfg.output_format == "csv":
-        rows = []
-        for name, ests in results:
-            for e in ests:
-                if "error" in e:
-                    rows.append([name, str(e["cluster"]), "", "", "", "", e["error"]])
-                else:
-                    rows.append(
-                        [
-                            name,
-                            str(e["cluster"]),
-                            str(e["order"]),
-                            str(e["display_order"]),
-                            str(e["per_component"][0]),
-                            str(e["per_component"][1]),
-                            "",
-                        ]
-                    )
-        header = ["function", "cluster", "order", "display_order", "comp1", "comp2", "note"]
-        _emit(_csv_text(header, rows), cfg)
-    else:
-        chunks = []
-        for name, ests in results:
-            chunks.append(f"{name}: {len(ests)} candidate cluster(s)\n")
-            for e in ests:
-                if "error" in e:
-                    chunks.append(f"  cluster {e['cluster']}: {e['error']}\n")
-                else:
-                    loc = ", ".join(f"{c:.4g}" for c in e["location"])
-                    chunks.append(
-                        f"  cluster {e['cluster']} at ({loc}): {cfg.kind} order "
-                        f"{_fmt_order(e['display_order'])} (components "
-                        f"{_fmt_order(e['per_component'][0])}, "
-                        f"{_fmt_order(e['per_component'][1])})\n"
-                    )
-        _emit("".join(chunks), cfg)
-    return 0
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "residuals": _cmd_residuals,
-    "verify-paper": _cmd_verify,
-    "zero-set": _cmd_zero_set,
-    "order": _cmd_order,
-}
+            raise InconclusiveError(f"{name}: {exc}") from None
+    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        code = _COMMANDS[cfg.command](cfg)
+        doc = _document(cfg)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                write_report(doc, cfg.output_format, fh)
+        else:
+            write_report(doc, cfg.output_format, sys.stdout)
         sys.stdout.flush()
-        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -506,6 +289,11 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    failed = [it["worst_residual"] for it in doc.get("items", ()) if not it["passed"]]
+    if failed:
+        print(f"verification failed, worst residual {max(failed):.6e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

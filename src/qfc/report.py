@@ -1,9 +1,25 @@
-"""Residual reports and their serialized forms."""
+"""Residual reports and the JSON, CSV and text writers of a command's
+document.
+
+A document is the dict of JSON values one command produces, with each
+residual table held as a ResidualReport.  write_report renders it a piece
+at a time.  Its JSON is byte for byte what json.dumps(doc, sort_keys=True,
+indent=2, allow_nan=False) + "\\n" gives for the document with every
+report expanded into a dict, but each table's point rows are formatted
+from one fixed template instead of through json's pure-Python encoder,
+which it falls back to whenever indent is set.
+"""
 from __future__ import annotations
 
-import json
+import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .jets import Point4
 
@@ -16,76 +32,183 @@ class MaskedPoint:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Residual magnitudes of one PDE system over a point sample.
 
-    Each row pairs a point with the tuple of per-equation residual
-    magnitudes at that point.  Masked points carry a reason instead of
-    numbers, so serialized output never contains NaN.
+    points holds the unmasked points as rows (x1, y1, x2, y2) and
+    residuals the per-equation residual magnitudes at each of them, one
+    row per point; both are float64.  Masked points carry a reason instead
+    of numbers, so serialized output never contains NaN.
     """
 
     system: str
-    rows: list[tuple[Point4, tuple[float, ...]]] = field(default_factory=list)
+    points: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    residuals: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
     masked: list[MaskedPoint] = field(default_factory=list)
 
     def __post_init__(self):
-        for _, values in self.rows:
-            for v in values:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError(
-                        f"residual magnitudes must be finite and non-negative, got {v}"
-                    )
+        bad = ~(np.isfinite(self.residuals) & (self.residuals >= 0.0))
+        if bad.any():
+            raise ValueError(
+                f"residual magnitudes must be finite and non-negative, got {self.residuals[bad][0]}"
+            )
 
     @property
+    def rows(self) -> list[tuple[Point4, tuple[float, ...]]]:
+        """Each unmasked point with its residual magnitudes."""
+        return [
+            (Point4.from_reals(*p), tuple(vs))
+            for p, vs in zip(self.points.tolist(), self.residuals.tolist())
+        ]
+
+    @cached_property
     def max_residual(self) -> float:
-        return max((v for _, vs in self.rows for v in vs), default=0.0)
+        return max(self.residuals.ravel().tolist(), default=0.0)
 
-    @property
+    @cached_property
     def mean_residual(self) -> float:
-        flat = [v for _, vs in self.rows for v in vs]
+        # Python's left-to-right sum: numpy's pairwise summation can move
+        # the last bit of the reported mean.
+        flat = self.residuals.ravel().tolist()
         return sum(flat) / len(flat) if flat else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "points": [
-                {"point": list(p.reals()), "residuals": list(vs)}
-                for p, vs in self.rows
-            ],
-            "masked": [
-                {"point": list(m.point.reals()), "reason": m.reason}
-                for m in self.masked
-            ],
-        }
+
+def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
+    """Write a command's document to out as "json", "csv" or "text"."""
+    csv_rows, text = _LAYOUTS[doc["command"]]
+    if fmt == "json":
+        out.writelines(chain(_json_pieces(doc, ""), ("\n",)))
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(csv_rows(doc))
+    else:
+        out.writelines(text(doc))
 
 
-def dumps_json(obj: dict) -> str:
-    """Deterministic JSON rendering used by all report writers."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _finite(ok: bool) -> None:
+    if not ok:
+        raise ValueError("Out of range float values are not JSON compliant")
 
 
-def residual_csv_rows(
-    reports: list[ResidualReport], prefix: tuple[str, ...] = ()
-) -> list[list[str]]:
-    """One row per point per equation; masked points carry the reason."""
-    rows: list[list[str]] = []
-    for rep in reports:
-        for p, values in rep.rows:
-            for k, v in enumerate(values):
-                rows.append(
-                    [*prefix, rep.system, *(repr(c) for c in p.reals()), str(k), repr(v), ""]
-                )
-        for m in rep.masked:
-            rows.append(
-                [*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]
-            )
-    return rows
+def _json_scalar(x) -> str:
+    if isinstance(x, str):
+        return _json_str(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        _finite(math.isfinite(x))
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
+
+def _json_pieces(obj, indent: str) -> Iterator[str]:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in
+    pieces, for a value nested at indent."""
+    if isinstance(obj, ResidualReport):
+        yield from _report_json(obj, indent)
+    elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, dict):
+            items, brackets = [(_json_str(k) + ": ", obj[k]) for k in sorted(obj)], "{}"
+        else:
+            items, brackets = [("", v) for v in obj], "[]"
+        if not items:
+            yield brackets
+            return
+        inner, sep = indent + "  ", brackets[0] + "\n"
+        for head, value in items:
+            yield sep + inner + head
+            yield from _json_pieces(value, inner)
+            sep = ",\n"
+        yield "\n" + indent + brackets[1]
+    else:
+        yield _json_scalar(obj)
+
+
+def _row_template(indent: str, fields: tuple[tuple[str, int | None], ...]) -> str:
+    """The layout at indent of a dict whose sorted keys are fields' names,
+    each value a list of n floats (a %r slot each) or, for n None, one
+    encoded string (a %s slot)."""
+    inner, leaf = indent + "  ", indent + "    "
+    body = []
+    for key, n in fields:
+        value = "%s" if n is None else _json_list([leaf + "%r"] * n, inner)
+        body.append(f'{inner}"{key}": {value}')
+    return f"{indent}{{\n" + ",\n".join(body) + f"\n{indent}}}"
+
+
+def _json_list(items: Iterable[str], indent: str) -> str:
+    """A list at indent of items already laid out, indentation included."""
+    text = ",\n".join(items)
+    return f"[\n{text}\n{indent}]" if text else "[]"
+
+
+def _report_json(rep: ResidualReport, indent: str) -> Iterator[str]:
+    inner, item = indent + "  ", indent + "    "
+    masked = [(*m.point.reals(), _json_str(m.reason)) for m in rep.masked]
+    _finite(np.isfinite(rep.points).all() and np.isfinite([m[:4] for m in masked]).all())
+    masked_row = _row_template(item, (("point", 4), ("reason", None)))
+    point_row = _row_template(item, (("point", 4), ("residuals", rep.residuals.shape[1])))
+    yield (
+        f'{{\n{inner}"masked": {_json_list(map(masked_row.__mod__, masked), inner)},\n'
+        f'{inner}"max_residual": {_json_scalar(rep.max_residual)},\n'
+        f'{inner}"mean_residual": {_json_scalar(rep.mean_residual)},\n'
+        f'{inner}"points": '
+    )
+    rows = map(tuple, np.hstack((rep.points, rep.residuals)).tolist())
+    yield _json_list(map(point_row.__mod__, rows), inner)
+    yield f',\n{inner}"system": {_json_str(rep.system)}\n{indent}}}'
+
+
+# CSV: each command's header, then its rows.
 
 CSV_HEADER = ["system", "x1", "y1", "x2", "y2", "equation", "residual", "note"]
+
+
+def _residual_csv(doc: dict) -> Iterator[list[str]]:
+    """One row per point per equation; masked points carry the reason."""
+    labelled = doc["command"] == "classify"
+    yield ["function", *(["label"] if labelled else []), *CSV_HEADER]
+    for fn in doc["functions"]:
+        prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
+        for rep in fn["reports"]:
+            for p, values in zip(rep.points.tolist(), rep.residuals.tolist()):
+                coords = [repr(c) for c in p]
+                for k, v in enumerate(values):
+                    yield [*prefix, rep.system, *coords, str(k), repr(v), ""]
+            for m in rep.masked:
+                yield [*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]
+
+
+def _verify_csv(doc: dict) -> Iterator[list[str]]:
+    yield ["item", "passed", "worst_residual", "detail"]
+    for it in doc["items"]:
+        yield [it["name"], str(it["passed"]), repr(it["worst_residual"]), it["detail"]]
+
+
+def _zero_set_csv(doc: dict) -> Iterator[list[str]]:
+    yield ["function", "cluster", "x1", "y1", "x2", "y2"]
+    for fn in doc["functions"]:
+        for ci, cluster in enumerate(fn["clusters"]):
+            for p in cluster:
+                yield [fn["name"], str(ci), *(repr(c) for c in p)]
+
+
+def _order_csv(doc: dict) -> Iterator[list[str]]:
+    yield ["function", "cluster", "order", "display_order", "comp1", "comp2", "note"]
+    for fn in doc["functions"]:
+        for e in fn["estimates"]:
+            if "error" in e:
+                yield [fn["name"], str(e["cluster"]), "", "", "", "", e["error"]]
+            else:
+                values = (e["order"], e["display_order"], *e["per_component"])
+                yield [fn["name"], str(e["cluster"]), *map(str, values), ""]
+
+
+# Text: summaries for reading in a terminal.
 
 
 def render_text_table(reports: list[ResidualReport]) -> str:
@@ -94,7 +217,7 @@ def render_text_table(reports: list[ResidualReport]) -> str:
     body = [
         (
             rep.system,
-            str(len(rep.rows)),
+            str(len(rep.points)),
             str(len(rep.masked)),
             f"{rep.max_residual:.3e}",
             f"{rep.mean_residual:.3e}",
@@ -112,3 +235,65 @@ def render_text_table(reports: list[ResidualReport]) -> str:
     for row in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def _residual_text(doc: dict) -> Iterator[str]:
+    for fn in doc["functions"]:
+        if doc["command"] == "classify":
+            yield f"{fn['name']}: {fn['label']} (tol {fn['tolerance']:g})\n"
+        else:
+            yield f"{fn['name']}\n"
+        yield render_text_table(fn["reports"])
+        yield "\n"
+
+
+def _verify_text(doc: dict) -> Iterator[str]:
+    items = doc["items"]
+    for it in items:
+        yield (
+            f"{'PASS' if it['passed'] else 'FAIL'}  {it['name']:<26} "
+            f"worst {it['worst_residual']:.3e}  {it['detail']}\n"
+        )
+    yield f"{sum(it['passed'] for it in items)}/{len(items)} checks passed\n"
+
+
+def _coords(p: list[float]) -> str:
+    return ", ".join(f"{c:.4g}" for c in p)
+
+
+def _zero_set_text(doc: dict) -> Iterator[str]:
+    for fn in doc["functions"]:
+        yield f"{fn['name']}: {fn['cluster_count']} cluster(s)\n"
+        for ci, cluster in enumerate(fn["clusters"]):
+            head = ", ".join(f"({_coords(p)})" for p in cluster[:4])
+            more = "" if len(cluster) <= 4 else f" and {len(cluster) - 4} more"
+            yield f"  cluster {ci}: {len(cluster)} point(s): {head}{more}\n"
+
+
+def _fmt_order(x) -> str:
+    return f"{x:.4f}" if isinstance(x, float) else str(x)
+
+
+def _order_text(doc: dict) -> Iterator[str]:
+    kind = doc["config"]["kind"]
+    for fn in doc["functions"]:
+        yield f"{fn['name']}: {len(fn['estimates'])} candidate cluster(s)\n"
+        for e in fn["estimates"]:
+            if "error" in e:
+                yield f"  cluster {e['cluster']}: {e['error']}\n"
+            else:
+                comp1, comp2 = map(_fmt_order, e["per_component"])
+                yield (
+                    f"  cluster {e['cluster']} at ({_coords(e['location'])}): {kind} order "
+                    f"{_fmt_order(e['display_order'])} (components {comp1}, {comp2})\n"
+                )
+
+
+# command -> its CSV and text writers
+_LAYOUTS = {
+    "classify": (_residual_csv, _residual_text),
+    "residuals": (_residual_csv, _residual_text),
+    "verify-paper": (_verify_csv, _verify_text),
+    "zero-set": (_zero_set_csv, _zero_set_text),
+    "order": (_order_csv, _order_text),
+}

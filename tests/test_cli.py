@@ -311,3 +311,79 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
     assert code == 0 and err == ""
     (est,) = json.loads(out)["functions"][0]["estimates"]
     assert est == {"cluster": 0, "error": "valid samples around the candidate point at fewer than two radii"}
+
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["classify", "--tol", "inf"], None),
+        (["zero-set", "--mask", "inf"], None),
+        (["residuals", "--tol=-inf"], None),
+        (["classify"], '{"tol": Infinity}'),
+        (["order"], '{"mask": Infinity}'),
+        (["zero-set"], '{"grid": Infinity}'),
+    ],
+)
+def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: list[str], config: str | None) -> None:
+    """An infinite tolerance or threshold used to reach the JSON writer and
+    end in its ValueError traceback with exit 1."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    code, out, err = _run_alone([*argv, "--input", funcs_file, "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "zero-set"])
+def test_a_box_whose_width_overflows_is_refused(funcs_file: str, command: str) -> None:
+    """Each bound is finite, but hi - lo is not: zero-set used to print
+    numpy's warnings and report 0 clusters, classify to exit 3."""
+    code, out, err = _run_alone([command, "--input", funcs_file, "--box=-1e308,1e308,-1,1,-1,1,-1,1", "--grid", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: bad box interval (-1e+308, 1e+308): its width overflows\n"
+    # the widest box whose widths are finite is still sampled
+    code, out, err = _run_alone([command, "--input", funcs_file, "--box=-8e307,8e307,-1,1,-1,1,-1,1", "--grid", "3"])
+    assert code in (0, 3) and "Warning" not in err and "Traceback" not in err
+
+
+OUT_CASES = {
+    "classify": ["classify", "--grid", "3"],
+    "residuals": ["residuals", "--grid", "3"],
+    "verify-paper": ["verify-paper", "--grid", "2"],
+    "verify-paper-failing": ["verify-paper", "--grid", "2", "--tol", "1e-16"],
+    "zero-set": ["zero-set", "--grid", "5", "--tol", "0.4"],
+    "order": ["order", "--grid", "5", "--tol", "0.4"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(OUT_CASES))
+def test_out_file_equals_stdout(tmp_path: Path, funcs_file: str, case: str, fmt: str) -> None:
+    argv = [*OUT_CASES[case], "--input", funcs_file, "--format", fmt]
+    code, out, err = _run_alone(argv)
+    assert code == (1 if case.endswith("failing") else 0) and out
+    out_path = tmp_path / "report"
+    assert _run_alone([*argv, "--out", str(out_path)]) == (code, "", err)
+    assert out_path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_pipe_ends_the_report_quietly(funcs_file: str, fmt: str) -> None:
+    """Like `qfc residuals ... | head -c 100`: the reader leaves after 100
+    bytes of a report of several megabytes."""
+    src = str(Path(qfc.__file__).resolve().parents[1])
+    argv = ["residuals", "--input", funcs_file, "--grid", "5", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qfc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b"" and len(head) == 100

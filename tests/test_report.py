@@ -1,11 +1,19 @@
-"""Residual report aggregation and serialization."""
+"""Residual report aggregation and the report writers.
+
+The JSON writer is compared byte for byte with the encoding it replaced:
+each report expanded into a dict by a copy of the old
+ResidualReport.to_dict, then json.dumps(sort_keys=True, indent=2,
+allow_nan=False) plus a newline.
+"""
 
 from __future__ import annotations
 
+import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qfc import Point4
 from qfc.report import (
@@ -13,9 +21,8 @@ from qfc.report import (
     SCHEMA,
     MaskedPoint,
     ResidualReport,
-    dumps_json,
     render_text_table,
-    residual_csv_rows,
+    write_report,
 )
 
 RESIDUAL_LISTS = st.lists(
@@ -23,15 +30,55 @@ RESIDUAL_LISTS = st.lists(
 )
 
 
+def _report(system: str, rows: list[tuple[Point4, tuple[float, ...]]], masked=(), k: int = 1) -> ResidualReport:
+    points = np.array([p.reals() for p, _ in rows], dtype=float).reshape(-1, 4)
+    residuals = np.array([vs for _, vs in rows], dtype=float).reshape(-1, k)
+    return ResidualReport(system, points, residuals, list(masked))
+
+
 def _sample() -> ResidualReport:
-    return ResidualReport(
-        system="demo",
-        rows=[
-            (Point4(0j, 0j), (0.5, 0.25)),
-            (Point4(1 + 0j, 0j), (0.0,)),
-        ],
-        masked=[MaskedPoint(Point4(0j, 1j), "singular")],
+    return _report(
+        "demo",
+        [(Point4(0j, 0j), (0.5, 0.25)), (Point4(1 + 0j, 0j), (0.0, 0.25))],
+        [MaskedPoint(Point4(0j, 1j), "singular")],
+        k=2,
     )
+
+
+def _to_dict(rep: ResidualReport) -> dict:
+    """The old ResidualReport.to_dict, with its max and mean, over rows."""
+    flat = [v for _, vs in rep.rows for v in vs]
+    return {
+        "system": rep.system,
+        "max_residual": max(flat, default=0.0),
+        "mean_residual": sum(flat) / len(flat) if flat else 0.0,
+        "points": [{"point": list(p.reals()), "residuals": list(vs)} for p, vs in rep.rows],
+        "masked": [{"point": list(m.point.reals()), "reason": m.reason} for m in rep.masked],
+    }
+
+
+def _expand(obj):
+    if isinstance(obj, ResidualReport):
+        return _to_dict(obj)
+    if isinstance(obj, dict):
+        return {k: _expand(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_expand(v) for v in obj]
+    return obj
+
+
+def _old_json(doc: dict) -> str:
+    return json.dumps(_expand(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _write(doc: dict, fmt: str) -> str:
+    out = io.StringIO()
+    write_report(doc, fmt, out)
+    return out.getvalue()
+
+
+def _doc(command: str, functions: list[dict], **config) -> dict:
+    return {"schema": SCHEMA, "command": command, "config": config, "functions": functions}
 
 
 def test_schema_name() -> None:
@@ -42,48 +89,84 @@ def test_aggregates() -> None:
     rep = _sample()
     assert rep.max_residual == 0.5
     assert rep.mean_residual == 0.25
+    assert rep.rows == [(Point4(0j, 0j), (0.5, 0.25)), (Point4(1 + 0j, 0j), (0.0, 0.25))]
     empty = ResidualReport(system="none")
     assert empty.max_residual == 0.0
     assert empty.mean_residual == 0.0
+    assert empty.rows == []
 
 
 def test_rejects_invalid_residuals() -> None:
     with pytest.raises(ValueError, match="finite and non-negative"):
-        ResidualReport(system="bad", rows=[(Point4(0j, 0j), (-1.0,))])
+        _report("bad", [(Point4(0j, 0j), (-1.0,))])
     with pytest.raises(ValueError, match="finite and non-negative"):
-        ResidualReport(system="bad", rows=[(Point4(0j, 0j), (float("nan"),))])
+        _report("bad", [(Point4(0j, 0j), (float("nan"),))])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        _report("bad", [(Point4(0j, 0j), (0.0, float("inf")))], k=2)
 
 
-def test_to_dict_shape() -> None:
-    d = _sample().to_dict()
+def test_mean_is_the_sequential_sum() -> None:
+    """One large residual then many tiny ones: summed left to right each
+    tiny one rounds away, while numpy's pairwise sum adds them up first
+    and lands a bit higher."""
+    values = [1.0] + [1e-16] * 15
+    rep = _report("seq", [(Point4(0j, 0j), (v,)) for v in values])
+    total = 0.0
+    for v in values:
+        total += v
+    assert np.sum(rep.residuals) != total
+    assert rep.mean_residual == total / 16
+    assert rep.mean_residual != np.mean(rep.residuals)
+    assert rep.mean_residual != np.sum(rep.residuals) / 16
+
+
+def test_json_report_shape() -> None:
+    doc = json.loads(_write(_doc("residuals", [{"name": "f", "reports": [_sample()]}]), "json"))
+    d = doc["functions"][0]["reports"][0]
+    assert sorted(d) == ["masked", "max_residual", "mean_residual", "points", "system"]
     assert d["system"] == "demo"
     assert d["max_residual"] == 0.5
+    assert d["mean_residual"] == 0.25
     assert d["points"][0] == {"point": [0.0, 0.0, 0.0, 0.0], "residuals": [0.5, 0.25]}
     assert d["masked"] == [{"point": [0.0, 0.0, 0.0, 1.0], "reason": "singular"}]
 
 
 def test_json_rendering_is_deterministic_and_finite() -> None:
-    d = _sample().to_dict()
-    text = dumps_json(d)
-    assert text == dumps_json(_sample().to_dict())
+    doc = _doc("residuals", [{"name": "f", "reports": [_sample()]}], tol=1e-8)
+    text = _write(doc, "json")
+    assert text == _write(doc, "json")
+    assert text == _old_json(doc)
     assert text.endswith("\n")
     assert "NaN" not in text
-    assert json.loads(text) == d
+    assert json.loads(text) == _expand(doc)
     # Keys are sorted so byte equality is meaningful.
     assert text.index('"masked"') < text.index('"max_residual"')
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write(_doc("residuals", [], tol=bad), "json")
+    wide = ResidualReport("wide", np.array([[float("inf"), 0.0, 0.0, 0.0]]), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write(_doc("residuals", [{"name": "f", "reports": [wide]}]), "json")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write(_doc("residuals", [], tol=object()), "json")
 
 
 def test_csv_rows_one_line_per_point_per_equation() -> None:
-    rows = residual_csv_rows([_sample()])
+    doc = _doc("residuals", [{"name": "fn", "reports": [_sample()]}])
+    lines = _write(doc, "csv").splitlines()
     assert CSV_HEADER == ["system", "x1", "y1", "x2", "y2", "equation", "residual", "note"]
-    assert rows == [
-        ["demo", "0.0", "0.0", "0.0", "0.0", "0", "0.5", ""],
-        ["demo", "0.0", "0.0", "0.0", "0.0", "1", "0.25", ""],
-        ["demo", "1.0", "0.0", "0.0", "0.0", "0", "0.0", ""],
-        ["demo", "0.0", "0.0", "0.0", "1.0", "", "", "singular"],
+    assert lines == [
+        "function,system,x1,y1,x2,y2,equation,residual,note",
+        "fn,demo,0.0,0.0,0.0,0.0,0,0.5,",
+        "fn,demo,0.0,0.0,0.0,0.0,1,0.25,",
+        "fn,demo,1.0,0.0,0.0,0.0,0,0.0,",
+        "fn,demo,1.0,0.0,0.0,0.0,1,0.25,",
+        "fn,demo,0.0,0.0,0.0,1.0,,,singular",
     ]
-    prefixed = residual_csv_rows([_sample()], prefix=("fn",))
-    assert prefixed[0][0] == "fn"
+    labelled = _doc("classify", [{"name": "fn", "label": "Holomorphic", "tolerance": 1e-8, "reports": [_sample()]}])
+    lines = _write(labelled, "csv").splitlines()
+    assert lines[0] == "function,label,system,x1,y1,x2,y2,equation,residual,note"
+    assert lines[1] == "fn,Holomorphic,demo,0.0,0.0,0.0,0.0,0,0.5,"
 
 
 def test_text_table_layout() -> None:
@@ -95,7 +178,7 @@ def test_text_table_layout() -> None:
 
 @given(values=RESIDUAL_LISTS)
 def test_max_dominates_mean(values: list[float]) -> None:
-    rep = ResidualReport(system="prop", rows=[(Point4(0j, 0j), tuple(values))])
+    rep = _report("prop", [(Point4(0j, 0j), tuple(values))], k=len(values))
     # summation roundoff can push the mean a few ulp past the max
     assert 0.0 <= rep.mean_residual <= rep.max_residual * (1.0 + 1e-12)
 
@@ -103,9 +186,86 @@ def test_max_dominates_mean(values: list[float]) -> None:
 @given(values=RESIDUAL_LISTS)
 def test_masked_points_do_not_change_aggregates(values: list[float]) -> None:
     rows = [(Point4(0j, 0j), tuple(values))]
-    bare = ResidualReport(system="prop", rows=rows)
-    masked = ResidualReport(
-        system="prop", rows=rows, masked=[MaskedPoint(Point4(1j, 0j), "singular")]
-    )
+    bare = _report("prop", rows, k=len(values))
+    masked = _report("prop", rows, [MaskedPoint(Point4(1j, 0j), "singular")], k=len(values))
     assert bare.max_residual == masked.max_residual
     assert bare.mean_residual == masked.mean_residual
+
+
+# The writer against the old encoding.
+
+SPECIAL = (5e-324, -5e-324, 1e308, -1e308, 0.0, -0.0, 1e16, 1e-16, 0.1, 1 / 3, 2.0**53 + 2)
+COORDS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+RESIDUALS = st.sampled_from([v for v in SPECIAL if v >= 0.0]) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False
+)
+NAMES = st.sampled_from(["funcs.txt", 'we"ird\\pätH ☃.txt', "", "\x00\x1f "]) | st.text()
+POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS).map(lambda c: Point4.from_reals(*c))
+REASONS = st.sampled_from(["singular", "norm_sq below threshold", "overflow"])
+
+
+@st.composite
+def reports(draw) -> ResidualReport:
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(POINTS, st.tuples(*[RESIDUALS] * k)), max_size=6))
+    masked = draw(st.lists(st.builds(MaskedPoint, POINTS, REASONS), max_size=4))
+    return _report(draw(NAMES), rows, masked, k=k)
+
+
+@st.composite
+def documents(draw) -> dict:
+    command = draw(st.sampled_from(["classify", "residuals"]))
+    config = {"box": [-1.0, 1.0] * 4, "grid": draw(st.integers(2, 9)), "tol": draw(COORDS), "seed": 0}
+    if draw(st.booleans()):
+        config["input"] = draw(NAMES)
+    functions = []
+    for _ in range(draw(st.integers(0, 3))):
+        fn = {"name": draw(NAMES), "reports": draw(st.lists(reports(), max_size=4))}
+        if command == "classify":
+            fn.update(label=draw(NAMES), tolerance=draw(COORDS))
+        functions.append(fn)
+    return _doc(command, functions, **config)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | COORDS | NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NAMES, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _agrees_with_the_old_encoding(doc: dict) -> None:
+    """Equal bytes, or both refuse: a mean can overflow to inf."""
+    try:
+        expected = _old_json(doc)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write(doc, "json")
+        return
+    assert _write(doc, "json") == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents())
+def test_json_writer_equals_the_old_encoding(doc: dict) -> None:
+    _agrees_with_the_old_encoding(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_equals_json_dumps_on_plain_values(value) -> None:
+    _agrees_with_the_old_encoding({"schema": SCHEMA, "command": "verify-paper", "value": value})
+
+
+def test_json_writer_covers_empty_and_all_masked_reports() -> None:
+    p = Point4.from_reals(-0.0, 5e-324, 1e308, 0.1)
+    cases = [
+        ResidualReport("empty"),
+        _report("all-masked", [], [MaskedPoint(p, "overflow"), MaskedPoint(p, "singular")]),
+        _report("no-masked", [(p, (1e16, 0.0, 5e-324))], k=3),
+    ]
+    doc = _doc("residuals", [{"name": "f", "reports": cases}], input='a"b\\c ü.txt')
+    text = _write(doc, "json")
+    assert text == _old_json(doc)
+    assert '"masked": []' in text and '"points": []' in text
+    assert '"input": "a\\"b\\\\c \\u00fc.txt"' in text

@@ -3,9 +3,10 @@
 analysis.sample evaluates the component jets, the mask reasons and every
 residual system once over arrays of all grid points.  The oracle here is
 a copy of the per-point loop: eval_jet at each point, the same systems on
-scalar jets, and the mask reason from the first exception.  Rows and
-masked points must agree by repr, for classify's and for residuals'
-systems, over random functions, overflowing boxes and wide tolerances.
+scalar jets, and the mask reason from the first exception.  Rows, read
+back from the sample's columns, and masked points must agree by repr,
+for classify's and for residuals' systems, over random functions,
+overflowing boxes and wide tolerances.
 """
 
 from __future__ import annotations
@@ -112,6 +113,17 @@ def _residuals_scalar(j1, j2, mask_threshold):
     return values
 
 
+def _rows(s) -> list[tuple]:
+    """The sample's columns as the per-point loop's rows: each unmasked
+    point with its tuple of values per reported system, and its extra
+    values or None where they do not hold."""
+    reported = [r.tolist() for r in s.reported]
+    return [
+        (Point4.from_reals(*p), tuple(tuple(r[i]) for r in reported), tuple(extra) if holds else None)
+        for i, (p, extra, holds) in enumerate(zip(s.points.tolist(), s.extra.tolist(), s.holds.tolist()))
+    ]
+
+
 def _compare(f, d: Domain, grid_n: int, singular_sq_tol: float) -> list[str]:
     """Assert both paths agree for both systems; the mask reasons seen."""
     mask = d.excluded_threshold
@@ -125,11 +137,11 @@ def _compare(f, d: Domain, grid_n: int, singular_sq_tol: float) -> list[str]:
     reasons = []
     for scalar, batched in cases:
         old_rows, old_masked = _per_point_sample(f, d, grid_n, scalar, singular_sq_tol)
-        rows, masked = sample(f, d, grid_n, batched, singular_sq_tol)
+        s = sample(f, d, grid_n, batched, singular_sq_tol)
         expected = [(p, vs[:3], vs[3] if len(vs) > 3 else None) for p, vs in old_rows]
-        assert repr(rows) == repr(expected)
-        assert repr([(m.point, m.reason) for m in masked]) == repr([(m.point, m.reason) for m in old_masked])
-        reasons += [m.reason for m in masked]
+        assert repr(_rows(s)) == repr(expected)
+        assert repr([(m.point, m.reason) for m in s.masked]) == repr([(m.point, m.reason) for m in old_masked])
+        reasons += [m.reason for m in s.masked]
     return reasons
 
 
