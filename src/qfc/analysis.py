@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import Domain, grid_points
+from .domain import Columns, Domain, grid_blocks
 from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
 from .jets import (
     DEFAULT_SINGULAR_SQ_TOL,
@@ -408,28 +408,30 @@ def sample(
     CPython's (see CArray), so every value equals the per-point one.
     Grids larger than _BLOCK_POINTS are evaluated a block at a time.
     """
-    points = grid_points(d, grid_n)
     blocks = [
-        _sample_block(f, points[start : start + _BLOCK_POINTS], d.excluded_threshold, systems, singular_sq_tol)
-        for start in range(0, len(points), _BLOCK_POINTS)
+        _sample_block(f, z, d.excluded_threshold, systems, singular_sq_tol)
+        for _, z in grid_blocks(d, grid_n, _BLOCK_POINTS)
     ]
     code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
-    masked = [MaskedPoint(p, MASK_REASONS[c]) for p, c in zip(points, code.tolist()) if c]
-    coords, extra, holds, *reported = (c[code == 0] for c in columns)
+    bad = code != 0
+    masked = [
+        MaskedPoint(Point4.from_reals(*p), MASK_REASONS[c])
+        for p, c in zip(columns[0][bad].tolist(), code[bad].tolist())
+    ]
+    coords, extra, holds, *reported = (c[~bad] for c in columns)
     return Sample(coords, reported, extra, holds, masked)
 
 
 def _sample_block(
-    f: QFunction, points: list[Point4], threshold: float, systems: Systems, singular_sq_tol: float
+    f: QFunction, z: Columns, threshold: float, systems: Systems, singular_sq_tol: float
 ) -> tuple[np.ndarray, ...]:
     """sample's evaluation of one block of points: each point's reason
     code (0 if unmasked) and coordinates, the extra values and where they
     hold, and a residual array per reported system, a row per point."""
-    n = len(points)
+    n = len(z[0])
     events = PointEvents(n)
     with np.errstate(all="ignore"):
-        z1 = CArray.of([p.z1 for p in points], events)
-        z2 = CArray.of([p.z2 for p in points], events)
+        z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
         j1, j2 = grid_jets((f.f1, f.f2), z1, z2, singular_sq_tol)
         events.flag(norm_sq(Quaternion(j1.val, j2.val)) < threshold, BELOW_THRESHOLD)
         finite = True
@@ -441,7 +443,7 @@ def _sample_block(
             events.flag(~np.isfinite(v), OVERFLOW)
         for v in extra:
             events.flag(~np.isfinite(v) & holds, OVERFLOW)
-    coords = _columns((z1.real, z1.imag, z2.real, z2.imag), n)
+    coords = np.column_stack(z)
     holds = np.broadcast_to(holds, (n,))
     return events.code, coords, _columns(extra, n), holds, *(_columns(values, n) for values in reported)
 

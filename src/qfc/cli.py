@@ -3,7 +3,8 @@
 Subcommands: classify, residuals, verify-paper, zero-set, order.
 Exit codes: 0 success, 1 verification failure, 2 bad input (a parse
 error, a bad option such as a non-finite --tol or a box wider than a
-float, or an expression nested too deeply), 3 inconclusive (too many
+float, an expression nested too deeply, or an --out path that cannot be
+written), 3 inconclusive (too many
 masked points, or every grid point of a zero or pole scan skipped).
 """
 from __future__ import annotations
@@ -166,6 +167,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ParseError(f"format must be one of {', '.join(_FORMATS)}")
     if kind not in ("zero", "pole"):
         raise ParseError("kind must be zero or pole")
+    out = cfg["out"] if cfg["out"] is None else str(cfg["out"])
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        reason = "it is a directory" if os.path.isdir(out) else "its directory does not exist"
+        raise ParseError(f"cannot write --out {out}: {reason}")
     return RunConfig(
         command=args.command,
         input_path=cfg["input"] if cfg["input"] is None else str(cfg["input"]),
@@ -175,7 +180,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         mask_threshold=mask,
         output_format=fmt,
         seed=seed,
-        out=cfg["out"] if cfg["out"] is None else str(cfg["out"]),
+        out=out,
         kind=kind,
     )
 
@@ -268,7 +273,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve(args)
         doc = _document(cfg)
         if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            try:
+                fh = open(cfg.out, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ParseError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
+            with fh:
                 write_report(doc, cfg.output_format, fh)
         else:
             write_report(doc, cfg.output_format, sys.stdout)

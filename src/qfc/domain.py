@@ -4,13 +4,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .jets import Point4
 
 Interval = tuple[float, float]
+# The x1, y1, x2, y2 coordinates of a block of points.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 DEFAULT_BOX: tuple[Interval, Interval, Interval, Interval] = (
     (-1.0, 1.0),
@@ -69,3 +71,13 @@ def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
     z2s = [complex(x, y) for x, y in product(x2, y2)]
     return [Point4(z1, z2) for z1, z2 in product(z1s, z2s)]
 
+
+def grid_blocks(domain: Domain, grid_n: int, size: int) -> Iterator[tuple[tuple[np.ndarray, ...], Columns]]:
+    """The grid_n**4 lattice of the box in blocks of at most size points,
+    x1 varying slowest, y2 fastest: each block's indices into grid_axes
+    and its coordinate columns."""
+    axes = np.array(grid_axes(domain, grid_n))
+    total = grid_n**4
+    for start in range(0, total, size):
+        lattice = np.unravel_index(np.arange(start, min(start + size, total)), (grid_n,) * 4)
+        yield lattice, tuple(axes[k][i] for k, i in enumerate(lattice))

@@ -7,7 +7,8 @@ at a time.  Its JSON is byte for byte what json.dumps(doc, sort_keys=True,
 indent=2, allow_nan=False) + "\\n" gives for the document with every
 report expanded into a dict, but each table's point rows are formatted
 from one fixed template instead of through json's pure-Python encoder,
-which it falls back to whenever indent is set.
+which it falls back to whenever indent is set, and written _BATCH_ROWS
+rows at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Iterable, Iterator
 
@@ -24,6 +25,7 @@ import numpy as np
 from .jets import Point4
 
 SCHEMA = "qfc-report/1"
+_BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,26 @@ def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
     """Write a command's document to out as "json", "csv" or "text"."""
     csv_rows, text = _LAYOUTS[doc["command"]]
     if fmt == "json":
-        out.writelines(chain(_json_pieces(doc, ""), ("\n",)))
+        out.writelines(chain(_json_pieces(doc, "", {}), ("\n",)))
     elif fmt == "csv":
         csv.writer(out, lineterminator="\n").writerows(csv_rows(doc))
     else:
         out.writelines(text(doc))
+
+
+def _coord_text(points: np.ndarray, last: dict, layout: str | None = None) -> list:
+    """Each row of points as its coordinates' reprs, put into layout if
+    given, formatting each distinct value (by bits: -0.0 is not 0.0) once.
+    A function's reports share one points array; last keeps the result
+    for the last array asked for, and only that one."""
+    key = (id(points), layout)
+    if key not in last or last[key][0] is not points:
+        last.clear()
+        bits, inverse = np.unique(points.view(np.int64), return_inverse=True)
+        text = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        rows = map(tuple, text[inverse.reshape(points.shape)].tolist())
+        last[key] = (points, list(rows if layout is None else map(layout.__mod__, rows)))
+    return last[key][1]
 
 
 def _finite(ok: bool) -> None:
@@ -105,11 +122,11 @@ def _json_scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _json_pieces(obj, indent: str) -> Iterator[str]:
+def _json_pieces(obj, indent: str, last: dict) -> Iterator[str]:
     """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in
     pieces, for a value nested at indent."""
     if isinstance(obj, ResidualReport):
-        yield from _report_json(obj, indent)
+        yield from _report_json(obj, indent, last)
     elif isinstance(obj, (dict, list, tuple)):
         if isinstance(obj, dict):
             items, brackets = [(_json_str(k) + ": ", obj[k]) for k in sorted(obj)], "{}"
@@ -121,7 +138,7 @@ def _json_pieces(obj, indent: str) -> Iterator[str]:
         inner, sep = indent + "  ", brackets[0] + "\n"
         for head, value in items:
             yield sep + inner + head
-            yield from _json_pieces(value, inner)
+            yield from _json_pieces(value, inner, last)
             sep = ",\n"
         yield "\n" + indent + brackets[1]
     else:
@@ -146,20 +163,25 @@ def _json_list(items: Iterable[str], indent: str) -> str:
     return f"[\n{text}\n{indent}]" if text else "[]"
 
 
-def _report_json(rep: ResidualReport, indent: str) -> Iterator[str]:
+def _report_json(rep: ResidualReport, indent: str, last: dict) -> Iterator[str]:
     inner, item = indent + "  ", indent + "    "
     masked = [(*m.point.reals(), _json_str(m.reason)) for m in rep.masked]
     _finite(np.isfinite(rep.points).all() and np.isfinite([m[:4] for m in masked]).all())
     masked_row = _row_template(item, (("point", 4), ("reason", None)))
-    point_row = _row_template(item, (("point", 4), ("residuals", rep.residuals.shape[1])))
+    point_row = _row_template(item, (("point", None), ("residuals", rep.residuals.shape[1])))
     yield (
         f'{{\n{inner}"masked": {_json_list(map(masked_row.__mod__, masked), inner)},\n'
         f'{inner}"max_residual": {_json_scalar(rep.max_residual)},\n'
         f'{inner}"mean_residual": {_json_scalar(rep.mean_residual)},\n'
         f'{inner}"points": '
     )
-    rows = map(tuple, np.hstack((rep.points, rep.residuals)).tolist())
-    yield _json_list(map(point_row.__mod__, rows), inner)
+    lists = _coord_text(rep.points, last, _json_list([item + "    %s"] * 4, item + "  "))
+    rows = map(point_row.__mod__, zip(lists, *rep.residuals.T.tolist()))
+    sep = "[\n"
+    while batch := ",\n".join(islice(rows, _BATCH_ROWS)):
+        yield sep + batch
+        sep = ",\n"
+    yield f"\n{inner}]" if lists else "[]"
     yield f',\n{inner}"system": {_json_str(rep.system)}\n{indent}}}'
 
 
@@ -172,13 +194,14 @@ def _residual_csv(doc: dict) -> Iterator[list[str]]:
     """One row per point per equation; masked points carry the reason."""
     labelled = doc["command"] == "classify"
     yield ["function", *(["label"] if labelled else []), *CSV_HEADER]
+    last: dict = {}
     for fn in doc["functions"]:
         prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
         for rep in fn["reports"]:
-            for p, values in zip(rep.points.tolist(), rep.residuals.tolist()):
-                coords = [repr(c) for c in p]
+            coords = _coord_text(rep.points, last)
+            for c, values in zip(coords, rep.residuals.tolist()):
                 for k, v in enumerate(values):
-                    yield [*prefix, rep.system, *coords, str(k), repr(v), ""]
+                    yield [*prefix, rep.system, *c, str(k), repr(v), ""]
             for m in rep.masked:
                 yield [*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]
 

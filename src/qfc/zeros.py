@@ -17,15 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .analysis import _BLOCK_POINTS
-from .domain import Domain, grid_axes
+from .domain import Columns, Domain, grid_blocks
 from .errors import MASK_REASONS, SINGULAR, InconclusiveError
 from .jets import DEFAULT_SINGULAR_SQ_TOL, CArray, Point4, PointEvents, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
 
-# The x1, y1, x2, y2 coordinates of a block of points.
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # A block's candidates, each point's event code (0 where it was evaluated)
 # and the two magnitudes compared with the tolerance.
 Test = Callable[[Columns], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -108,19 +106,15 @@ def pole_set_scan(
 
 
 def _scan(d: Domain, grid_n: int, test: Test) -> list[list[Point4]]:
-    axes = grid_axes(d, grid_n)
-    columns = np.array(axes)
     total = grid_n**4
     hits: dict[tuple[int, int, int, int], Point4] = {}
     skipped = np.zeros(max(MASK_REASONS) + 1, dtype=int)
-    for start in range(0, total, _BLOCK_POINTS):
-        lattice = np.unravel_index(np.arange(start, min(start + _BLOCK_POINTS, total)), (grid_n,) * 4)
+    for lattice, columns in grid_blocks(d, grid_n, _BLOCK_POINTS):
         with np.errstate(all="ignore"):
-            hit, code, _, _ = test(tuple(columns[k][i] for k, i in enumerate(lattice)))
+            hit, code, _, _ = test(columns)
         skipped += np.bincount(code, minlength=len(skipped))
         for i in np.flatnonzero(hit).tolist():
-            idx = tuple(int(k[i]) for k in lattice)
-            hits[idx] = Point4.from_reals(*(axes[k][j] for k, j in enumerate(idx)))
+            hits[tuple(int(k[i]) for k in lattice)] = Point4.from_reals(*(float(c[i]) for c in columns))
     if skipped[1:].sum() == total:
         reasons = ", ".join(f"{n} {MASK_REASONS[c]}" for c, n in enumerate(skipped.tolist()) if c and n)
         raise InconclusiveError(f"every grid point is skipped ({reasons})")

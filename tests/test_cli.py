@@ -209,6 +209,32 @@ def test_out_file_holds_the_report(capsys, tmp_path: Path, funcs_file: str) -> N
     assert doc["schema"] == "qfc-report/1"
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        (".", "it is a directory"),
+        ("nope/r.json", "its directory does not exist"),
+        ("funcs.txt/r.json", "its directory does not exist"),
+    ],
+)
+def test_unwritable_out_exits_2_before_computing(
+    capsys, monkeypatch: pytest.MonkeyPatch, tmp_path: Path, funcs_file: str, target: str, reason: str
+) -> None:
+    monkeypatch.setattr(qfc.cli, "_document", lambda cfg: pytest.fail("computed before checking --out"))
+    path = tmp_path / target
+    code, out, err = _run(capsys, ["classify", "--input", funcs_file, "--out", str(path)])
+    assert (code, out, err) == (2, "", f"error: cannot write --out {path}: {reason}\n")
+
+
+def test_out_that_fails_to_open_exits_2(capsys, tmp_path: Path, funcs_file: str) -> None:
+    path = tmp_path / ("r" * 300)  # longer than a file name may be
+    code, out, err = _run(capsys, ["residuals", "--input", funcs_file, "--grid", "2", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    code, _, err = _run_alone(["verify-paper", "--grid", "2", "--out", str(tmp_path)])
+    assert (code, err) == (2, f"error: cannot write --out {tmp_path}: it is a directory\n")
+
+
 
 def _expected_reason(point: list[float]) -> str | None:
     """Mask reason of z1*z2 at a grid point of the overflow boxes."""

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from qfc import Domain, Point4, grid_points
+from qfc.domain import grid_axes, grid_blocks
 
 
 def test_default_domain_is_the_unit_box() -> None:
@@ -47,3 +50,18 @@ def test_grid_points_respect_the_box() -> None:
     assert {p.z1.imag for p in pts} == {0.0}
     assert {p.z2.imag for p in pts} == {-1.0, 0.0}
 
+
+
+@pytest.mark.parametrize("grid_n, size", [(2, 16), (2, 5), (5, 625), (5, 96), (5, 1000)])
+def test_grid_blocks_follow_the_lattice_order(grid_n: int, size: int) -> None:
+    """x1 slowest, y2 fastest, across blocks of any size, with each
+    block's indices pointing at its coordinates in grid_axes."""
+    d = Domain(box=((0.0, 1.0), (-2.0, 0.5), (3.0, 3.5), (-1.0, 1.0)))
+    axes = grid_axes(d, grid_n)
+    blocks = list(grid_blocks(d, grid_n, size))
+    assert [len(z[0]) for _, z in blocks[:-1]] == [size] * (len(blocks) - 1)
+    lattice = [idx for indices, _ in blocks for idx in zip(*(i.tolist() for i in indices))]
+    coords = [p for _, z in blocks for p in zip(*(c.tolist() for c in z))]
+    assert lattice == list(product(range(grid_n), repeat=4))
+    assert coords == [tuple(axes[k][i] for k, i in enumerate(idx)) for idx in lattice]
+    assert [Point4.from_reals(*p) for p in coords] == grid_points(d, grid_n)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfc import Point4
 from qfc.report import (
+    _BATCH_ROWS,
     CSV_HEADER,
     SCHEMA,
     MaskedPoint,
@@ -69,6 +72,22 @@ def _expand(obj):
 
 def _old_json(doc: dict) -> str:
     return json.dumps(_expand(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _old_csv(doc: dict) -> list[str]:
+    """The residual CSV lines as the writer made them before it shared
+    coordinate text: repr of each coordinate on every row."""
+    labelled = doc["command"] == "classify"
+    lines = [",".join(["function", *(["label"] if labelled else []), *CSV_HEADER])]
+    for fn in doc["functions"]:
+        prefix = [fn["name"], fn["label"]] if labelled else [fn["name"]]
+        for rep in fn["reports"]:
+            for p, vs in rep.rows:
+                coords = [repr(c) for c in p.reals()]
+                lines += [",".join([*prefix, rep.system, *coords, str(k), repr(v), ""]) for k, v in enumerate(vs)]
+            for m in rep.masked:
+                lines.append(",".join([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]))
+    return lines
 
 
 def _write(doc: dict, fmt: str) -> str:
@@ -269,3 +288,65 @@ def test_json_writer_covers_empty_and_all_masked_reports() -> None:
     assert text == _old_json(doc)
     assert '"masked": []' in text and '"points": []' in text
     assert '"input": "a\\"b\\\\c \\u00fc.txt"' in text
+
+
+# Row batches and points arrays shared by reports.
+
+COORD_POOL = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, 5e-324, -5e-324, 1e308, 2.0**53 + 2])
+
+
+def _shared_function(name: str, rows: int, seed: int) -> dict:
+    """A function whose three reports share one points array drawn from a
+    few coordinates, -0.0 and 0.0 among them, as analysis.sample gives."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice(COORD_POOL, size=(rows, 4))
+    masked = [MaskedPoint(Point4.from_reals(-0.0, 0.0, 0.1, -0.0), "singular")]
+    reports = [
+        ResidualReport(system, points, rng.random((rows, k)), masked)
+        for system, k in (("hyperholomorphy", 2), ("inverse_hyperholomorphy", 2), ("sum_pde", 1))
+    ]
+    return {"name": name, "label": "Holomorphic", "tolerance": 1e-8, "reports": reports}
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 2 * _BATCH_ROWS + 1])
+@pytest.mark.parametrize("command", ["classify", "residuals"])
+def test_row_batches_and_shared_points_equal_the_old_encoding(rows: int, command: str) -> None:
+    functions = [_shared_function("f", rows, 1), _shared_function("g", rows, 2)]
+    # h's reports hold f's array again after g's has replaced it in the writer
+    functions.append({**functions[0], "name": "h"})
+    doc = _doc(command, functions, tol=1e-8)
+    assert _write(doc, "json") == _old_json(doc)
+    assert _write(doc, "csv").splitlines() == _old_csv(doc)
+
+
+def test_negative_zero_keeps_its_sign_in_shared_coordinates() -> None:
+    points = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]])
+    rep = ResidualReport("signs", points, np.zeros((2, 1)))
+    doc = _doc("residuals", [{"name": "f", "reports": [rep, rep]}])
+    rows = json.loads(_write(doc, "json"))["functions"][0]["reports"][1]["points"]
+    assert [[np.copysign(1.0, c) for c in row["point"]] for row in rows] == [[1, -1, 1, -1], [-1, 1, -1, 1]]
+    csv_rows = ["f,signs,0.0,-0.0,0.0,-0.0,0,0.0,", "f,signs,-0.0,0.0,-0.0,0.0,0,0.0,"]
+    assert _write(doc, "csv").splitlines()[1:] == csv_rows * 2
+    assert _write(doc, "json") == _old_json(doc)
+
+
+def _write_peak(doc: dict, fmt: str) -> int:
+    """Peak bytes traced while writing doc to the null device."""
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            write_report(doc, fmt, out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_memory_holds_one_points_array(fmt: str) -> None:
+    """The writers keep the coordinate text of the last points array only,
+    so eight functions peak about as high as one."""
+    one = _doc("residuals", [_shared_function("f0", 1296, 0)])
+    eight = _doc("residuals", [_shared_function(f"f{i}", 1296, i) for i in range(8)])
+    for doc in (one, eight):  # caches the reports' aggregates
+        _write(doc, fmt)
+    assert _write_peak(eight, fmt) < 2 * _write_peak(one, fmt)
