@@ -13,11 +13,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import Columns, Domain, grid_blocks
+from .domain import Domain, grid_blocks
 from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
 from .jets import (
     DEFAULT_SINGULAR_SQ_TOL,
-    CArray,
+    Columns,
     Point4,
     PointEvents,
     WirtingerJet,
@@ -429,10 +429,8 @@ def _sample_block(
     code (0 if unmasked) and coordinates, the extra values and where they
     hold, and a residual array per reported system, a row per point."""
     n = len(z[0])
-    events = PointEvents(n)
     with np.errstate(all="ignore"):
-        z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
-        j1, j2 = grid_jets((f.f1, f.f2), z1, z2, singular_sq_tol)
+        (j1, j2), events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
         events.flag(norm_sq(Quaternion(j1.val, j2.val)) < threshold, BELOW_THRESHOLD)
         finite = True
         for slot in (*vars(j1).values(), *vars(j2).values()):

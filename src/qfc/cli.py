@@ -161,6 +161,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     kind = str(cfg["kind"])
     if grid_n < 2:
         raise ParseError("grid must be at least 2")
+    if seed < 0:
+        raise ParseError("seed must be non-negative")
     if not (0.0 < tol < math.inf and 0.0 < mask < math.inf):
         raise ParseError("tol and mask must be positive and finite")
     if fmt not in _FORMATS:

@@ -8,11 +8,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jets import Point4
+from .jets import Columns, Point4
 
 Interval = tuple[float, float]
-# The x1, y1, x2, y2 coordinates of a block of points.
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 DEFAULT_BOX: tuple[Interval, Interval, Interval, Interval] = (
     (-1.0, 1.0),

@@ -7,10 +7,12 @@ conjugates them; all other rules are the usual bilinear ones.  The jet_*
 helpers carry these rules; eval_jet and the from-jets forms in analysis
 share them, so a derived jet is bit-identical to evaluating its tree.
 
-The same helpers run on CArray slots, which hold one complex value per
-grid point: grid_jets evaluates trees at a whole grid at once, and
-PointEvents records, per point, the first event at which the scalar path
-would have raised.
+There is one evaluator per shape of input: eval_jet at one point, whose
+val slot is also the tree's plain value, and grid_jets at a block of
+points given as coordinate columns.  grid_jets runs the same helpers on
+CArray slots, which hold one complex value per point, and returns the
+block's PointEvents: per point, the first event at which eval_jet would
+have raised.
 """
 from __future__ import annotations
 
@@ -42,6 +44,9 @@ from .quaternion import UNIT_I, UNIT_J, Quaternion, quat_conj, quat_mul, rinv
 
 DEFAULT_SINGULAR_SQ_TOL = 1e-12
 
+# The x1, y1, x2, y2 coordinates of a block of points.
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 class Point4(NamedTuple):
     """A point of the two-complex-variable domain."""
@@ -55,6 +60,16 @@ class Point4(NamedTuple):
 
     def reals(self) -> tuple[float, float, float, float]:
         return (self.z1.real, self.z1.imag, self.z2.real, self.z2.imag)
+
+
+def columns_of(z1: list[complex], z2: list[complex]) -> Columns:
+    """The coordinate columns of the points (z1[i], z2[i])."""
+    return (
+        np.array([z.real for z in z1]),
+        np.array([z.imag for z in z1]),
+        np.array([z.real for z in z2]),
+        np.array([z.imag for z in z2]),
+    )
 
 
 class PointEvents:
@@ -373,22 +388,26 @@ def eval_jet(
 
 
 def grid_jets(
-    exprs: tuple[QExpr, ...], z1: CArray, z2: CArray, singular_sq_tol: float
-) -> list[WirtingerJet]:
-    """Jets of j-free trees at every grid point at once, z1 and z2 holding
-    the points' coordinates.
+    exprs: tuple[QExpr, ...], z: Columns, singular_sq_tol: float
+) -> tuple[list[WirtingerJet], PointEvents]:
+    """Jets of j-free trees at every point of a block at once, z holding
+    the points' coordinate columns, and the first event evaluating them
+    meets at each point.
 
     An iterative post-order walk, the trees in order and each node after
     its children, left before right: the order in which eval_jet would
     raise, so each point keeps the event eval_jet would have raised first.
-    A vanishing divisor is flagged "singular" on z1.events, an overflowing
-    power "overflow".  Structurally equal subtrees are evaluated once: a
-    node's key is its type, its leaf fields and its children's keys, built
-    without recursion, so trees too deep to hash still evaluate.  The
-    memory held grows with the number of points times the number of jets
-    awaiting a user, so callers evaluate large grids in blocks.
+    A vanishing divisor is flagged "singular" on the returned events, an
+    overflowing power "overflow"; the jets' CArray slots share those
+    events, so a caller's further arithmetic on them flags there too.
+    Structurally equal subtrees are evaluated once: a node's key is its
+    type, its leaf fields and its children's keys, built without
+    recursion, so trees too deep to hash still evaluate.  The memory held
+    grows with the number of points times the number of jets awaiting a
+    user, so callers evaluate large grids in blocks.
     """
-    events = z1.events
+    events = PointEvents(len(z[0]))
+    z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
 
     def const(c: complex) -> CArray:
         return CArray(np.array([c.real]), np.array([c.imag]), events)
@@ -467,46 +486,7 @@ def grid_jets(
             uses[c] -= 1
             if not uses[c]:
                 jets[c] = None
-    return [jets[k] for k in roots]
-
-
-def eval_value(
-    e: QExpr, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> complex:
-    """Plain complex value of a j-free tree at p."""
-    match e:
-        case Var("z1"):
-            return p.z1
-        case Var("z2"):
-            return p.z2
-        case ConjVar("z1"):
-            return p.z1.conjugate()
-        case ConjVar("z2"):
-            return p.z2.conjugate()
-        case RealConst(v):
-            return complex(v)
-        case UnitI():
-            return 1j
-        case UnitJ():
-            raise ValueError("j has no scalar value; lower the expression first")
-        case Add(l, r):
-            return eval_value(l, p, singular_sq_tol) + eval_value(r, p, singular_sq_tol)
-        case Sub(l, r):
-            return eval_value(l, p, singular_sq_tol) - eval_value(r, p, singular_sq_tol)
-        case Neg(x):
-            return -eval_value(x, p, singular_sq_tol)
-        case Mul(l, r):
-            return eval_value(l, p, singular_sq_tol) * eval_value(r, p, singular_sq_tol)
-        case Div(l, r):
-            den = eval_value(r, p, singular_sq_tol)
-            if vanishes(den, singular_sq_tol):
-                raise SingularPointError(f"denominator vanishes near {p}")
-            return eval_value(l, p, singular_sq_tol) / den
-        case Pow(b, n):
-            return eval_value(b, p, singular_sq_tol) ** n
-        case Conj(x):
-            return eval_value(x, p, singular_sq_tol).conjugate()
-    raise TypeError(f"not an expression node: {e!r}")
+    return [jets[k] for k in roots], events
 
 
 def eval_qexpr(
@@ -561,7 +541,7 @@ def eval_qfunction(
     f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
 ) -> Quaternion:
     return Quaternion(
-        eval_value(f.f1, p, singular_sq_tol), eval_value(f.f2, p, singular_sq_tol)
+        eval_jet(f.f1, p, singular_sq_tol).val, eval_jet(f.f2, p, singular_sq_tol).val
     )
 
 
@@ -581,7 +561,7 @@ def fd_jet(
     x1, y1, x2, y2 = p.reals()
 
     def at(a: float, b: float, c: float, d: float) -> complex:
-        return eval_value(e, Point4.from_reals(a, b, c, d), singular_sq_tol)
+        return eval_jet(e, Point4.from_reals(a, b, c, d), singular_sq_tol).val
 
     dx1 = (at(x1 + h, y1, x2, y2) - at(x1 - h, y1, x2, y2)) / (2 * h)
     dy1 = (at(x1, y1 + h, x2, y2) - at(x1, y1 - h, x2, y2)) / (2 * h)

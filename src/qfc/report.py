@@ -56,14 +56,6 @@ class ResidualReport:
                 f"residual magnitudes must be finite and non-negative, got {self.residuals[bad][0]}"
             )
 
-    @property
-    def rows(self) -> list[tuple[Point4, tuple[float, ...]]]:
-        """Each unmasked point with its residual magnitudes."""
-        return [
-            (Point4.from_reals(*p), tuple(vs))
-            for p, vs in zip(self.points.tolist(), self.residuals.tolist())
-        ]
-
     @cached_property
     def max_residual(self) -> float:
         return max(self.residuals.ravel().tolist(), default=0.0)

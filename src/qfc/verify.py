@@ -48,7 +48,7 @@ from .generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from .jets import DEFAULT_SINGULAR_SQ_TOL, CArray, Point4, PointEvents, WirtingerJet, grid_jets
+from .jets import DEFAULT_SINGULAR_SQ_TOL, Point4, WirtingerJet, columns_of, grid_jets
 from .lowering import QFunction, const_qf, lower, product_qf, sum_qf
 from .quaternion import Quaternion, modulus, quat_mul
 
@@ -70,17 +70,6 @@ class VerifyItem:
     detail: str
 
 
-def _jets(fs: list[QFunction], points: list[Point4]) -> tuple[list[Jets], PointEvents]:
-    """The component jets of each function at points, from one grid_jets
-    call, so subtrees the functions share are evaluated once; and the
-    first event evaluating them meets at each point."""
-    events = PointEvents(len(points))
-    z1 = CArray.of([p.z1 for p in points], events)
-    z2 = CArray.of([p.z2 for p in points], events)
-    jets = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z1, z2, DEFAULT_SINGULAR_SQ_TOL)
-    return list(zip(jets[::2], jets[1::2])), events
-
-
 def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterator[list[tuple]]:
     """For each point in order, the values of the stages, each a tuple of
     floats, up to the first stage that meets an event there.
@@ -95,11 +84,14 @@ def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterat
     """
     for start in range(0, len(points), _BLOCK_POINTS):
         block = points[start : start + _BLOCK_POINTS]
+        z = columns_of([p.z1 for p in block], [p.z2 for p in block])
         with np.errstate(all="ignore"):
-            jets, events = _jets(fs, block)
+            # one call, so subtrees the functions share are evaluated once
+            jets, events = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z, DEFAULT_SINGULAR_SQ_TOL)
+            pairs = list(zip(jets[::2], jets[1::2]))
             columns = []
             for values_of, skips in stages:
-                values = _per_point(values_of(*jets), len(block))
+                values = _per_point(values_of(*pairs), len(block))
                 columns.append((values, events.code.tolist(), skips))
         for i, p in enumerate(block):
             out = []

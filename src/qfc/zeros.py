@@ -1,11 +1,11 @@
 """Zero-set scanning and local order estimation.
 
 Both evaluate their trees over arrays of points, a block of at most
-_BLOCK_POINTS at a time, with grid_jets on CArray coordinates.  CArray
-replays CPython's complex arithmetic, so each value equals the one a
-per-point evaluation gives, and a point where that evaluation would
-raise (a vanishing divisor, an overflowing power or magnitude) carries
-that event instead and is skipped.
+_BLOCK_POINTS at a time, with grid_jets.  Its arithmetic is CPython's
+(see jets.CArray), so each value equals the one eval_jet gives at that
+point, and a point where eval_jet would raise (a vanishing divisor, an
+overflowing power or magnitude) carries that event instead and is
+skipped.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .analysis import _BLOCK_POINTS
-from .domain import Columns, Domain, grid_blocks
+from .domain import Domain, grid_blocks
 from .errors import MASK_REASONS, SINGULAR, InconclusiveError
-from .jets import DEFAULT_SINGULAR_SQ_TOL, CArray, Point4, PointEvents, grid_jets
+from .jets import DEFAULT_SINGULAR_SQ_TOL, Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
@@ -29,31 +29,14 @@ _TINY = 1e-250
 Test = Callable[[Columns], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _columns(z1: list[complex], z2: list[complex]) -> Columns:
-    return (
-        np.array([z.real for z in z1]),
-        np.array([z.imag for z in z1]),
-        np.array([z.real for z in z2]),
-        np.array([z.imag for z in z2]),
-    )
-
-
-def _values(exprs: tuple, z: Columns, singular_sq_tol: float) -> tuple[list[CArray], PointEvents]:
-    """Values of j-free trees at a block of points, and the first event
-    evaluating them meets at each point."""
-    events = PointEvents(len(z[0]))
-    z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
-    return [j.val for j in grid_jets(exprs, z1, z2, singular_sq_tol)], events
-
-
 def _zero_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
     """Points where both components of f are within tol of zero."""
 
     def test(z: Columns):
-        (v1, v2), events = _values((f.f1, f.f2), z, singular_sq_tol)
-        a1 = abs(v1)
+        (j1, j2), events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
+        a1 = abs(j1.val)
         with events.only(a1 <= tol):  # |v2| is taken only where |v1| passes
-            a2 = abs(v2)
+            a2 = abs(j2.val)
         code = events.code
         return (code == 0) & (a1 <= tol) & (a2 <= tol), code, a1, a2
 
@@ -67,7 +50,7 @@ def _pole_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
 
     def test(z: Columns):
         hit, code, w1, w2 = inverse_zero(z)
-        _, events = _values((f.f1, f.f2), z, singular_sq_tol)
+        _, events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
         node = (code == SINGULAR) & (events.code == SINGULAR)
         return hit | node, np.where(node, 0, code), w1, w2
 
@@ -205,14 +188,14 @@ def estimate_order(
 
     z1 = [q.z1 + r * u1 for u1, _ in dirs for r in radii]
     z2 = [q.z2 + r * u2 for _, u2 in dirs for r in radii]
-    z = _columns(z1, z2)
+    z = columns_of(z1, z2)
     log_r = [math.log(r) for _ in dirs for r in radii]
     samples = []
     for comp in (f.f1, f.f2):
         with np.errstate(all="ignore"):
-            (v,), events = _values((comp,), z, singular_sq_tol)
+            (j,), events = grid_jets((comp,), z, singular_sq_tol)
             counts = (events.code == 0).tolist()
-            magnitudes = np.broadcast_to(abs(v), (len(z1),)).tolist()
+            magnitudes = np.broadcast_to(abs(j.val), (len(z1),)).tolist()
         samples.append(
             [(lr, math.log(max(a, 1e-300))) for lr, a, ok in zip(log_r, magnitudes, counts) if ok]
         )
@@ -241,7 +224,7 @@ def _check_candidate(
     """Raise ValueError unless q is a point the scan for kind would report."""
     test = (_zero_test if kind == "zero" else _pole_test)(f, zero_tol, singular_sq_tol)
     with np.errstate(all="ignore"):
-        hit, code, a1, a2 = test(_columns([q.z1], [q.z2]))
+        hit, code, a1, a2 = test(columns_of([q.z1], [q.z2]))
     if hit[0]:
         return
     if code[0]:

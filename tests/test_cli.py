@@ -349,11 +349,17 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
         (["classify"], '{"tol": Infinity}'),
         (["order"], '{"mask": Infinity}'),
         (["zero-set"], '{"grid": Infinity}'),
+        (["verify-paper", "--seed=-1", "--grid", "2"], None),
+        (["verify-paper", "--grid", "2"], '{"seed": -3}'),
+        (["order", "--seed=-1"], None),
     ],
 )
 def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: list[str], config: str | None) -> None:
-    """An infinite tolerance or threshold used to reach the JSON writer and
-    end in its ValueError traceback with exit 1."""
+    """Bad numeric options are refused with exit 2 and one error line.  An
+    infinite tolerance or threshold used to reach the JSON writer and end
+    in its ValueError traceback with exit 1; a negative seed ended in
+    numpy's traceback in verify-paper, and in order as an error on every
+    estimate with exit 0."""
     if config is not None:
         (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]

@@ -14,6 +14,7 @@ from qfc import (
     Mul,
     Point4,
     Pow,
+    QFunction,
     Quaternion,
     RealConst,
     SingularPointError,
@@ -22,7 +23,7 @@ from qfc import (
     Var,
     eval_jet,
     eval_qexpr,
-    eval_value,
+    eval_qfunction,
     fd_jet,
 )
 from qfc.generators import random_point
@@ -133,17 +134,17 @@ def test_quotient_jets_raise_near_singular_denominators() -> None:
     with pytest.raises(SingularPointError):
         fd_jet(tree, p)
     with pytest.raises(SingularPointError):
-        eval_value(tree, p)
-    # A comfortably nonzero denominator works in all three evaluators.
+        eval_qfunction(QFunction(tree, RealConst(0.0)), p)
+    # A comfortably nonzero denominator works in both evaluators.
     q = Point4(0.5 + 0j, 1j)
-    assert eval_value(tree, q) == 2.0 + 0j
+    assert eval_qfunction(QFunction(tree, RealConst(0.0)), q) == Quaternion(2.0 + 0j, 0j)
     assert eval_jet(tree, q).val == 2.0 + 0j
 
 
 def test_singular_tolerance_widens_the_mask() -> None:
     tree = Div(RealConst(1.0), Var("z1"))
     p = Point4(0.01 + 0j, 0j)
-    assert eval_value(tree, p) == 100 + 0j
+    assert eval_jet(tree, p).val == 100 + 0j
     with pytest.raises(SingularPointError):
         eval_jet(tree, p, 1e-3)
 
@@ -152,7 +153,7 @@ def test_unit_j_has_no_scalar_jet() -> None:
     with pytest.raises(ValueError, match="j has no scalar jet; lower the expression first"):
         eval_jet(UnitJ(), Point4(0j, 0j))
     with pytest.raises(ValueError):
-        eval_value(Add(Var("z1"), UnitJ()), Point4(0j, 0j))
+        eval_jet(Add(Var("z1"), UnitJ()), Point4(0j, 0j))
 
 
 def test_fd_step_validation() -> None:

@@ -40,7 +40,7 @@ from qfc.domain import Domain, grid_points
 from qfc.errors import SingularPointError
 from qfc.expr import parse
 from qfc.generators import example_pair, random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import CArray, Point4, PointEvents, eval_jet, grid_jets
+from qfc.jets import Point4, columns_of, eval_jet, grid_jets
 from qfc.lowering import lower
 from qfc.report import MaskedPoint
 
@@ -182,7 +182,7 @@ def test_grid_sampling_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch
     monkeypatch.setattr(qfc.jets, "eval_jet", refuse)
     label, reports = classify(example_pair(0.0, 0.0), Domain(), 3, witnesses=[example_pair(1.0, 2.0)])
     assert label.label == "Hypermeromorphic-candidate"
-    assert len(reports[0].rows) + len(reports[0].masked) == 81
+    assert len(reports[0].points) + len(reports[0].masked) == 81
     reports = residual_reports(example_pair(0.0, 0.0), Domain(), 3)
     assert [r.system for r in reports] == ["hyperholomorphy", "inverse_hyperholomorphy", "sum_pde", "real_linear"]
 
@@ -207,10 +207,10 @@ def test_grid_jets_holds_only_the_jets_awaiting_a_user() -> None:
     as the walk passes them, so the peak is a few jets, not 300."""
     f = lower(parse(" + ".join(["z1*z2"] * 300) + " + z2*j"))
     n, p = 4096, complex(0.5, 0.25)
-    z = CArray.of([p] * n, PointEvents(n))
+    z = columns_of([p] * n, [p] * n)
     tracemalloc.start()
     try:
-        j1, _ = grid_jets((f.f1, f.f2), z, z, 1e-12)
+        (j1, _), _ = grid_jets((f.f1, f.f2), z, 1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import qfc.analysis
 import qfc.jets
 import qfc.verify
+import qfc.zeros
 from qfc.analysis import (
     DValue,
     cauchy_fueter,
@@ -331,8 +332,10 @@ def test_verify_paper_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch,
 
     monkeypatch.setattr(qfc.analysis, "eval_jet", refuse)
     monkeypatch.setattr(qfc.jets, "eval_jet", refuse)
-    for name in ("eval_jet", "eval_qfunction", "inverse_qf", "norm_sq_expr"):
+    for name in ("eval_jet", "eval_qfunction", "inverse_qf", "norm_sq_expr", "CArray", "PointEvents"):
         assert not hasattr(qfc.verify, name)
+    for name in ("CArray", "PointEvents"):  # grid_jets builds a block's events and coordinates
+        assert not hasattr(qfc.zeros, name)
     assert main(["verify-paper", "--grid", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
 
