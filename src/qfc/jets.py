@@ -9,10 +9,17 @@ share them, so a derived jet is bit-identical to evaluating its tree.
 
 There is one evaluator per shape of input: eval_jet at one point, whose
 val slot is also the tree's plain value, and grid_jets at a block of
-points given as coordinate columns.  grid_jets runs the same helpers on
-CArray slots, which hold one complex value per point, and returns the
-block's PointEvents: per point, the first event at which eval_jet would
-have raised.
+points given as coordinate columns.  grid_jets holds each node's jet as a
+value and a stacked gradient, CArrays of shapes (n,) and (2, 2, n), or
+(1,) and (2, 2, 1) for a value all n points share, the gradient's axes
+being [unbarred, barred] x [z1, z2].  Each rule then runs once on the
+gradient instead of once per slot (vector forward mode: Griewank and
+Walther, Evaluating Derivatives, 2nd ed., 2008, section 3.1), and
+conjugation reverses the first axis.  Every slot still sees the jet_*
+helpers' operations in their order, so each slot at each point has the
+bits eval_jet gives there.  grid_jets returns the roots' jets as
+WirtingerJets of CArray rows, and the block's PointEvents: per point, the
+first event at which eval_jet would have raised.
 """
 from __future__ import annotations
 
@@ -40,7 +47,7 @@ from .expr import (
     Var,
 )
 from .lowering import QFunction
-from .quaternion import UNIT_I, UNIT_J, Quaternion, quat_conj, quat_mul, rinv
+from .quaternion import Quaternion
 
 DEFAULT_SINGULAR_SQ_TOL = 1e-12
 
@@ -271,6 +278,8 @@ class WirtingerJet:
 
 
 _ZERO_JET = (0j, 0j, 0j, 0j)
+# Where grid_jets' stacked gradient holds d_z1, d_z1bar, d_z2 and d_z2bar.
+_SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def jet_add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
@@ -400,6 +409,15 @@ def grid_jets(
     A vanishing divisor is flagged "singular" on the returned events, an
     overflowing power "overflow"; the jets' CArray slots share those
     events, so a caller's further arithmetic on them flags there too.
+
+    A node's jet is a pair (value, gradient), the gradient stacking
+    d_z1, d_z1bar, d_z2 and d_z2bar on axes [unbarred, barred] x [z1, z2].
+    The rules keep jet_*'s bits: a product's slot is a.d * b.val + a.val *
+    b.d, a quotient's (a.d - val * b.d) / den after its value a.val / den;
+    a power's n - 1 power is taken before its n power, and both powers
+    and quotients of values go through CArray, so flags and the n > 100
+    path are CArray's.  Only the roots are unpacked into WirtingerJets.
+
     Structurally equal subtrees are evaluated once: a node's key is its
     type, its leaf fields and its children's keys, built without
     recursion, so trees too deep to hash still evaluate.  The memory held
@@ -412,40 +430,59 @@ def grid_jets(
     def const(c: complex) -> CArray:
         return CArray(np.array([c.real]), np.array([c.imag]), events)
 
-    zero, one = const(0j), const(1 + 0j)
+    def unit(barred: int, var: int) -> CArray:
+        """A variable's gradient: 1 at [barred, var], 0 elsewhere."""
+        real = np.zeros((2, 2, 1))
+        real[barred, var] = 1.0
+        return CArray(real, np.zeros((2, 2, 1)), events)
 
-    def rule(e: QExpr, a: list[WirtingerJet]) -> WirtingerJet:
+    no_grad = CArray(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), events)
+
+    def rule(e: QExpr, a: list[tuple[CArray, CArray]]) -> tuple[CArray, CArray]:
         match e:
             case Var("z1"):
-                return WirtingerJet(z1, one, zero, zero, zero)
+                return z1, unit(0, 0)
             case Var("z2"):
-                return WirtingerJet(z2, zero, zero, one, zero)
+                return z2, unit(0, 1)
             case ConjVar("z1"):
-                return WirtingerJet(z1.conjugate(), zero, one, zero, zero)
+                return z1.conjugate(), unit(1, 0)
             case ConjVar("z2"):
-                return WirtingerJet(z2.conjugate(), zero, zero, zero, one)
+                return z2.conjugate(), unit(1, 1)
             case RealConst(v):
-                return WirtingerJet(const(complex(v)), zero, zero, zero, zero)
+                return const(complex(v)), no_grad
             case UnitI():
-                return WirtingerJet(const(1j), zero, zero, zero, zero)
+                return const(1j), no_grad
             case UnitJ():
                 raise ValueError("j has no scalar jet; lower the expression first")
             case Add():
-                return jet_add(*a)
+                (av, ag), (bv, bg) = a
+                return av + bv, ag + bg
             case Sub():
-                return jet_sub(*a)
+                (av, ag), (bv, bg) = a
+                return av - bv, ag - bg
             case Neg():
-                return jet_neg(*a)
+                ((av, ag),) = a
+                return -av, -ag
             case Mul():
-                return jet_mul(*a)
+                (av, ag), (bv, bg) = a
+                return av * bv, ag * bv + av * bg
             case Div():
-                events.flag(vanishes(a[1].val, singular_sq_tol), SINGULAR)
-                return jet_div(*a)
+                (av, ag), (bv, bg) = a
+                events.flag(vanishes(bv, singular_sq_tol), SINGULAR)
+                val = av / bv
+                return val, (ag - val * bg) / bv
             case Pow(_, n):
-                return jet_pow(a[0], n)
+                ((av, ag),) = a
+                factor = n * av ** (n - 1)
+                return av**n, factor * ag
             case Conj():
-                return jet_conj(*a)
+                ((av, ag),) = a
+                return av.conjugate(), CArray(ag.real[::-1], -ag.imag[::-1], events)
         raise TypeError(f"not an expression node: {e!r}")
+
+    def unpack(val: CArray, grad: CArray) -> WirtingerJet:
+        rows = [CArray(grad.real[i, k], grad.imag[i, k], events) for i, k in _SLOTS]
+        return WirtingerJet(val, *rows)
 
     key_of: dict[int, int] = {}  # id(node) -> key index; every node stays alive meanwhile
     index: dict[tuple, int] = {}
@@ -479,62 +516,14 @@ def grid_jets(
     uses = [0] * len(plan)
     for k in (*roots, *(c for _, kid_keys in plan for c in kid_keys)):
         uses[k] += 1
-    jets: list[WirtingerJet | None] = [None] * len(plan)
+    jets: list[tuple[CArray, CArray] | None] = [None] * len(plan)
     for k, (e, kid_keys) in enumerate(plan):
         jets[k] = rule(e, [jets[c] for c in kid_keys])
         for c in kid_keys:
             uses[c] -= 1
             if not uses[c]:
                 jets[c] = None
-    return [jets[k] for k in roots], events
-
-
-def eval_qexpr(
-    e: QExpr, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> Quaternion:
-    """Quaternion value of an arbitrary (possibly j-bearing) tree at p.
-
-    Independent of `lower`; used to check that lowering preserves values.
-    """
-    match e:
-        case Var("z1"):
-            return Quaternion(p.z1, 0j)
-        case Var("z2"):
-            return Quaternion(p.z2, 0j)
-        case ConjVar("z1"):
-            return Quaternion(p.z1.conjugate(), 0j)
-        case ConjVar("z2"):
-            return Quaternion(p.z2.conjugate(), 0j)
-        case RealConst(v):
-            return Quaternion(complex(v), 0j)
-        case UnitI():
-            return UNIT_I
-        case UnitJ():
-            return UNIT_J
-        case Add(l, r):
-            return eval_qexpr(l, p, singular_sq_tol) + eval_qexpr(r, p, singular_sq_tol)
-        case Sub(l, r):
-            return eval_qexpr(l, p, singular_sq_tol) - eval_qexpr(r, p, singular_sq_tol)
-        case Neg(x):
-            return -eval_qexpr(x, p, singular_sq_tol)
-        case Mul(l, r):
-            return quat_mul(
-                eval_qexpr(l, p, singular_sq_tol), eval_qexpr(r, p, singular_sq_tol)
-            )
-        case Div(l, r):
-            return quat_mul(
-                eval_qexpr(l, p, singular_sq_tol),
-                rinv(eval_qexpr(r, p, singular_sq_tol), singular_sq_tol),
-            )
-        case Pow(b, n):
-            base = eval_qexpr(b, p, singular_sq_tol)
-            out = base
-            for _ in range(n - 1):
-                out = quat_mul(out, base)
-            return out
-        case Conj(x):
-            return quat_conj(eval_qexpr(x, p, singular_sq_tol))
-    raise TypeError(f"not an expression node: {e!r}")
+    return [unpack(*jets[k]) for k in roots], events
 
 
 def eval_qfunction(

@@ -13,6 +13,7 @@ rows at a time.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,7 +75,7 @@ def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
     if fmt == "json":
         out.writelines(chain(_json_pieces(doc, "", {}), ("\n",)))
     elif fmt == "csv":
-        csv.writer(out, lineterminator="\n").writerows(csv_rows(doc))
+        out.writelines(csv_rows(doc))
     else:
         out.writelines(text(doc))
 
@@ -182,45 +183,57 @@ def _report_json(rep: ResidualReport, indent: str, last: dict) -> Iterator[str]:
 CSV_HEADER = ["system", "x1", "y1", "x2", "y2", "equation", "residual", "note"]
 
 
-def _residual_csv(doc: dict) -> Iterator[list[str]]:
-    """One row per point per equation; masked points carry the reason."""
+def _csv_row(fields: list[str]) -> str:
+    """One CSV line, quoted as csv.writer quotes it."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fields)
+    return line.getvalue()
+
+
+def _residual_csv(doc: dict) -> Iterator[str]:
+    """One row per point per equation; masked points carry the reason.
+    A report's text fields are quoted once, and its point rows laid out
+    from one template, for no coordinate or residual repr needs quoting."""
     labelled = doc["command"] == "classify"
-    yield ["function", *(["label"] if labelled else []), *CSV_HEADER]
+    yield _csv_row(["function", *(["label"] if labelled else []), *CSV_HEADER])
     last: dict = {}
     for fn in doc["functions"]:
         prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
         for rep in fn["reports"]:
-            coords = _coord_text(rep.points, last)
-            for c, values in zip(coords, rep.residuals.tolist()):
-                for k, v in enumerate(values):
-                    yield [*prefix, rep.system, *c, str(k), repr(v), ""]
+            head = _csv_row([*prefix, rep.system])[:-1].replace("%", "%%")
+            coords = _coord_text(rep.points, last, "%s,%s,%s,%s")
+            columns = rep.residuals.T.tolist()
+            row = "".join(f"{head},%s,{k},%r,\n" for k in range(len(columns)))
+            rows = map(row.__mod__, zip(*chain.from_iterable((coords, col) for col in columns)))
+            while batch := "".join(islice(rows, _BATCH_ROWS)):
+                yield batch
             for m in rep.masked:
-                yield [*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]
+                yield _csv_row([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason])
 
 
-def _verify_csv(doc: dict) -> Iterator[list[str]]:
-    yield ["item", "passed", "worst_residual", "detail"]
+def _verify_csv(doc: dict) -> Iterator[str]:
+    yield _csv_row(["item", "passed", "worst_residual", "detail"])
     for it in doc["items"]:
-        yield [it["name"], str(it["passed"]), repr(it["worst_residual"]), it["detail"]]
+        yield _csv_row([it["name"], str(it["passed"]), repr(it["worst_residual"]), it["detail"]])
 
 
-def _zero_set_csv(doc: dict) -> Iterator[list[str]]:
-    yield ["function", "cluster", "x1", "y1", "x2", "y2"]
+def _zero_set_csv(doc: dict) -> Iterator[str]:
+    yield _csv_row(["function", "cluster", "x1", "y1", "x2", "y2"])
     for fn in doc["functions"]:
         for ci, cluster in enumerate(fn["clusters"]):
             for p in cluster:
-                yield [fn["name"], str(ci), *(repr(c) for c in p)]
+                yield _csv_row([fn["name"], str(ci), *(repr(c) for c in p)])
 
 
-def _order_csv(doc: dict) -> Iterator[list[str]]:
-    yield ["function", "cluster", "order", "display_order", "comp1", "comp2", "note"]
+def _order_csv(doc: dict) -> Iterator[str]:
+    yield _csv_row(["function", "cluster", "order", "display_order", "comp1", "comp2", "note"])
     for fn in doc["functions"]:
         for e in fn["estimates"]:
             if "error" in e:
-                yield [fn["name"], str(e["cluster"]), "", "", "", "", e["error"]]
+                yield _csv_row([fn["name"], str(e["cluster"]), "", "", "", "", e["error"]])
             else:
                 values = (e["order"], e["display_order"], *e["per_component"])
-                yield [fn["name"], str(e["cluster"]), *map(str, values), ""]
+                yield _csv_row([fn["name"], str(e["cluster"]), *map(str, values), ""])
 
 
 # Text: summaries for reading in a terminal.

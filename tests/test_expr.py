@@ -24,12 +24,13 @@ from qfc import (
     UnitJ,
     Var,
     const,
-    eval_qexpr,
     has_unit_j,
     parse,
     parse_definitions,
     unparse,
 )
+
+from qexpr_oracle import eval_qexpr
 
 VAR_NAMES = st.sampled_from(["z1", "z2"])
 # Constants are rounded so their repr survives the tokenizer unchanged.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfc import (
     Add,
@@ -12,23 +14,30 @@ from qfc import (
     ConjVar,
     Div,
     Mul,
+    Neg,
     Point4,
     Pow,
     QFunction,
     Quaternion,
     RealConst,
     SingularPointError,
+    Sub,
     UnitI,
     UnitJ,
     Var,
+    conj_qf,
     eval_jet,
-    eval_qexpr,
     eval_qfunction,
     fd_jet,
+    inverse_qf,
+    lower,
 )
-from qfc.generators import random_point
+from qfc.errors import OVERFLOW, SINGULAR
+from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
+from qfc.jets import columns_of, grid_jets
 
-from random_trees import random_scalar_tree
+from qexpr_oracle import eval_qexpr
+from random_trees import random_scalar_tree, random_surface_tree
 
 FD_TOL = 1e-6
 SEED = 1902
@@ -171,3 +180,93 @@ def test_quaternion_evaluator_handles_units() -> None:
     assert eval_qexpr(UnitJ(), p) == Quaternion(0j, 1 + 0j)
     got = eval_qexpr(Mul(Var("z2"), UnitJ()), p)
     assert got == Quaternion(0j, p.z2)
+
+
+# grid_jets against eval_jet, slot by slot and point by point.
+
+Z1, Z2, CZ1, CZ2 = Var("z1"), Var("z2"), ConjVar("z1"), ConjVar("z2")
+# Fixed trees: binary powering and CPython's general power (n > 100), a
+# conjugated quotient, singular where x2 = 0, a quotient singular where
+# y2 = 0, a double conjugate, and a constants-only tree.
+GRID_FIXED = {
+    "powers": (Pow(Add(Z1, CZ2), 2), Pow(Mul(Z1, Z2), 3), Pow(Sub(Z1, RealConst(0.5)), 101), Pow(CZ2, 150)),
+    "conj_quotient": (Conj(Div(Pow(Z1, 2), Add(Z2, CZ2))), Div(Conj(Z1), Pow(Sub(Z2, CZ2), 2))),
+    "conj_conj": (Conj(Conj(Add(Mul(Z1, CZ2), Pow(CZ1, 2)))), Neg(Conj(Conj(Z2)))),
+    "constants": (Add(Mul(RealConst(2.0), UnitI()), Div(RealConst(-0.0), Pow(RealConst(3.0), 2))),),
+}
+GRID_KINDS = ("scalar", "surface", "polynomial", "meromorphic", *GRID_FIXED)
+# Exact zeros make quotients singular, and 1e200 makes powers overflow.
+GRID_COORDS = st.sampled_from((0.0, -0.0, 0.5, -1.0, 1.5, 1e200, -1e200)) | COORDS
+_EVENT_OF = {SingularPointError: SINGULAR, OverflowError: OVERFLOW}
+
+
+def _grid_trees(kind: str, seed: int, form: str) -> tuple:
+    """A fixed kind's trees, or the component trees of a drawn pair, of
+    its right inverse or of its conjugate."""
+    if kind in GRID_FIXED:
+        return GRID_FIXED[kind]
+    rng = np.random.default_rng(seed)
+    f = {
+        "scalar": lambda: QFunction(random_scalar_tree(rng, 4), random_scalar_tree(rng, 3)),
+        "surface": lambda: lower(random_surface_tree(rng, 3)),
+        "polynomial": lambda: random_polynomial_qf(rng),
+        "meromorphic": lambda: random_rational_meromorphic(rng),
+    }[kind]()
+    f = {"plain": lambda g: g, "inverse": inverse_qf, "conj": conj_qf}[form](f)
+    return (f.f1, f.f2)
+
+
+def _slot_bits(z: complex) -> tuple:
+    return tuple("nan" if math.isnan(x) else x.hex() for x in (z.real, z.imag))
+
+
+def _column_bits(c, n: int) -> list[tuple]:
+    """_slot_bits of a grid slot at each of n points."""
+    re, im = (np.broadcast_to(x, (n,)).tolist() for x in (c.real, c.imag))
+    return [_slot_bits(complex(a, b)) for a, b in zip(re, im)]
+
+
+def _per_point(trees: tuple, p: Point4, tol: float):
+    """Each tree's five slots at p by eval_jet, or the event code of the
+    first tree whose evaluation raises."""
+    try:
+        jets = [eval_jet(e, p, tol) for e in trees]
+    except (SingularPointError, OverflowError) as exc:
+        return _EVENT_OF[type(exc)]
+    return [[_slot_bits(getattr(j, f)) for f in _FIELDS] for j in jets]
+
+
+GRID_POINTS = st.builds(Point4.from_reals, GRID_COORDS, GRID_COORDS, GRID_COORDS, GRID_COORDS)
+BLOCKS = st.sampled_from((1, 3, 64)).flatmap(lambda n: st.lists(GRID_POINTS, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(GRID_KINDS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    form=st.sampled_from(("plain", "inverse", "conj")),
+    points=BLOCKS,
+    tol=st.sampled_from((1e-12, 1e-2)),
+)
+# A numerator that overflows where its denominator vanishes, a singular
+# point and a regular one.
+@example("conj_quotient", 0, "plain", [Point4(1e200 + 0j, 0j), Point4(0.5 + 0j, 1j), Point4(0.5 - 1j, 1.5 + 1j)], 1e-12)
+def test_grid_jets_equal_eval_jet_at_every_point(kind, seed, form, points, tol) -> None:
+    """Every slot bit for bit (a NaN part as NaN) where no evaluation
+    raises, and elsewhere the event of the first one that does."""
+    trees, n = _grid_trees(kind, seed, form), len(points)
+    with np.errstate(all="ignore"):
+        jets, events = grid_jets(trees, columns_of([p.z1 for p in points], [p.z2 for p in points]), tol)
+    for j in jets:
+        for f in _FIELDS:
+            assert getattr(j, f).real.shape in {(n,), (1,)}
+    if kind == "constants":
+        assert all(getattr(j, f).real.shape == (1,) for j in jets for f in _FIELDS)
+    slots = [[_column_bits(getattr(j, f), n) for f in _FIELDS] for j in jets]
+    for i, p in enumerate(points):
+        expected = _per_point(trees, p, tol)
+        if isinstance(expected, int):
+            assert events.code[i] == expected
+            continue
+        assert events.code[i] == 0
+        assert [[column[i] for column in js] for js in slots] == expected

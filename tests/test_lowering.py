@@ -23,7 +23,6 @@ from qfc import (
     classify,
     conj_qf,
     const_qf,
-    eval_qexpr,
     eval_qfunction,
     inverse_qf,
     lower,
@@ -39,6 +38,7 @@ from qfc import (
 )
 from qfc.generators import random_point
 
+from qexpr_oracle import eval_qexpr
 from random_trees import random_surface_tree
 
 SOUNDNESS_REL_TOL = 1e-10

@@ -8,6 +8,7 @@ allow_nan=False) plus a newline.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfc import Point4
 from qfc.report import (
@@ -225,7 +226,7 @@ RESIDUALS = st.sampled_from([v for v in SPECIAL if v >= 0.0]) | st.floats(
 )
 NAMES = st.sampled_from(["funcs.txt", 'we"ird\\pätH ☃.txt', "", "\x00\x1f "]) | st.text()
 POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS).map(lambda c: Point4.from_reals(*c))
-REASONS = st.sampled_from(["singular", "norm_sq below threshold", "overflow"])
+REASONS = st.sampled_from(["singular", "norm_sq below threshold", "overflow", 'a "quoted", 100%\r\nreason'])
 
 
 @st.composite
@@ -249,6 +250,37 @@ def documents(draw) -> dict:
             fn.update(label=draw(NAMES), tolerance=draw(COORDS))
         functions.append(fn)
     return _doc(command, functions, **config)
+
+
+def _csv_writer_rows(doc: dict) -> str:
+    """The residual CSV as csv.writer wrote it from one list per point per
+    equation, before a report's text fields were quoted once."""
+    labelled = doc["command"] == "classify"
+    rows = [["function", *(["label"] if labelled else []), *CSV_HEADER]]
+    for fn in doc["functions"]:
+        prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
+        for rep in fn["reports"]:
+            for c, values in zip(rep.points.tolist(), rep.residuals.tolist()):
+                for k, v in enumerate(values):
+                    rows.append([*prefix, rep.system, *map(repr, c), str(k), repr(v), ""])
+            for m in rep.masked:
+                rows.append([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+_QUOTED = _report(
+    'sys,"%s"\n', [(Point4(-0.0 + 1j, 5e-324 + 0j), (0.5, 1e300))], [MaskedPoint(Point4(0j, 1j), 'r,"%d"\r')], k=2
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents())
+@example(_doc("classify", [{"name": "100% f,\"", "label": "a\nb", "tolerance": 1e-8, "reports": [_QUOTED, _QUOTED]}]))
+def test_csv_writer_equals_csv_writer_rows(doc: dict) -> None:
+    """Names, labels, systems and reasons that need quoting or hold "%"."""
+    assert _write(doc, "csv") == _csv_writer_rows(doc)
 
 
 JSON_VALUES = st.recursive(

@@ -2,10 +2,12 @@
 they replaced.
 
 zeros evaluates its trees over arrays of points with grid_jets.  The
-oracles here are copies of the per-point loops, with the value slot of
-eval_jet at each grid point or probe, a point skipped where evaluating it raises, and the same
-lattice clustering and order fit.  Scans must give the same clusters and
-order estimates the same floats, bit for bit.
+oracles here are copies of the per-point loops, with the value of each
+tree at each grid point or probe, a point skipped where evaluating it
+raises, and the same lattice clustering and order fit.  Scans must give
+the same clusters and order estimates the same floats, bit for bit.  The
+value is eval_jet's val slot, computed without the partials that eval_jet
+would compute and the scans never read.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import qfc.zeros
 from qfc.cli import main
 from qfc.domain import Domain, grid_axes, grid_points
 from qfc.errors import InconclusiveError, SingularPointError
-from qfc.expr import UnitJ, Var, const, parse
+from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, Sub, UnitI, UnitJ, Var, const, parse
 from qfc.generators import random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_jet
+from qfc.jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_jet, vanishes
 from qfc.lowering import QFunction, inverse_qf, lower
 from qfc.zeros import _TINY, OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
 
@@ -60,12 +62,83 @@ def _function(kind: str, rng: np.random.Generator, axes: list[list[float]]) -> Q
     return random_rational_meromorphic(rng)
 
 
+def _value(e: QExpr, p: Point4, singular_sq_tol: float) -> complex:
+    """eval_jet(e, p, singular_sq_tol).val, and the same exception first:
+    a quotient's numerator is read before its denominator, and a power's
+    n - 1 power, eval_jet's factor, before its n power.  (1e200+0j)**4 is
+    nan+nanj while (1e200+0j)**3 overflows."""
+    match e:
+        case Var("z1"):
+            return p.z1
+        case Var("z2"):
+            return p.z2
+        case ConjVar("z1"):
+            return p.z1.conjugate()
+        case ConjVar("z2"):
+            return p.z2.conjugate()
+        case RealConst(v):
+            return complex(v)
+        case UnitI():
+            return 1j
+        case Add(l, r):
+            return _value(l, p, singular_sq_tol) + _value(r, p, singular_sq_tol)
+        case Sub(l, r):
+            return _value(l, p, singular_sq_tol) - _value(r, p, singular_sq_tol)
+        case Neg(x):
+            return -_value(x, p, singular_sq_tol)
+        case Mul(l, r):
+            return _value(l, p, singular_sq_tol) * _value(r, p, singular_sq_tol)
+        case Div(l, r):
+            num, den = _value(l, p, singular_sq_tol), _value(r, p, singular_sq_tol)
+            if vanishes(den, singular_sq_tol):
+                raise SingularPointError(f"denominator vanishes near {p}")
+            return num / den
+        case Pow(b, n):
+            base = _value(b, p, singular_sq_tol)
+            base ** (n - 1)  # raises where eval_jet's factor raises
+            return base**n
+        case Conj(x):
+            return _value(x, p, singular_sq_tol).conjugate()
+    raise TypeError(f"not a j-free expression node: {e!r}")
+
+
+def _outcome_bits(evaluate, e: QExpr, p: Point4, singular_sq_tol: float):
+    """The value's parts, with NaN as the string "nan", or the exception type."""
+    try:
+        v = evaluate(e, p, singular_sq_tol)
+    except (SingularPointError, OverflowError) as exc:
+        return type(exc)
+    return tuple("nan" if math.isnan(x) else x.hex() for x in (v.real, v.imag))
+
+
+def test_the_value_oracle_is_eval_jets_value_slot() -> None:
+    """Over the scans' random functions and their right inverses, on boxes
+    where squares overflow, _value gives eval_jet's val bits and raises
+    what eval_jet raises.  At z1 = 1e200, z2 = 0, z1^4 is NaN but its
+    factor 4 z1^3 overflows, and z1^2 / (z2 / z2) overflows before its
+    denominator divides by zero."""
+    big = Point4(1e200 + 0j, 0j)
+    cases = [(Pow(Z1, 4), big, 1e-12), (Div(Pow(Z1, 2), Div(Z2, Z2)), big, 1e-12)]
+    for seed in range(3):
+        for kind in KINDS:
+            d = Domain((INTERVALS[4], INTERVALS[seed], INTERVALS[0], INTERVALS[3]))
+            f = _function(kind, np.random.default_rng(seed), grid_axes(d, 2))
+            for g in (f, inverse_qf(f)):
+                cases += [(e, p, tol) for e in (g.f1, g.f2) for p in grid_points(d, 2) for tol in (1e-12, 1e-2)]
+    seen = set()
+    for e, p, tol in cases:
+        expected = _outcome_bits(lambda *a: eval_jet(*a).val, e, p, tol)
+        assert _outcome_bits(_value, e, p, tol) == expected
+        seen.add(expected if isinstance(expected, type) else "value")
+    assert seen == {"value", SingularPointError, OverflowError}
+
+
 def _zero_at(g: QFunction, p: Point4, tol: float, singular_sq_tol: float):
     """Whether both components of g are within tol of zero at p, or the
     exception evaluating them raises."""
     try:
-        v1 = eval_jet(g.f1, p, singular_sq_tol).val
-        v2 = eval_jet(g.f2, p, singular_sq_tol).val
+        v1 = _value(g.f1, p, singular_sq_tol)
+        v2 = _value(g.f2, p, singular_sq_tol)
         return abs(v1) <= tol and abs(v2) <= tol
     except (SingularPointError, OverflowError) as exc:
         return exc
@@ -131,7 +204,7 @@ def _per_point_order(
             p = Point4(probe(q.z1 + r * u1), probe(q.z2 + r * u2))
             for comp, bucket in ((f.f1, samples[0]), (f.f2, samples[1])):
                 try:
-                    v = eval_jet(comp, p, singular_sq_tol).val
+                    v = _value(comp, p, singular_sq_tol)
                 except (SingularPointError, OverflowError):
                     continue
                 bucket.append((math.log(r), math.log(max(abs(v), 1e-300))))
