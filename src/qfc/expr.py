@@ -8,10 +8,13 @@ The surface language is parsed by a small recursive-descent parser:
     atom   := 'z1' | 'z2' | 'i' | 'j' | number | 'conj' '(' expr ')' | '(' expr ')'
 
 Multiplication is quaternionic, so operand order is preserved everywhere,
-and p/q means p * rinv(q).  Trees are immutable; the operator overloads
-build new nodes with constant folding (real-constant arithmetic plus the
-0/1 identities) and nothing more.  No fold hides a division: a quotient
-of real constants folds only for a nonzero divisor, and 0 * e folds to 0
+and p/q means p * rinv(q).  Nodes are immutable and interned
+(hash-consed: Filliatre and Conchon, "Type-safe modular hash-consing",
+ML Workshop 2006), so equal structures are one object, trees share their
+common subtrees, and == is identity.  The operator overloads build new
+nodes with constant folding (real-constant arithmetic plus the 0/1
+identities) and nothing more.  No fold hides a division: a quotient of
+real constants folds only for a nonzero divisor, and 0 * e folds to 0
 only when e has no Div node, so 0/0 or 0 * (1/z1) stays undefined where
 its divisor vanishes.
 
@@ -23,7 +26,8 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
+import weakref
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -32,7 +36,49 @@ RESERVED_WORDS = frozenset({"z1", "z2", "i", "j", "conj"})
 
 
 class QExpr:
-    """Base node; subclasses are frozen dataclasses."""
+    """Base node; every node is interned.
+
+    A constructor returns the live node of the same type and fields when
+    there is one, so each structure is one object and == and hash are
+    identity, however deep the tree.  A field that is not a node is keyed
+    on its repr: RealConst(-0.0), RealConst(0.0), RealConst(3) and
+    RealConst(3.0) are four nodes.  The live nodes are held weakly, so a
+    tree nobody holds is freed.  Each node records its child nodes (kids)
+    and whether it has a UnitJ (has_j) or a Div (has_div) node below or at
+    it, computed once from its children's flags.  Nodes are immutable.
+    """
+
+    __slots__ = ("kids", "has_j", "has_div", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *[f if isinstance(f, QExpr) else repr(f) for f in fields])
+        node = _LIVE.get(key)
+        if node is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
+            cls._check(*fields)
+            node = object.__new__(cls)
+            kids = tuple([f for f in fields if isinstance(f, QExpr)])
+            init = object.__setattr__
+            for name, value in zip(cls.__match_args__, fields):
+                init(node, name, value)
+            init(node, "kids", kids)
+            init(node, "has_j", cls is UnitJ or any([k.has_j for k in kids]))
+            init(node, "has_div", cls is Div or any([k.has_div for k in kids]))
+            _LIVE[key] = node
+        return node
+
+    @staticmethod
+    def _check(*fields) -> None:
+        """Raise ValueError when the fields make no node."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
         return _add(self, _coerce(other))
@@ -68,85 +114,73 @@ class QExpr:
         return _conj(self)
 
 
-@dataclass(frozen=True)
+# (type, fields) -> the live node; a field that is not a node as its repr
+_LIVE: weakref.WeakValueDictionary[tuple, QExpr] = weakref.WeakValueDictionary()
+
+
+def _check_name(name) -> None:
+    if name not in _VAR_NAMES:
+        raise ValueError(f"unknown variable {name!r}")
+
+
 class Var(QExpr):
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _VAR_NAMES:
-            raise ValueError(f"unknown variable {self.name!r}")
+    __slots__ = __match_args__ = ("name",)
+    _check = staticmethod(_check_name)
 
 
-@dataclass(frozen=True)
 class ConjVar(QExpr):
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _VAR_NAMES:
-            raise ValueError(f"unknown variable {self.name!r}")
+    __slots__ = __match_args__ = ("name",)
+    _check = staticmethod(_check_name)
 
 
-@dataclass(frozen=True)
 class RealConst(QExpr):
-    value: float
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    @staticmethod
+    def _check(value) -> None:
+        if not math.isfinite(value):
             raise ValueError("constants must be finite")
 
 
-@dataclass(frozen=True)
 class UnitI(QExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class UnitJ(QExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Add(QExpr):
-    left: QExpr
-    right: QExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(QExpr):
-    left: QExpr
-    right: QExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(QExpr):
-    left: QExpr
-    right: QExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(QExpr):
-    left: QExpr
-    right: QExpr
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Neg(QExpr):
-    operand: QExpr
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Pow(QExpr):
-    base: QExpr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
+    @staticmethod
+    def _check(base, exponent) -> None:
+        if not isinstance(exponent, int) or exponent < 1:
             raise ValueError("exponent must be a positive integer")
 
 
-@dataclass(frozen=True)
 class Conj(QExpr):
-    operand: QExpr
+    __slots__ = __match_args__ = ("operand",)
 
 
 def _is_zero(e: QExpr) -> bool:
@@ -201,35 +235,13 @@ def _sub(a: QExpr, b: QExpr) -> QExpr:
 def _mul(a: QExpr, b: QExpr) -> QExpr:
     if isinstance(a, RealConst) and isinstance(b, RealConst):
         return RealConst(a.value * b.value)
-    if (_is_zero(a) and _total(b)) or (_is_zero(b) and _total(a)):
+    if (_is_zero(a) and not b.has_div) or (_is_zero(b) and not a.has_div):
         return RealConst(0.0)
     if _is_one(a):
         return b
     if _is_one(b):
         return a
     return Mul(a, b)
-
-
-def _contains(e: QExpr, kind: type) -> bool:
-    """True when e has a node of type kind.  Each distinct node object is
-    visited once, without recursion, so shared subtrees cost nothing extra
-    and deep trees do not overflow the stack."""
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, kind):
-            return True
-        if id(x) not in seen:
-            seen.add(id(x))
-            stack.extend(v for v in vars(x).values() if isinstance(v, QExpr))
-    return False
-
-
-def _total(e: QExpr) -> bool:
-    """True when e has no Div node, so it is defined wherever z1 and z2
-    are and 0 * e is 0."""
-    return not _contains(e, Div)
 
 
 def _div(a: QExpr, b: QExpr) -> QExpr:
@@ -265,15 +277,9 @@ def _conj(a: QExpr) -> QExpr:
         return Var(a.name)
     if isinstance(a, Conj):
         return a.operand
-    if isinstance(a, UnitI):
-        return Neg(UnitI())
-    if isinstance(a, UnitJ):
-        return Neg(UnitJ())
+    if isinstance(a, (UnitI, UnitJ)):
+        return Neg(a)
     return Conj(a)
-
-
-def has_unit_j(e: QExpr) -> bool:
-    return _contains(e, UnitJ)
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +295,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int

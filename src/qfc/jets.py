@@ -418,11 +418,11 @@ def grid_jets(
     and quotients of values go through CArray, so flags and the n > 100
     path are CArray's.  Only the roots are unpacked into WirtingerJets.
 
-    Structurally equal subtrees are evaluated once: a node's key is its
-    type, its leaf fields and its children's keys, built without
-    recursion, so trees too deep to hash still evaluate.  The memory held
-    grows with the number of points times the number of jets awaiting a
-    user, so callers evaluate large grids in blocks.
+    Each distinct node is evaluated once: nodes are interned, so equal
+    subtrees are one node, and the walk plans over the nodes themselves
+    without recursion, so deep trees evaluate too.  The memory held grows
+    with the number of points times the number of jets awaiting a user,
+    so callers evaluate large grids in blocks.
     """
     events = PointEvents(len(z[0]))
     z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
@@ -484,46 +484,39 @@ def grid_jets(
         rows = [CArray(grad.real[i, k], grad.imag[i, k], events) for i, k in _SLOTS]
         return WirtingerJet(val, *rows)
 
-    key_of: dict[int, int] = {}  # id(node) -> key index; every node stays alive meanwhile
-    index: dict[tuple, int] = {}
-    plan: list[tuple[QExpr, list[int]]] = []  # distinct nodes in post-order, with their children's keys
+    plan = _post_order(exprs)
+    # A jet is dropped once its last user is evaluated, so only the walk's
+    # frontier is held, not every distinct node's jet.
+    uses = dict.fromkeys(plan, 0)
+    for node in (*exprs, *(k for e in plan for k in e.kids)):
+        uses[node] += 1
+    jets: dict[QExpr, tuple[CArray, CArray]] = {}
+    for e in plan:
+        jets[e] = rule(e, [jets[k] for k in e.kids])
+        for k in e.kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del jets[k]
+    return [unpack(*jets[e]) for e in exprs], events
+
+
+def _post_order(exprs: tuple[QExpr, ...]) -> list[QExpr]:
+    """The distinct nodes of the trees, the trees in order and each node
+    after its children, left before right; iterative, so deep trees walk."""
+    done: dict[QExpr, None] = {}
     for root in exprs:
         stack = [root]
         while stack:
             e = stack[-1]
-            if id(e) in key_of:
+            if e in done:
                 stack.pop()
                 continue
-            fields = vars(e).values()
-            kids = [v for v in fields if isinstance(v, QExpr)]
-            todo = [k for k in kids if id(k) not in key_of]
+            todo = [k for k in e.kids if k not in done]
             if todo:
                 stack.extend(reversed(todo))
                 continue
-            stack.pop()
-            # repr keeps RealConst(-0.0) apart from RealConst(0.0)
-            leaves = tuple(repr(v) for v in fields if not isinstance(v, QExpr))
-            kid_keys = [key_of[id(k)] for k in kids]
-            key = (type(e), leaves, *kid_keys)
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(plan)
-                plan.append((e, kid_keys))
-            key_of[id(e)] = k
-    roots = [key_of[id(e)] for e in exprs]
-    # A jet is dropped once its last user is evaluated, so only the walk's
-    # frontier is held, not every distinct node's jet.
-    uses = [0] * len(plan)
-    for k in (*roots, *(c for _, kid_keys in plan for c in kid_keys)):
-        uses[k] += 1
-    jets: list[tuple[CArray, CArray] | None] = [None] * len(plan)
-    for k, (e, kid_keys) in enumerate(plan):
-        jets[k] = rule(e, [jets[c] for c in kid_keys])
-        for c in kid_keys:
-            uses[c] -= 1
-            if not uses[c]:
-                jets[c] = None
-    return [unpack(*jets[k]) for k in roots], events
+            done[stack.pop()] = None
+    return list(done)
 
 
 def eval_qfunction(

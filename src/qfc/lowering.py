@@ -25,8 +25,8 @@ from .expr import (
     UnitI,
     UnitJ,
     Var,
+    _is_zero,
     const,
-    has_unit_j,
 )
 from .quaternion import Quaternion
 
@@ -42,7 +42,7 @@ class QFunction:
     f2: QExpr
 
     def __post_init__(self):
-        if has_unit_j(self.f1) or has_unit_j(self.f2):
+        if self.f1.has_j or self.f2.has_j:
             raise ValueError("component expressions must not contain j")
 
 
@@ -69,7 +69,7 @@ def lower(e: QExpr) -> QFunction:
             return product_qf(lower(l), inverse_qf(lower(r)))
         case Pow(b, n):
             base = lower(b)
-            if base.f2 == _ZERO:
+            if _is_zero(base.f2):
                 return QFunction(base.f1**n, _ZERO)
             out = base
             for _ in range(n - 1):

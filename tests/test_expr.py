@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import gc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from qfc import (
     ParseError,
     Point4,
     Pow,
+    QExpr,
     RealConst,
     SingularPointError,
     Sub,
@@ -24,13 +27,15 @@ from qfc import (
     UnitJ,
     Var,
     const,
-    has_unit_j,
     parse,
     parse_definitions,
     unparse,
 )
 
+from qfc import expr as expr_module
+from qfc.jets import _post_order
 from qexpr_oracle import eval_qexpr
+from random_trees import random_scalar_tree, random_surface_tree
 
 VAR_NAMES = st.sampled_from(["z1", "z2"])
 # Constants are rounded so their repr survives the tokenizer unchanged.
@@ -73,8 +78,8 @@ def test_parse_builds_raw_left_associated_chains() -> None:
 def test_parse_surface_expression() -> None:
     got = parse("conj(z1) + conj(z2)*j")
     assert got == Add(ConjVar("z1"), Mul(ConjVar("z2"), UnitJ()))
-    assert has_unit_j(got)
-    assert not has_unit_j(parse("z1*z2 + i"))
+    assert got.has_j
+    assert not parse("z1*z2 + i").has_j
 
 
 def test_parse_precedence_and_exponent() -> None:
@@ -229,15 +234,107 @@ def test_parse_definitions_errors() -> None:
         parse_definitions("f = z1 +* 2")
 
 
-def test_has_unit_j_walks_deep_chains_and_shared_subtrees() -> None:
+def test_has_j_holds_on_deep_chains_and_shared_subtrees() -> None:
     deep = Var("z1")
     for _ in range(3000):
         deep = Neg(deep)
-    assert not has_unit_j(deep)
-    assert has_unit_j(Add(deep, UnitJ()))
+    assert not deep.has_j
+    assert Add(deep, UnitJ()).has_j
     # 2**64 paths through 65 distinct nodes
     shared = Var("z2")
     for _ in range(64):
         shared = Mul(shared, shared)
-    assert not has_unit_j(shared)
-    assert has_unit_j(Sub(shared, Mul(shared, UnitJ())))
+    assert not shared.has_j
+    assert Sub(shared, Mul(shared, UnitJ())).has_j
+
+
+def test_equal_structures_are_one_node() -> None:
+    z1, cz2 = Var("z1"), ConjVar("z2")
+    built = Add(Mul(z1, cz2), RealConst(1.5))
+    assert parse("z1*conj(z2) + 1.5") is built
+    assert parse_definitions("f = z1 * conj(z2) + 1.5")["f"] is built
+    assert const(1.5) is RealConst(1.5)
+    assert const(2 + 3j) is Add(RealConst(2.0), Mul(RealConst(3.0), UnitI()))
+    assert z1 * cz2 + 1.5 is built
+    assert z1 * const(0.0) is RealConst(0.0)
+    assert const(2.0) + const(0.5) is RealConst(2.5)
+    assert z1.conj() is ConjVar("z1")
+    assert UnitI().conj() is Neg(UnitI())
+    assert Conj(Add(z1, cz2)).conj() is Add(z1, cz2)
+
+
+def test_leaves_are_keyed_on_their_repr() -> None:
+    """Signed zeros, and ints apart from floats, stay distinct nodes, each
+    keeping the value it was built with; folds still test values."""
+    consts = [RealConst(-0.0), RealConst(0.0), RealConst(3), RealConst(np.float64(3.0))]
+    assert len({id(c) for c in consts}) == 4
+    assert RealConst(3.0) not in consts
+    assert [type(c.value) for c in consts] == [float, float, int, np.float64]
+    assert [unparse(c) for c in consts] == ["-0.0", "0.0", "3", "np.float64(3.0)"]
+    assert RealConst(-0.0) * Var("z1") is RealConst(0.0)
+    assert Var("z1") + RealConst(-0.0) is Var("z1")
+
+
+def test_nodes_carry_their_children_and_flags() -> None:
+    e = parse("z1/(z2 + 1) + j")
+    quotient = Div(Var("z1"), Add(Var("z2"), RealConst(1.0)))
+    assert e.kids == (quotient, UnitJ())
+    assert e.has_j and e.has_div
+    assert quotient.has_div and not quotient.has_j
+    assert Pow(Var("z1"), 3).kids == (Var("z1"),)
+    assert RealConst(1.0).kids == ()
+    with pytest.raises(AttributeError, match="immutable"):
+        Var("z1").name = "z2"
+    with pytest.raises(TypeError):
+        Add(Var("z1"))
+
+
+def test_the_node_table_is_weak() -> None:
+    gc.collect()
+    before = len(expr_module._LIVE)
+    deep = Var("z1")
+    for k in range(3000):
+        deep = Sub(deep, RealConst(k + 0.25))
+    assert len(expr_module._LIVE) >= before + 3000
+    del deep
+    gc.collect()
+    assert len(expr_module._LIVE) == before
+
+
+def _fields(e: QExpr) -> list:
+    return [getattr(e, name) for name in e.__match_args__]
+
+
+def _old_key(e: QExpr) -> tuple:
+    """The structural key grid_jets built per node before nodes were
+    interned: the type, the repr of each field that is not a node, and
+    the children's keys."""
+    fields = _fields(e)
+    leaves = tuple(repr(v) for v in fields if not isinstance(v, QExpr))
+    return (type(e), leaves, *(_old_key(v) for v in fields if isinstance(v, QExpr)))
+
+
+def _subtrees(e: QExpr) -> list[QExpr]:
+    return [e, *(s for v in _fields(e) if isinstance(v, QExpr) for s in _subtrees(v))]
+
+
+LEAF_VALUES = st.sampled_from([0.0, -0.0, 3, 3.0, np.float64(3.0)])
+
+
+@given(
+    seeds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    depth=st.integers(0, 3),
+    surface=st.booleans(),
+    values=st.tuples(LEAF_VALUES, LEAF_VALUES),
+)
+def test_nodes_are_one_object_exactly_when_their_old_keys_agree(seeds, depth, surface, values) -> None:
+    tree = random_surface_tree if surface else random_scalar_tree
+    a, b = (Sub(tree(np.random.default_rng(s), depth), RealConst(v)) for s, v in zip(seeds, values))
+    nodes = _subtrees(a) + _subtrees(b)
+    keys = [_old_key(x) for x in nodes]
+    for x, kx in zip(nodes, keys):
+        for y, ky in zip(nodes, keys):
+            assert (x is y) == (kx == ky)
+            assert (x == y) == (kx == ky)
+    plan = _post_order((a, b))
+    assert len(plan) == len(set(keys)) == len({_old_key(x) for x in plan})

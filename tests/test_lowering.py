@@ -10,6 +10,7 @@ from qfc import (
     ConjVar,
     InconclusiveError,
     Mul,
+    Neg,
     ONE,
     Point4,
     Pow,
@@ -59,6 +60,14 @@ def test_lowering_a_square_expands_by_the_product_rule() -> None:
         Add(Mul(Var("z1"), Var("z2")), Mul(Var("z2"), ConjVar("z1"))),
     )
     assert got == want
+
+
+def test_a_power_of_a_negated_scalar_stays_a_power() -> None:
+    """Negating a scalar makes its second component RealConst(-0.0), a
+    node apart from RealConst(0.0) that is still zero, so the power keeps
+    the scalar fast path instead of expanding to products."""
+    for n in (2, 3):
+        assert lower(parse(f"(-z1)^{n}")) == QFunction(Pow(Neg(Var("z1")), n), RealConst(0.0))
 
 
 def test_components_must_stay_scalar() -> None:
