@@ -32,7 +32,7 @@ from .jets import (
     refuse,
     vanishes,
 )
-from .lowering import QFunction, product_qf, sum_qf
+from .lowering import QFunction, product_qf
 from .quaternion import UNIT_J, Quaternion, modulus, norm_sq, quat_mul
 from .report import MaskedPoint, ResidualReport
 
@@ -40,7 +40,6 @@ LABELS = (
     "Holomorphic",
     "Hyperholomorphic",
     "WHypermeromorphic",
-    "Hypermeromorphic-candidate",
     "NonHyperholomorphic",
 )
 
@@ -354,12 +353,6 @@ Systems = Callable[
 ]
 
 
-# Points evaluated together.  Each jet awaiting a user holds ten float64
-# arrays of this length, so memory stays bounded on any grid; elementwise
-# arithmetic makes the values independent of it.
-_BLOCK_POINTS = 4096
-
-
 class Sample(NamedTuple):
     """sample's result, in grid order: the unmasked points as rows
     (x1, y1, x2, y2); one array per reported system with a row of
@@ -406,11 +399,11 @@ def sample(
     it alone would meet them: f1's tree, f2's tree, the norm, the jets,
     the systems in call order, then the checked values.  The arithmetic is
     CPython's (see CArray), so every value equals the per-point one.
-    Grids larger than _BLOCK_POINTS are evaluated a block at a time.
+    Grids larger than BLOCK_POINTS are evaluated a block at a time.
     """
     blocks = [
         _sample_block(f, z, d.excluded_threshold, systems, singular_sq_tol)
-        for _, z in grid_blocks(d, grid_n, _BLOCK_POINTS)
+        for _, z in grid_blocks(d, grid_n)
     ]
     code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
     bad = code != 0
@@ -464,35 +457,23 @@ def _classify_systems(
     return reported, (maximum(*e) / scale, maximum(*e_inv) / scale_inv), True
 
 
-def _pair_passes(
-    h: QFunction, d: Domain, grid_n: int, tol: float, systems: Systems, singular_sq_tol: float
-) -> bool:
-    """True if h and its inverse pass the first-order system on the
-    unmasked grid points (normalized residuals), with at least one
-    unmasked point."""
-    s = sample(h, d, grid_n, systems, singular_sq_tol)
-    return len(s.points) > 0 and bool((s.extra <= tol).all())
-
-
 def classify(
     f: QFunction,
     d: Domain | None = None,
     grid_n: int = 6,
     tol: float = DEFAULT_TOL,
-    witnesses: list[QFunction] | None = None,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
 ) -> tuple[ClassificationLabel, list[ResidualReport]]:
     """Sample f on a grid and classify it by its PDE residuals.
 
-    Masks points as sample does.  Raises InconclusiveError when fewer
-    than half of the grid points survive masking.  A witness list
-    upgrades WHypermeromorphic to Hypermeromorphic-candidate when sums
-    and products with every witness stay in the class on the same grid.
+    Masks points as sample does, with DEFAULT_SINGULAR_SQ_TOL.  Raises
+    InconclusiveError when fewer than half of the grid points survive
+    masking.  Closure under sums and products is checked by classifying
+    f + w, f*w and w*f themselves.
     """
     if d is None:
         d = Domain()
-    systems = partial(_classify_systems, singular_sq_tol=singular_sq_tol)
-    s = sample(f, d, grid_n, systems, singular_sq_tol)
+    systems = partial(_classify_systems, singular_sq_tol=DEFAULT_SINGULAR_SQ_TOL)
+    s = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
     total = len(s.points) + len(s.masked)
     if len(s.points) * 2 < total:
         raise InconclusiveError(f"only {len(s.points)} of {total} grid points are unmasked")
@@ -506,14 +487,6 @@ def classify(
         label = "Holomorphic"
     elif inv_norm_max <= tol:
         label = "WHypermeromorphic"
-        if witnesses:
-            upgraded = all(
-                _pair_passes(h, d, grid_n, tol, systems, singular_sq_tol)
-                for w in witnesses
-                for h in (sum_qf(f, w), product_qf(f, w), product_qf(w, f))
-            )
-            if upgraded:
-                label = "Hypermeromorphic-candidate"
     else:
         label = "Hyperholomorphic"
     return ClassificationLabel(label, tol), reports

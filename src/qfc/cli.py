@@ -140,6 +140,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ParseError("box must be a comma-separated string or a list")
     if len(parts) != 8:
         raise ParseError("box needs exactly eight bounds")
+    if any(isinstance(x, bool) for x in parts):
+        raise ParseError("bad box bound: a bound must be a number, not a boolean")
     try:
         box = tuple(float(x) for x in parts)
     except (TypeError, ValueError) as exc:
@@ -150,6 +152,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if not math.isfinite(hi - lo):
             raise ParseError(f"bad box interval ({lo}, {hi}): its width overflows")
 
+    for k in ("grid", "tol", "mask", "seed"):
+        # refuse what the flags' types refuse and int() or float() would cast
+        v = cfg[k]
+        fractional = k in ("grid", "seed") and isinstance(v, float) and math.isfinite(v) and not v.is_integer()
+        if isinstance(v, bool) or fractional:
+            raise ParseError(f"bad numeric option: {k} {json.dumps(v)}")
     try:
         grid_n = int(cfg["grid"])
         tol = float(cfg["tol"])

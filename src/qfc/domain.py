@@ -19,6 +19,11 @@ DEFAULT_BOX: tuple[Interval, Interval, Interval, Interval] = (
     (-1.0, 1.0),
 )
 
+# Points evaluated together.  Each jet awaiting a user holds ten float64
+# arrays of this length, so memory stays bounded on any grid; elementwise
+# arithmetic makes the values independent of it.
+BLOCK_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -70,12 +75,12 @@ def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
     return [Point4(z1, z2) for z1, z2 in product(z1s, z2s)]
 
 
-def grid_blocks(domain: Domain, grid_n: int, size: int) -> Iterator[tuple[tuple[np.ndarray, ...], Columns]]:
-    """The grid_n**4 lattice of the box in blocks of at most size points,
-    x1 varying slowest, y2 fastest: each block's indices into grid_axes
-    and its coordinate columns."""
+def grid_blocks(domain: Domain, grid_n: int) -> Iterator[tuple[tuple[np.ndarray, ...], Columns]]:
+    """The grid_n**4 lattice of the box in blocks of at most BLOCK_POINTS
+    points, x1 varying slowest, y2 fastest: each block's indices into
+    grid_axes and its coordinate columns."""
     axes = np.array(grid_axes(domain, grid_n))
-    total = grid_n**4
+    total, size = grid_n**4, BLOCK_POINTS
     for start in range(0, total, size):
         lattice = np.unravel_index(np.arange(start, min(start + size, total)), (grid_n,) * 4)
         yield lattice, tuple(axes[k][i] for k, i in enumerate(lattice))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError  # noqa: F401  (re-exported for CLI convenience)
 from .expr import (
     Add,
     Conj,

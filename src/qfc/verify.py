@@ -19,7 +19,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analysis import (
-    _BLOCK_POINTS,
     DEFAULT_REAL_TOL,
     _cauchy_fueter_from_jets,
     _hyperholomorphy_from_jets,
@@ -34,7 +33,7 @@ from .analysis import (
     norm_sq_jet,
     sum_pde_from_jets,
 )
-from .domain import Domain, grid_points
+from .domain import BLOCK_POINTS, Domain, grid_points
 from .errors import MASK_REASONS, OVERFLOW, SingularPointError
 from .expr import ConjVar, RealConst, Var, const, parse
 from .generators import (
@@ -80,10 +79,10 @@ def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterat
     always raises OverflowError.  The functions' tree events count from
     the first stage, so fs lists functions whose trees meet no event
     their first stage's functions do not, such as f, g and their sum and
-    product.  Points are evaluated _BLOCK_POINTS at a time.
+    product.  Points are evaluated BLOCK_POINTS at a time.
     """
-    for start in range(0, len(points), _BLOCK_POINTS):
-        block = points[start : start + _BLOCK_POINTS]
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = points[start : start + BLOCK_POINTS]
         z = columns_of([p.z1 for p in block], [p.z2 for p in block])
         with np.errstate(all="ignore"):
             # one call, so subtrees the functions share are evaluated once

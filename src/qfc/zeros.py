@@ -1,7 +1,7 @@
 """Zero-set scanning and local order estimation.
 
 Both evaluate their trees over arrays of points, a block of at most
-_BLOCK_POINTS at a time, with grid_jets.  Its arithmetic is CPython's
+BLOCK_POINTS at a time, with grid_jets.  Its arithmetic is CPython's
 (see jets.CArray), so each value equals the one eval_jet gives at that
 point, and a point where eval_jet would raise (a vanishing divisor, an
 overflowing power or magnitude) carries that event instead and is
@@ -16,13 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import _BLOCK_POINTS
 from .domain import Domain, grid_blocks
 from .errors import MASK_REASONS, SINGULAR, InconclusiveError
 from .jets import DEFAULT_SINGULAR_SQ_TOL, Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
+_DIRECTIONS = 16  # random unit directions of an order fit
 
 # A block's candidates, each point's event code (0 where it was evaluated)
 # and the two magnitudes compared with the tolerance.
@@ -92,7 +92,7 @@ def _scan(d: Domain, grid_n: int, test: Test) -> list[list[Point4]]:
     total = grid_n**4
     hits: dict[tuple[int, int, int, int], Point4] = {}
     skipped = np.zeros(max(MASK_REASONS) + 1, dtype=int)
-    for lattice, columns in grid_blocks(d, grid_n, _BLOCK_POINTS):
+    for lattice, columns in grid_blocks(d, grid_n):
         with np.errstate(all="ignore"):
             hit, code, _, _ = test(columns)
         skipped += np.bincount(code, minlength=len(skipped))
@@ -159,20 +159,20 @@ def estimate_order(
     q: Point4,
     kind: str = "zero",
     *,
-    n_directions: int = 16,
     seed: int = 0,
     zero_tol: float = 1e-9,
     singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
 ) -> OrderEstimate:
     """Fit log|f_i(q + r*u)| against log r over shrinking radii.
 
-    Samples eight radii from 1e-1 down to 1e-4 along n_directions random
-    unit directions drawn from a seeded generator.  kind="zero" requires
-    both components of f to vanish at q within zero_tol; kind="pole"
-    requires q to be a point pole_set_scan would report.  A sample of a
-    component counts where evaluating that component alone is not
-    singular and does not overflow.  Raises ValueError when a component
-    keeps fewer samples than there are radii, or samples at one radius.
+    Samples eight radii from 1e-1 down to 1e-4 along 16 random unit
+    directions (_DIRECTIONS) drawn from a generator seeded with seed.
+    kind="zero" requires both components of f to vanish at q within
+    zero_tol; kind="pole" requires q to be a point pole_set_scan would
+    report.  A sample of a component counts where evaluating that
+    component alone is not singular and does not overflow.  Raises
+    ValueError when a component keeps fewer samples than there are radii,
+    or samples at one radius.
     """
     if kind not in ("zero", "pole"):
         raise ValueError("kind must be 'zero' or 'pole'")
@@ -181,7 +181,7 @@ def estimate_order(
     radii = np.geomspace(1e-1, 1e-4, 8)
     rng = np.random.default_rng(seed)
     dirs: list[tuple[complex, complex]] = []
-    for _ in range(n_directions):
+    for _ in range(_DIRECTIONS):
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))

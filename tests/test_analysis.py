@@ -237,14 +237,6 @@ def test_classifier_labels() -> None:
         ]
 
 
-def test_classifier_witness_upgrade() -> None:
-    label, _ = classify(example_pair(0.0, 0.0), witnesses=[example_pair(1.0, 2.0)])
-    assert label.label == "Hypermeromorphic-candidate"
-    # Witnesses never upgrade a function that fails the inverse system.
-    label, _ = classify(counterexample_pair(), witnesses=[example_pair(1.0, 2.0)])
-    assert label.label == "Hyperholomorphic"
-
-
 def test_classifier_is_inconclusive_when_the_domain_is_all_masked() -> None:
     tiny = Domain(box=((-1e-4, 1e-4),) * 4)
     with pytest.raises(InconclusiveError, match="grid points are unmasked"):

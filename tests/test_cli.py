@@ -193,6 +193,11 @@ def test_config_file_merging(capsys, tmp_path: Path, funcs_file: str) -> None:
     code, out, _ = _run(capsys, ["classify", "--input", funcs_file, "--config", str(cfg), "--grid", "5", "--format", "json"])
     doc = json.loads(out)
     assert doc["config"]["grid"] == 5
+    # A whole number runs in any spelling JSON has for it.
+    for grid in (3, 3.0, "3"):
+        cfg.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+        code, out, _ = _run(capsys, ["classify", "--input", funcs_file, "--config", str(cfg), "--format", "json"])
+        assert (code, json.loads(out)["config"]["grid"]) == (0, 3)
     bad = tmp_path / "badcfg.json"
     bad.write_text(json.dumps({"grid_n": 4}), encoding="utf-8")
     code, _, err = _run(capsys, ["classify", "--input", funcs_file, "--config", str(bad)])
@@ -352,6 +357,13 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
         (["verify-paper", "--seed=-1", "--grid", "2"], None),
         (["verify-paper", "--grid", "2"], '{"seed": -3}'),
         (["order", "--seed=-1"], None),
+        (["classify"], '{"grid": 2.9}'),
+        (["verify-paper", "--grid", "2"], '{"seed": 1.7}'),
+        (["classify"], '{"tol": true}'),
+        (["zero-set"], '{"mask": false}'),
+        (["classify"], '{"grid": true}'),
+        (["order"], '{"seed": false}'),
+        (["classify"], '{"box": [true, 1, -1, 1, -1, 1, -1, 1]}'),
     ],
 )
 def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: list[str], config: str | None) -> None:
@@ -359,13 +371,39 @@ def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: l
     infinite tolerance or threshold used to reach the JSON writer and end
     in its ValueError traceback with exit 1; a negative seed ended in
     numpy's traceback in verify-paper, and in order as an error on every
-    estimate with exit 0."""
+    estimate with exit 0.  A config value the flags' types would refuse,
+    a boolean or a fractional grid or seed, used to be cast and run."""
     if config is not None:
         (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
     code, out, err = _run_alone([*argv, "--input", funcs_file, "--format", "json"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+W = "z1 + conj(z1) + z2 + conj(z2) + 1 + (-z1 - conj(z1) + z2 + conj(z2) + 2)*j"
+F = "z1 + conj(z1) + z2 + conj(z2) + (-z1 - conj(z1) + z2 + conj(z2))*j"
+C = "conj(z1) + conj(z2)*j"
+
+
+def test_closure_is_checked_by_classifying_sums_and_products(capsys, tmp_path: Path) -> None:
+    """Closure under sums and both ordered products is read off the labels
+    of f + w, f*w and w*f: the linear example f and its shifted copy w stay
+    WHypermeromorphic, while the antiholomorphic c and c + w, whose
+    inverses fail the system, are only Hyperholomorphic."""
+    defs = {
+        "f": F, "w": W, "f_plus_w": f"({F}) + ({W})", "f_w": f"({F}) * ({W})", "w_f": f"({W}) * ({F})",
+        "c": C, "c_plus_w": f"({C}) + ({W})",
+    }
+    path = tmp_path / "closure.txt"
+    path.write_text("".join(f"{name} = {e}\n" for name, e in defs.items()), encoding="utf-8")
+    code, out, err = _run(capsys, ["classify", "--input", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    labels = {fn["name"]: fn["label"] for fn in json.loads(out)["functions"]}
+    assert labels == {
+        **dict.fromkeys(["f", "w", "f_plus_w", "f_w", "w_f"], "WHypermeromorphic"),
+        **dict.fromkeys(["c", "c_plus_w"], "Hyperholomorphic"),
+    }
 
 
 @pytest.mark.parametrize("command", ["classify", "zero-set"])

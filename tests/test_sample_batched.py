@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfc.analysis
+import qfc.domain
 import qfc.jets
 from qfc.analysis import (
     DEFAULT_REAL_TOL,
@@ -180,8 +181,8 @@ def test_grid_sampling_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch
 
     monkeypatch.setattr(qfc.analysis, "eval_jet", refuse)
     monkeypatch.setattr(qfc.jets, "eval_jet", refuse)
-    label, reports = classify(example_pair(0.0, 0.0), Domain(), 3, witnesses=[example_pair(1.0, 2.0)])
-    assert label.label == "Hypermeromorphic-candidate"
+    label, reports = classify(example_pair(0.0, 0.0), Domain(), 3)
+    assert label.label == "WHypermeromorphic"
     assert len(reports[0].points) + len(reports[0].masked) == 81
     reports = residual_reports(example_pair(0.0, 0.0), Domain(), 3)
     assert [r.system for r in reports] == ["hyperholomorphy", "inverse_hyperholomorphy", "sum_pde", "real_linear"]
@@ -198,7 +199,7 @@ def test_trees_too_deep_to_hash_are_sampled() -> None:
 
 def test_blocks_of_points_give_the_same_rows(monkeypatch: pytest.MonkeyPatch) -> None:
     """A grid split into blocks, the last one partial, samples as one."""
-    monkeypatch.setattr(qfc.analysis, "_BLOCK_POINTS", 7)
+    monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", 7)
     for kind in ("rational", *FIXED):
         for box in ("default", "wide"):
             _compare(_function(kind, 5), Domain.from_flat(BOXES[box], MASKS[box]), 3, 1e-12)

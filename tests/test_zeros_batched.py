@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfc.domain
 import qfc.jets
 import qfc.zeros
 from qfc.cli import main
@@ -313,7 +314,7 @@ def test_order_keeps_the_numpy_probes_bits_without_division() -> None:
 
 def test_scans_are_evaluated_in_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
     """A grid split into blocks, the last one partial, scans as one."""
-    monkeypatch.setattr(qfc.zeros, "_BLOCK_POINTS", 7)
+    monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", 7)
     d = Domain(((-1.0, 1.0), (-2.0, 0.5), (0.0, 1.0), (-0.3, 0.3)))
     for kind in ("planted", "rational", "pole"):
         f = _function(kind, np.random.default_rng(3), grid_axes(d, 4))
