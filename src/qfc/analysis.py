@@ -13,10 +13,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import Domain, grid_blocks
+from .domain import DEFAULT_MASK_THRESHOLD, Domain, grid_blocks
 from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
 from .jets import (
-    DEFAULT_SINGULAR_SQ_TOL,
     Columns,
     Point4,
     PointEvents,
@@ -44,7 +43,8 @@ LABELS = (
 )
 
 DEFAULT_TOL = 1e-8
-DEFAULT_REAL_TOL = 1e-9
+# A value is real where its imaginary part is at most this.
+REAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,8 @@ class ClassificationLabel:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-def _jet_pair(
-    f: QFunction, p: Point4, singular_sq_tol: float
-) -> tuple[WirtingerJet, WirtingerJet]:
-    return (
-        eval_jet(f.f1, p, singular_sq_tol),
-        eval_jet(f.f2, p, singular_sq_tol),
-    )
+def _jet_pair(f: QFunction, p: Point4) -> tuple[WirtingerJet, WirtingerJet]:
+    return eval_jet(f.f1, p), eval_jet(f.f2, p)
 
 
 def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
@@ -116,11 +111,9 @@ def _cauchy_fueter_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> DValue:
     return DValue(c1, c2)
 
 
-def cauchy_fueter(
-    f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> DValue:
+def cauchy_fueter(f: QFunction, p: Point4) -> DValue:
     """Apply the modified Cauchy-Fueter operator to f at p."""
-    return _cauchy_fueter_from_jets(*_jet_pair(f, p, singular_sq_tol))
+    return _cauchy_fueter_from_jets(*_jet_pair(f, p))
 
 
 def norm_sq_jet(j1: WirtingerJet, j2: WirtingerJet) -> WirtingerJet:
@@ -128,12 +121,10 @@ def norm_sq_jet(j1: WirtingerJet, j2: WirtingerJet) -> WirtingerJet:
     return jet_add(jet_mul(j1, jet_conj(j1)), jet_mul(j2, jet_conj(j2)))
 
 
-def inverse_jets(
-    j1: WirtingerJet, j2: WirtingerJet, singular_sq_tol: float
-) -> tuple[WirtingerJet, WirtingerJet]:
+def inverse_jets(j1: WirtingerJet, j2: WirtingerJet) -> tuple[WirtingerJet, WirtingerJet]:
     """Jets of inverse_qf(f), conj(f)/norm_sq(f), from the jets of f."""
     n = norm_sq_jet(j1, j2)
-    refuse(n.val, vanishes(n.val, singular_sq_tol), "norm_sq of the function vanishes")
+    refuse(n.val, vanishes(n.val), "norm_sq of the function vanishes")
     return jet_div(jet_conj(j1), n), jet_div(jet_neg(j2), n)
 
 
@@ -145,11 +136,9 @@ def _hyperholomorphy_from_jets(
     return (abs(e1), abs(e2))
 
 
-def hyperholomorphy_residual(
-    f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> tuple[float, float]:
+def hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, float]:
     """Residual magnitudes of the two component equations of 2*D(f)=0."""
-    return _hyperholomorphy_from_jets(*_jet_pair(f, p, singular_sq_tol))
+    return _hyperholomorphy_from_jets(*_jet_pair(f, p))
 
 
 def _inverse_system_from_jets(
@@ -170,39 +159,32 @@ def _inverse_system_from_jets(
     return (abs(e1), abs(e2))
 
 
-def inverse_hyperholomorphy_residual(
-    f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> tuple[float, float]:
+def inverse_hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, float]:
     """Residuals of the system characterizing a hyperholomorphic inverse.
 
     For hyperholomorphic f, this vanishes exactly when the right inverse
     of f is hyperholomorphic off the zero set of f.
     """
-    return _inverse_system_from_jets(*_jet_pair(f, p, singular_sq_tol))
+    return _inverse_system_from_jets(*_jet_pair(f, p))
 
 
-def _require_real(values: list[complex], real_tol: float, what: str) -> None:
-    """Raise ValueError unless every value is real within real_tol; for
+def _require_real(values: list[complex], what: str) -> None:
+    """Raise ValueError unless every value is real within REAL_TOL; for
     grid values, at the first point where one is not."""
     worst = maximum(*(abs(v.imag) for v in values))
     if isinstance(worst, np.ndarray):
-        worst = worst.tolist()[int(np.argmax(worst > real_tol))]
-    if worst > real_tol:
+        worst = worst.tolist()[int(np.argmax(worst > REAL_TOL))]
+    if worst > REAL_TOL:
         raise ValueError(
             f"{what} requires real-valued components at the point "
             f"(largest imaginary part {worst:.3e})"
         )
 
 
-def real_linear_residual(
-    f: QFunction,
-    p: Point4,
-    real_tol: float = DEFAULT_REAL_TOL,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> tuple[float, float]:
+def real_linear_residual(f: QFunction, p: Point4) -> tuple[float, float]:
     """Residuals of the linear first-order system for real-component f."""
-    j1, j2 = _jet_pair(f, p, singular_sq_tol)
-    _require_real([j1.val, j2.val], real_tol, "real_linear_residual")
+    j1, j2 = _jet_pair(f, p)
+    _require_real([j1.val, j2.val], "real_linear_residual")
     return _real_linear_from_jets(j1, j2)
 
 
@@ -224,31 +206,23 @@ def sum_pde_from_jets(j1: WirtingerJet, j2: WirtingerJet, mask_threshold: float)
 
 
 def sum_pde_residual(
-    h: QFunction,
-    p: Point4,
-    mask_threshold: float = 1e-6,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+    h: QFunction, p: Point4, mask_threshold: float = DEFAULT_MASK_THRESHOLD
 ) -> float:
     """Residual of the PDE characterizing sums that stay w-hypermeromorphic.
 
     Raises SingularPointError when norm_sq(h) at p is below mask_threshold,
     since the PDE divides by the norm there.
     """
-    return sum_pde_from_jets(*_jet_pair(h, p, singular_sq_tol), mask_threshold)
+    return sum_pde_from_jets(*_jet_pair(h, p), mask_threshold)
 
 
-def product_system_residual(
-    f: QFunction,
-    g: QFunction,
-    p: Point4,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> tuple[float, float]:
+def product_system_residual(f: QFunction, g: QFunction, p: Point4) -> tuple[float, float]:
     """Residuals of the PDE pair for the ordered product f*g.
 
     The system is order-sensitive: it constrains the left factor's
     derivatives through the right factor's first component value.
     """
-    return _product_system_from_jets(*_jet_pair(f, p, singular_sq_tol), *_jet_pair(g, p, singular_sq_tol))
+    return _product_system_from_jets(*_jet_pair(f, p), *_jet_pair(g, p))
 
 
 def _product_system_from_jets(
@@ -273,20 +247,14 @@ def _product_system_from_jets(
 
 
 def real_combined_residual(
-    f: QFunction,
-    g: QFunction,
-    p: Point4,
-    real_tol: float = DEFAULT_REAL_TOL,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+    f: QFunction, g: QFunction, p: Point4
 ) -> tuple[float, float, float, float, float]:
     """The five-equation system for real-component pairs closed under
     both sum and product: each factor's linear system plus one bilinear
     coupling equation."""
-    jf1, jf2 = _jet_pair(f, p, singular_sq_tol)
-    jg1, jg2 = _jet_pair(g, p, singular_sq_tol)
-    _require_real(
-        [jf1.val, jf2.val, jg1.val, jg2.val], real_tol, "real_combined_residual"
-    )
+    jf1, jf2 = _jet_pair(f, p)
+    jg1, jg2 = _jet_pair(g, p)
+    _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_residual")
     return _real_combined_from_jets(jf1, jf2, jg1, jg2)
 
 
@@ -302,12 +270,7 @@ def _real_combined_from_jets(
     )
 
 
-def product_rule_check(
-    f: QFunction,
-    g: QFunction,
-    p: Point4,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> ProductRuleCheck:
+def product_rule_check(f: QFunction, g: QFunction, p: Point4) -> ProductRuleCheck:
     """Evaluate both sides of D(f*g) = D(f)*g + (correction term).
 
     The correction term depends on the values of f and the derivatives
@@ -315,9 +278,9 @@ def product_rule_check(
     real-component linear system.
     """
     return _product_rule_from_jets(
-        *_jet_pair(f, p, singular_sq_tol),
-        *_jet_pair(g, p, singular_sq_tol),
-        *_jet_pair(product_qf(f, g), p, singular_sq_tol),
+        *_jet_pair(f, p),
+        *_jet_pair(g, p),
+        *_jet_pair(product_qf(f, g), p),
     )
 
 
@@ -374,13 +337,7 @@ def _columns(values: tuple[np.ndarray, ...], n: int) -> np.ndarray:
     return np.column_stack([np.broadcast_to(v, (n,)) for v in values])
 
 
-def sample(
-    f: QFunction,
-    d: Domain,
-    grid_n: int,
-    systems: Systems,
-    singular_sq_tol: float,
-) -> Sample:
+def sample(f: QFunction, d: Domain, grid_n: int, systems: Systems) -> Sample:
     """Evaluate f's two component jets at all grid points at once and
     derive every residual system from them.
 
@@ -401,10 +358,7 @@ def sample(
     CPython's (see CArray), so every value equals the per-point one.
     Grids larger than BLOCK_POINTS are evaluated a block at a time.
     """
-    blocks = [
-        _sample_block(f, z, d.excluded_threshold, systems, singular_sq_tol)
-        for _, z in grid_blocks(d, grid_n)
-    ]
+    blocks = [_sample_block(f, z, d.excluded_threshold, systems) for _, z in grid_blocks(d, grid_n)]
     code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
     bad = code != 0
     masked = [
@@ -415,15 +369,13 @@ def sample(
     return Sample(coords, reported, extra, holds, masked)
 
 
-def _sample_block(
-    f: QFunction, z: Columns, threshold: float, systems: Systems, singular_sq_tol: float
-) -> tuple[np.ndarray, ...]:
+def _sample_block(f: QFunction, z: Columns, threshold: float, systems: Systems) -> tuple[np.ndarray, ...]:
     """sample's evaluation of one block of points: each point's reason
     code (0 if unmasked) and coordinates, the extra values and where they
     hold, and a residual array per reported system, a row per point."""
     n = len(z[0])
     with np.errstate(all="ignore"):
-        (j1, j2), events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
+        (j1, j2), events = grid_jets((f.f1, f.f2), z)
         events.flag(norm_sq(Quaternion(j1.val, j2.val)) < threshold, BELOW_THRESHOLD)
         finite = True
         for slot in (*vars(j1).values(), *vars(j2).values()):
@@ -443,13 +395,11 @@ def _reports(names: tuple[str, ...], s: Sample) -> list[ResidualReport]:
     return [ResidualReport(n, s.points, r, s.masked) for n, r in zip(names, s.reported)]
 
 
-def _classify_systems(
-    j1: WirtingerJet, j2: WirtingerJet, events: PointEvents, singular_sq_tol: float
-):
+def _classify_systems(j1: WirtingerJet, j2: WirtingerJet, events: PointEvents):
     """f's system, its inverse's system and |f2|, and as the extra value
     the two systems' largest residuals normalized by 1 + the largest jet
     magnitude."""
-    k1, k2 = inverse_jets(j1, j2, singular_sq_tol)
+    k1, k2 = inverse_jets(j1, j2)
     e = _hyperholomorphy_from_jets(j1, j2)
     e_inv = _hyperholomorphy_from_jets(k1, k2)
     scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
@@ -465,15 +415,13 @@ def classify(
 ) -> tuple[ClassificationLabel, list[ResidualReport]]:
     """Sample f on a grid and classify it by its PDE residuals.
 
-    Masks points as sample does, with DEFAULT_SINGULAR_SQ_TOL.  Raises
-    InconclusiveError when fewer than half of the grid points survive
-    masking.  Closure under sums and products is checked by classifying
-    f + w, f*w and w*f themselves.
+    Masks points as sample does.  Raises InconclusiveError when fewer
+    than half of the grid points survive masking.  Closure under sums and
+    products is checked by classifying f + w, f*w and w*f themselves.
     """
     if d is None:
         d = Domain()
-    systems = partial(_classify_systems, singular_sq_tol=DEFAULT_SINGULAR_SQ_TOL)
-    s = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
+    s = sample(f, d, grid_n, _classify_systems)
     total = len(s.points) + len(s.masked)
     if len(s.points) * 2 < total:
         raise InconclusiveError(f"only {len(s.points)} of {total} grid points are unmasked")
@@ -502,7 +450,7 @@ def _residual_systems(
         _inverse_system_from_jets(j1, j2),
         (sum_pde_from_jets(j1, j2, mask_threshold),),
     )
-    real = maximum(abs(j1.val.imag), abs(j2.val.imag)) <= DEFAULT_REAL_TOL
+    real = maximum(abs(j1.val.imag), abs(j2.val.imag)) <= REAL_TOL
     with events.only(real):
         linear = _real_linear_from_jets(j1, j2)
     return reported, linear, real
@@ -515,7 +463,7 @@ def residual_reports(f: QFunction, d: Domain, grid_n: int) -> list[ResidualRepor
     f is real-valued, so its overflow masks the point even when the report
     is not emitted."""
     systems = partial(_residual_systems, mask_threshold=d.excluded_threshold)
-    s = sample(f, d, grid_n, systems, DEFAULT_SINGULAR_SQ_TOL)
+    s = sample(f, d, grid_n, systems)
     reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde"), s)
     if s.holds.all():
         reports.append(ResidualReport("real_linear", s.points, s.extra, s.masked))

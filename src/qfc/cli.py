@@ -17,8 +17,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import classify, residual_reports
-from .domain import Domain
+from .analysis import DEFAULT_TOL, classify, residual_reports
+from .domain import DEFAULT_MASK_THRESHOLD, Domain
 from .errors import InconclusiveError, ParseError
 from .expr import parse_definitions
 from .lowering import QFunction, lower
@@ -32,8 +32,8 @@ _DEFAULTS: dict[str, object] = {
     "input": None,
     "box": "-1,1,-1,1,-1,1,-1,1",
     "grid": 6,
-    "tol": 1e-8,
-    "mask": 1e-6,
+    "tol": DEFAULT_TOL,
+    "mask": DEFAULT_MASK_THRESHOLD,
     "format": "text",
     "seed": 0,
     "out": None,
@@ -165,8 +165,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         seed = int(cfg["seed"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad numeric option: {exc}") from exc
-    fmt = str(cfg["format"])
-    kind = str(cfg["kind"])
+    for k in ("input", "format", "out", "kind"):
+        # refuse what str() would cast: only input and out may be unset
+        v = cfg[k]
+        if not (isinstance(v, str) or (v is None and k in ("input", "out"))):
+            raise ParseError(f"bad option: {k} {json.dumps(v)} is not a string")
+    fmt, kind, out = cfg["format"], cfg["kind"], cfg["out"]
     if grid_n < 2:
         raise ParseError("grid must be at least 2")
     if seed < 0:
@@ -177,13 +181,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ParseError(f"format must be one of {', '.join(_FORMATS)}")
     if kind not in ("zero", "pole"):
         raise ParseError("kind must be zero or pole")
-    out = cfg["out"] if cfg["out"] is None else str(cfg["out"])
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         reason = "it is a directory" if os.path.isdir(out) else "its directory does not exist"
         raise ParseError(f"cannot write --out {out}: {reason}")
     return RunConfig(
         command=args.command,
-        input_path=cfg["input"] if cfg["input"] is None else str(cfg["input"]),
+        input_path=cfg["input"],
         box=box,
         grid_n=grid_n,
         tol=tol,

@@ -24,6 +24,10 @@ DEFAULT_BOX: tuple[Interval, Interval, Interval, Interval] = (
 # arithmetic makes the values independent of it.
 BLOCK_POINTS = 4096
 
+# Grid points where the function's squared norm is below this are masked,
+# unless --mask gives another threshold.
+DEFAULT_MASK_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -34,7 +38,7 @@ class Domain:
     """
 
     box: tuple[Interval, Interval, Interval, Interval] = DEFAULT_BOX
-    excluded_threshold: float = 1e-6
+    excluded_threshold: float = DEFAULT_MASK_THRESHOLD
 
     def __post_init__(self):
         if len(self.box) != 4:
@@ -49,7 +53,7 @@ class Domain:
 
     @classmethod
     def from_flat(
-        cls, bounds: Sequence[float], excluded_threshold: float = 1e-6
+        cls, bounds: Sequence[float], excluded_threshold: float = DEFAULT_MASK_THRESHOLD
     ) -> Domain:
         if len(bounds) != 8:
             raise ValueError("expected eight bounds: x1 lo, x1 hi, ..., y2 hi")

@@ -25,8 +25,8 @@ def random_point(rng: np.random.Generator, lo: float = -1.0, hi: float = 1.0) ->
     return Point4.from_reals(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    a = rng.uniform(-scale, scale, size=4)
+def random_quaternion(rng: np.random.Generator) -> Quaternion:
+    a = rng.uniform(-1.0, 1.0, size=4)
     return Quaternion(complex(a[0], a[1]), complex(a[2], a[3]))
 
 
@@ -37,14 +37,12 @@ def _random_complex(rng: np.random.Generator, half_width: float) -> complex:
 _MONOMIAL_GENS = (Z1, CZ1, Z2, CZ2)
 
 
-def random_polynomial_component(
-    rng: np.random.Generator, n_terms: int = 3, max_degree: int = 2
-) -> QExpr:
+def random_polynomial_component(rng: np.random.Generator) -> QExpr:
     """Random polynomial in z1, conj(z1), z2, conj(z2) with small coeffs."""
     out: QExpr = _ZERO
-    for _ in range(n_terms):
+    for _ in range(3):
         term: QExpr = const(_random_complex(rng, 1.0))
-        for _ in range(int(rng.integers(0, max_degree + 1))):
+        for _ in range(int(rng.integers(0, 3))):
             term = term * _MONOMIAL_GENS[int(rng.integers(0, 4))]
         out = out + term
     return out
@@ -59,11 +57,9 @@ def random_polynomial_qf(rng: np.random.Generator) -> QFunction:
 _HOLO_EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _holo_poly(
-    rng: np.random.Generator, constant: float, half_width: float, n_terms: int = 5
-) -> QExpr:
+def _holo_poly(rng: np.random.Generator, constant: float, half_width: float) -> QExpr:
     out: QExpr = RealConst(constant)
-    for _ in range(n_terms):
+    for _ in range(5):
         a, b = _HOLO_EXPONENTS[int(rng.integers(0, len(_HOLO_EXPONENTS)))]
         term: QExpr = const(_random_complex(rng, half_width))
         if a:
@@ -133,11 +129,9 @@ def real_component_hyperholomorphic(
     )
 
 
-def random_real_hyperholomorphic(
-    rng: np.random.Generator, n_terms: int = 3
-) -> QFunction:
+def random_real_hyperholomorphic(rng: np.random.Generator) -> QFunction:
     coeffs: dict[tuple[int, int], complex] = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         a = int(rng.integers(0, 3))
         b = int(rng.integers(0, 3 - a))
         coeffs[(a, b)] = coeffs.get((a, b), 0j) + _random_complex(rng, 0.8)

@@ -49,7 +49,10 @@ from .expr import (
 from .lowering import QFunction
 from .quaternion import Quaternion
 
-DEFAULT_SINGULAR_SQ_TOL = 1e-12
+# A divisor d vanishes, and its quotient is refused, where |d|^2 is below
+# this.  vanishes reads it at each call, not as a default argument bound at
+# import, so a patched value takes effect.
+SINGULAR_SQ_TOL = 1e-12
 
 # The x1, y1, x2, y2 coordinates of a block of points.
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -316,13 +319,14 @@ def jet_mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     )
 
 
-def vanishes(den: complex, singular_sq_tol: float) -> bool:
-    """True when den is too close to zero to divide by."""
-    return den.real * den.real + den.imag * den.imag < singular_sq_tol
+def vanishes(den: complex) -> bool:
+    """True when den is too close to zero to divide by: |den|^2 below
+    SINGULAR_SQ_TOL."""
+    return den.real * den.real + den.imag * den.imag < SINGULAR_SQ_TOL
 
 
 def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    """Quotient jet; the caller checks vanishes(b.val, ...) first."""
+    """Quotient jet; the caller checks vanishes(b.val) first."""
     den = b.val
     val = a.val / den
     return WirtingerJet(
@@ -356,9 +360,7 @@ def jet_conj(a: WirtingerJet) -> WirtingerJet:
     )
 
 
-def eval_jet(
-    e: QExpr, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> WirtingerJet:
+def eval_jet(e: QExpr, p: Point4) -> WirtingerJet:
     """Value and Wirtinger partials of a j-free tree at p."""
     match e:
         case Var("z1"):
@@ -376,29 +378,27 @@ def eval_jet(
         case UnitJ():
             raise ValueError("j has no scalar jet; lower the expression first")
         case Add(l, r):
-            return jet_add(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
+            return jet_add(eval_jet(l, p), eval_jet(r, p))
         case Sub(l, r):
-            return jet_sub(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
+            return jet_sub(eval_jet(l, p), eval_jet(r, p))
         case Neg(x):
-            return jet_neg(eval_jet(x, p, singular_sq_tol))
+            return jet_neg(eval_jet(x, p))
         case Mul(l, r):
-            return jet_mul(eval_jet(l, p, singular_sq_tol), eval_jet(r, p, singular_sq_tol))
+            return jet_mul(eval_jet(l, p), eval_jet(r, p))
         case Div(l, r):
-            a = eval_jet(l, p, singular_sq_tol)
-            b = eval_jet(r, p, singular_sq_tol)
-            if vanishes(b.val, singular_sq_tol):
+            a = eval_jet(l, p)
+            b = eval_jet(r, p)
+            if vanishes(b.val):
                 raise SingularPointError(f"denominator vanishes near {p}")
             return jet_div(a, b)
         case Pow(b, n):
-            return jet_pow(eval_jet(b, p, singular_sq_tol), n)
+            return jet_pow(eval_jet(b, p), n)
         case Conj(x):
-            return jet_conj(eval_jet(x, p, singular_sq_tol))
+            return jet_conj(eval_jet(x, p))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def grid_jets(
-    exprs: tuple[QExpr, ...], z: Columns, singular_sq_tol: float
-) -> tuple[list[WirtingerJet], PointEvents]:
+def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet], PointEvents]:
     """Jets of j-free trees at every point of a block at once, z holding
     the points' coordinate columns, and the first event evaluating them
     meets at each point.
@@ -468,7 +468,7 @@ def grid_jets(
                 return av * bv, ag * bv + av * bg
             case Div():
                 (av, ag), (bv, bg) = a
-                events.flag(vanishes(bv, singular_sq_tol), SINGULAR)
+                events.flag(vanishes(bv), SINGULAR)
                 val = av / bv
                 return val, (ag - val * bg) / bv
             case Pow(_, n):
@@ -519,20 +519,11 @@ def _post_order(exprs: tuple[QExpr, ...]) -> list[QExpr]:
     return list(done)
 
 
-def eval_qfunction(
-    f: QFunction, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> Quaternion:
-    return Quaternion(
-        eval_jet(f.f1, p, singular_sq_tol).val, eval_jet(f.f2, p, singular_sq_tol).val
-    )
+def eval_qfunction(f: QFunction, p: Point4) -> Quaternion:
+    return Quaternion(eval_jet(f.f1, p).val, eval_jet(f.f2, p).val)
 
 
-def fd_jet(
-    e: QExpr,
-    p: Point4,
-    h: float = 1e-5,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
-) -> WirtingerJet:
+def fd_jet(e: QExpr, p: Point4, h: float = 1e-5) -> WirtingerJet:
     """Central-difference estimate of eval_jet, for cross-checking.
 
     Any stencil point that hits a near-singular denominator raises
@@ -543,7 +534,7 @@ def fd_jet(
     x1, y1, x2, y2 = p.reals()
 
     def at(a: float, b: float, c: float, d: float) -> complex:
-        return eval_jet(e, Point4.from_reals(a, b, c, d), singular_sq_tol).val
+        return eval_jet(e, Point4.from_reals(a, b, c, d)).val
 
     dx1 = (at(x1 + h, y1, x2, y2) - at(x1 - h, y1, x2, y2)) / (2 * h)
     dy1 = (at(x1, y1 + h, x2, y2) - at(x1, y1 - h, x2, y2)) / (2 * h)

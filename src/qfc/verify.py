@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analysis import (
-    DEFAULT_REAL_TOL,
+    DEFAULT_TOL,
     _cauchy_fueter_from_jets,
     _hyperholomorphy_from_jets,
     _inverse_system_from_jets,
@@ -33,7 +33,7 @@ from .analysis import (
     norm_sq_jet,
     sum_pde_from_jets,
 )
-from .domain import BLOCK_POINTS, Domain, grid_points
+from .domain import BLOCK_POINTS, DEFAULT_MASK_THRESHOLD, Domain, grid_points
 from .errors import MASK_REASONS, OVERFLOW, SingularPointError
 from .expr import ConjVar, RealConst, Var, const, parse
 from .generators import (
@@ -47,12 +47,11 @@ from .generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from .jets import DEFAULT_SINGULAR_SQ_TOL, Point4, WirtingerJet, columns_of, grid_jets
+from .jets import Point4, WirtingerJet, columns_of, grid_jets
 from .lowering import QFunction, const_qf, lower, product_qf, sum_qf
 from .quaternion import Quaternion, modulus, quat_mul
 
 _FAIL_FLOOR = 1e-3
-_MASK_THRESHOLD = 1e-6  # sum_pde_residual's default
 
 Jets = tuple[WirtingerJet, WirtingerJet]
 # A stage maps the jets of a check's functions to a tuple of values, one
@@ -86,7 +85,7 @@ def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterat
         z = columns_of([p.z1 for p in block], [p.z2 for p in block])
         with np.errstate(all="ignore"):
             # one call, so subtrees the functions share are evaluated once
-            jets, events = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z, DEFAULT_SINGULAR_SQ_TOL)
+            jets, events = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z)
             pairs = list(zip(jets[::2], jets[1::2]))
             columns = []
             for values_of, skips in stages:
@@ -130,15 +129,15 @@ def _inverse_eq(f: Jets) -> tuple:
 
 def _inverse_derivative(f: Jets) -> tuple:
     """|D| of the right inverse of f."""
-    return (_cauchy_fueter_from_jets(*inverse_jets(*f, DEFAULT_SINGULAR_SQ_TOL)).magnitude(),)
+    return (_cauchy_fueter_from_jets(*inverse_jets(*f)).magnitude(),)
 
 
 def _sum_pde(h: Jets) -> tuple:
-    return (sum_pde_from_jets(*h, _MASK_THRESHOLD),)
+    return (sum_pde_from_jets(*h, DEFAULT_MASK_THRESHOLD),)
 
 
 def _real_linear(f: Jets) -> tuple:
-    _require_real([f[0].val, f[1].val], DEFAULT_REAL_TOL, "real_linear_residual")
+    _require_real([f[0].val, f[1].val], "real_linear_residual")
     return _real_linear_from_jets(*f)
 
 
@@ -147,7 +146,7 @@ def _product_system(f: Jets, g: Jets, *_: Jets) -> tuple:
 
 
 def _real_combined(f: Jets, g: Jets) -> tuple:
-    _require_real([f[0].val, f[1].val, g[0].val, g[1].val], DEFAULT_REAL_TOL, "real_combined_residual")
+    _require_real([f[0].val, f[1].val, g[0].val, g[1].val], "real_combined_residual")
     return _real_combined_from_jets(*f, *g)
 
 
@@ -166,7 +165,7 @@ def _sum_pde_identity(h: Jets) -> tuple:
     return (*_sum_pde(h), norm_sq_jet(*h).val.real, *_inverse_derivative(h))
 
 
-def run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[VerifyItem]:
+def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list[VerifyItem]:
     """Run all verification items and return them in a fixed order."""
     rng = np.random.default_rng(seed)
     d = Domain()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import Domain, grid_blocks
 from .errors import MASK_REASONS, SINGULAR, InconclusiveError
-from .jets import DEFAULT_SINGULAR_SQ_TOL, Columns, Point4, columns_of, grid_jets
+from .jets import Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
@@ -29,11 +29,11 @@ _DIRECTIONS = 16  # random unit directions of an order fit
 Test = Callable[[Columns], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _zero_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
+def _zero_test(f: QFunction, tol: float) -> Test:
     """Points where both components of f are within tol of zero."""
 
     def test(z: Columns):
-        (j1, j2), events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
+        (j1, j2), events = grid_jets((f.f1, f.f2), z)
         a1 = abs(j1.val)
         with events.only(a1 <= tol):  # |v2| is taken only where |v1| passes
             a2 = abs(j2.val)
@@ -43,14 +43,14 @@ def _zero_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
     return test
 
 
-def _pole_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
+def _pole_test(f: QFunction, tol: float) -> Test:
     """Points where the right inverse of f is within tol of zero, and
     nodes where both the inverse and f divide by a vanishing value."""
-    inverse_zero = _zero_test(inverse_qf(f), tol, singular_sq_tol)
+    inverse_zero = _zero_test(inverse_qf(f), tol)
 
     def test(z: Columns):
         hit, code, w1, w2 = inverse_zero(z)
-        _, events = grid_jets((f.f1, f.f2), z, singular_sq_tol)
+        _, events = grid_jets((f.f1, f.f2), z)
         node = (code == SINGULAR) & (events.code == SINGULAR)
         return hit | node, np.where(node, 0, code), w1, w2
 
@@ -58,11 +58,7 @@ def _pole_test(f: QFunction, tol: float, singular_sq_tol: float) -> Test:
 
 
 def zero_set_scan(
-    f: QFunction,
-    d: Domain | None = None,
-    grid_n: int = 21,
-    tol: float = 1e-9,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+    f: QFunction, d: Domain | None = None, grid_n: int = 21, tol: float = 1e-9
 ) -> list[list[Point4]]:
     """Grid points where both components of f are within tol of zero,
     grouped into clusters of grid-adjacent points.
@@ -72,20 +68,16 @@ def zero_set_scan(
     order; points where f is singular or overflows are skipped, and
     InconclusiveError is raised when every point is.
     """
-    return _scan(d or Domain(), grid_n, _zero_test(f, tol, singular_sq_tol))
+    return _scan(d or Domain(), grid_n, _zero_test(f, tol))
 
 
 def pole_set_scan(
-    f: QFunction,
-    d: Domain | None = None,
-    grid_n: int = 21,
-    tol: float = 1e-9,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+    f: QFunction, d: Domain | None = None, grid_n: int = 21, tol: float = 1e-9
 ) -> list[list[Point4]]:
     """Pole candidates of f, clustered as zero_set_scan clusters zeros:
     grid points where the right inverse of f is within tol of zero, and
     grid points where f itself is singular, so its inverse is too."""
-    return _scan(d or Domain(), grid_n, _pole_test(f, tol, singular_sq_tol))
+    return _scan(d or Domain(), grid_n, _pole_test(f, tol))
 
 
 def _scan(d: Domain, grid_n: int, test: Test) -> list[list[Point4]]:
@@ -155,13 +147,7 @@ class OrderEstimate:
 
 
 def estimate_order(
-    f: QFunction,
-    q: Point4,
-    kind: str = "zero",
-    *,
-    seed: int = 0,
-    zero_tol: float = 1e-9,
-    singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL,
+    f: QFunction, q: Point4, kind: str = "zero", *, seed: int = 0, zero_tol: float = 1e-9
 ) -> OrderEstimate:
     """Fit log|f_i(q + r*u)| against log r over shrinking radii.
 
@@ -176,7 +162,7 @@ def estimate_order(
     """
     if kind not in ("zero", "pole"):
         raise ValueError("kind must be 'zero' or 'pole'")
-    _check_candidate(f, q, kind, zero_tol, singular_sq_tol)
+    _check_candidate(f, q, kind, zero_tol)
 
     radii = np.geomspace(1e-1, 1e-4, 8)
     rng = np.random.default_rng(seed)
@@ -193,7 +179,7 @@ def estimate_order(
     samples = []
     for comp in (f.f1, f.f2):
         with np.errstate(all="ignore"):
-            (j,), events = grid_jets((comp,), z, singular_sq_tol)
+            (j,), events = grid_jets((comp,), z)
             counts = (events.code == 0).tolist()
             magnitudes = np.broadcast_to(abs(j.val), (len(z1),)).tolist()
         samples.append(
@@ -218,11 +204,9 @@ def estimate_order(
     return OrderEstimate(q, kind, order, (per[0], per[1]))
 
 
-def _check_candidate(
-    f: QFunction, q: Point4, kind: str, zero_tol: float, singular_sq_tol: float
-) -> None:
+def _check_candidate(f: QFunction, q: Point4, kind: str, zero_tol: float) -> None:
     """Raise ValueError unless q is a point the scan for kind would report."""
-    test = (_zero_test if kind == "zero" else _pole_test)(f, zero_tol, singular_sq_tol)
+    test = (_zero_test if kind == "zero" else _pole_test)(f, zero_tol)
     with np.errstate(all="ignore"):
         hit, code, a1, a2 = test(columns_of([q.z1], [q.z2]))
     if hit[0]:

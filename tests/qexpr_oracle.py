@@ -4,13 +4,11 @@ lowering and constant folding are checked against."""
 from __future__ import annotations
 
 from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, Sub, UnitI, UnitJ, Var
-from qfc.jets import DEFAULT_SINGULAR_SQ_TOL, Point4
+from qfc.jets import SINGULAR_SQ_TOL, Point4
 from qfc.quaternion import UNIT_I, UNIT_J, Quaternion, quat_conj, quat_mul, rinv
 
 
-def eval_qexpr(
-    e: QExpr, p: Point4, singular_sq_tol: float = DEFAULT_SINGULAR_SQ_TOL
-) -> Quaternion:
+def eval_qexpr(e: QExpr, p: Point4, singular_sq_tol: float = SINGULAR_SQ_TOL) -> Quaternion:
     """Quaternion value of an arbitrary (possibly j-bearing) tree at p."""
     match e:
         case Var("z1"):

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from unittest.mock import patch
 
 import numpy as np
 
+import qfc.jets
 from qfc import (
     Add,
     Conj,
@@ -229,18 +231,19 @@ def test_criterion_05_forward_jets_match_finite_differences() -> None:
     attempts = 0
     worst = 0.0
     fields = ("val", "d_z1", "d_z1bar", "d_z2", "d_z2bar")
-    while kept < 1000 and attempts < 20000:
-        attempts += 1
-        tree = _random_quotient_tree(rng, 4)
-        p = random_point(rng, -2.0, 2.0)
-        try:
-            aj = eval_jet(tree, p, 1e-3)
-            fj = fd_jet(tree, p, 1e-5, 1e-3)
-        except (SingularPointError, OverflowError):
-            continue
-        diff = max(abs(getattr(aj, f) - getattr(fj, f)) for f in fields)
-        worst = max(worst, diff / (1.0 + aj.magnitude()))
-        kept += 1
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", 1e-3):
+        while kept < 1000 and attempts < 20000:
+            attempts += 1
+            tree = _random_quotient_tree(rng, 4)
+            p = random_point(rng, -2.0, 2.0)
+            try:
+                aj = eval_jet(tree, p)
+                fj = fd_jet(tree, p, 1e-5)
+            except (SingularPointError, OverflowError):
+                continue
+            diff = max(abs(getattr(aj, f) - getattr(fj, f)) for f in fields)
+            worst = max(worst, diff / (1.0 + aj.magnitude()))
+            kept += 1
     ok = kept == 1000 and worst <= 1e-6
     _line(5, ok, f"{kept} pairs, worst relative error {worst:.3e}")
     assert kept == 1000

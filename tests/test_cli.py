@@ -35,7 +35,7 @@ def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _run_alone(argv: list[str]) -> tuple[int, str, str]:
+def _run_alone(argv: list[str], cwd: Path | None = None) -> tuple[int, str, str]:
     """The command in a process of its own, which prints what a run leaks
     to stderr, numpy's RuntimeWarnings and tracebacks included."""
     src = str(Path(qfc.__file__).resolve().parents[1])
@@ -44,6 +44,7 @@ def _run_alone(argv: list[str]) -> tuple[int, str, str]:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        cwd=cwd,
         check=False,
     )
     return alone.returncode, alone.stdout, alone.stderr
@@ -364,6 +365,12 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
         (["classify"], '{"grid": true}'),
         (["order"], '{"seed": false}'),
         (["classify"], '{"box": [true, 1, -1, 1, -1, 1, -1, 1]}'),
+        (["classify"], '{"out": false}'),
+        (["zero-set"], '{"out": 5}'),
+        (["classify"], '{"input": 5}'),
+        (["residuals"], '{"input": ["funcs.txt"]}'),
+        (["classify"], '{"format": ["json"]}'),
+        (["order"], '{"kind": 0}'),
     ],
 )
 def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: list[str], config: str | None) -> None:
@@ -372,13 +379,20 @@ def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: l
     in its ValueError traceback with exit 1; a negative seed ended in
     numpy's traceback in verify-paper, and in order as an error on every
     estimate with exit 0.  A config value the flags' types would refuse,
-    a boolean or a fractional grid or seed, used to be cast and run."""
+    a boolean or a fractional grid or seed, used to be cast and run, and
+    a string option set to a non-string was cast with str(): {"out": false}
+    wrote the report to a file named False.  No file is written."""
+    flags = {"--input": funcs_file, "--format": "json"}
     if config is not None:
         (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
-    code, out, err = _run_alone([*argv, "--input", funcs_file, "--format", "json"])
+        for key in json.loads(config):  # a flag would override the config's value
+            flags.pop(f"--{key}", None)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = _run_alone([*argv, *(x for flag in flags.items() for x in flag)], cwd=tmp_path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 W = "z1 + conj(z1) + z2 + conj(z2) + 1 + (-z1 - conj(z1) + z2 + conj(z2) + 2)*j"

@@ -8,9 +8,12 @@ values and must refuse (SingularPointError) at the same points.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import qfc.jets
 from qfc import (
     Quaternion,
     SingularPointError,
@@ -41,26 +44,26 @@ def _outcome(fn):
         return "singular"
 
 
-def _inverse_from_jets(f, p, tol):
-    return inverse_jets(eval_jet(f.f1, p, tol), eval_jet(f.f2, p, tol), tol)
+def _inverse_from_jets(f, p):
+    return inverse_jets(eval_jet(f.f1, p), eval_jet(f.f2, p))
 
 
-def _inverse_from_tree(f, p, tol):
+def _inverse_from_tree(f, p):
     inv = inverse_qf(f)
-    return (eval_jet(inv.f1, p, tol), eval_jet(inv.f2, p, tol))
+    return (eval_jet(inv.f1, p), eval_jet(inv.f2, p))
 
 
-def _sum_pde_from_trees(h, p, mask_threshold, tol):
+def _sum_pde_from_trees(h, p, mask_threshold):
     """The sum PDE as formulated on trees: norm_sq_expr(h) and conj_qf(h)
     are built and evaluated at p."""
-    nj = eval_jet(norm_sq_expr(h), p, tol)
+    nj = eval_jet(norm_sq_expr(h), p)
     n = nj.val.real
     if n < mask_threshold:
         raise SingularPointError(f"norm_sq below mask threshold at {p}")
-    j1, j2 = eval_jet(h.f1, p, tol), eval_jet(h.f2, p, tol)
+    j1, j2 = eval_jet(h.f1, p), eval_jet(h.f2, p)
     hbar = Quaternion(j1.val.conjugate(), -j2.val)
     dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
-    dhbar = cauchy_fueter(conj_qf(h), p, tol).as_quaternion()
+    dhbar = cauchy_fueter(conj_qf(h), p).as_quaternion()
     return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
@@ -70,9 +73,8 @@ def test_inverse_jets_equal_the_inverse_tree(gen, seed: int, tol: float) -> None
     rng = np.random.default_rng(seed)
     f = gen(rng)
     p = random_point(rng)
-    assert _outcome(lambda: _inverse_from_jets(f, p, tol)) == _outcome(
-        lambda: _inverse_from_tree(f, p, tol)
-    )
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+        assert _outcome(lambda: _inverse_from_jets(f, p)) == _outcome(lambda: _inverse_from_tree(f, p))
 
 
 @settings(max_examples=300, deadline=None)
@@ -81,9 +83,8 @@ def test_sum_pde_from_jets_equals_the_tree_formula(gen, seed: int, tol: float, m
     rng = np.random.default_rng(seed)
     h = gen(rng)
     p = random_point(rng)
-    assert _outcome(lambda: sum_pde_residual(h, p, mask, tol)) == _outcome(
-        lambda: _sum_pde_from_trees(h, p, mask, tol)
-    )
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+        assert _outcome(lambda: sum_pde_residual(h, p, mask)) == _outcome(lambda: _sum_pde_from_trees(h, p, mask))
 
 
 def test_the_comparisons_cover_values_and_refusals() -> None:
@@ -94,7 +95,8 @@ def test_the_comparisons_cover_values_and_refusals() -> None:
             f = gen(rng)
             p = random_point(rng)
             for tol in (1e-12, 0.5):
-                kinds.add(("inverse", _outcome(lambda: _inverse_from_jets(f, p, tol)) == "singular"))
+                with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+                    kinds.add(("inverse", _outcome(lambda: _inverse_from_jets(f, p)) == "singular"))
             for mask in (1e-6, 1.0):
                 kinds.add(("sum_pde", _outcome(lambda: sum_pde_residual(f, p, mask)) == "singular"))
     assert kinds == {(name, refused) for name in ("inverse", "sum_pde") for refused in (False, True)}

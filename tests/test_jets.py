@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qfc import (
     inverse_qf,
     lower,
 )
+import qfc.jets
 from qfc.errors import OVERFLOW, SINGULAR
 from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
 from qfc.jets import columns_of, grid_jets
@@ -154,8 +156,26 @@ def test_singular_tolerance_widens_the_mask() -> None:
     tree = Div(RealConst(1.0), Var("z1"))
     p = Point4(0.01 + 0j, 0j)
     assert eval_jet(tree, p).val == 100 + 0j
-    with pytest.raises(SingularPointError):
-        eval_jet(tree, p, 1e-3)
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", 1e-3), pytest.raises(SingularPointError):
+        eval_jet(tree, p)
+
+
+@pytest.mark.parametrize("tol, refused", [(1e-12, False), (4.0, True)])
+def test_the_singular_tolerance_is_read_at_call_time(tol: float, refused: bool) -> None:
+    """SINGULAR_SQ_TOL is read when a quotient is evaluated, not bound at
+    import: |1.5|^2 = 2.25 is below 4.0, so 1/z1 at z1 = 1.5 is refused
+    by both evaluators under 4.0 and by neither under 1e-12."""
+    tree = Div(RealConst(1.0), Var("z1"))
+    p = Point4(1.5 + 0j, 0j)
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+        if refused:
+            with pytest.raises(SingularPointError):
+                eval_jet(tree, p)
+        else:
+            assert eval_jet(tree, p).val == (1 + 0j) / (1.5 + 0j)
+        with np.errstate(all="ignore"):
+            _, events = grid_jets((tree,), columns_of([p.z1], [p.z2]))
+    assert events.code.tolist() == [SINGULAR if refused else 0]
 
 
 def test_unit_j_has_no_scalar_jet() -> None:
@@ -226,11 +246,11 @@ def _column_bits(c, n: int) -> list[tuple]:
     return [_slot_bits(complex(a, b)) for a, b in zip(re, im)]
 
 
-def _per_point(trees: tuple, p: Point4, tol: float):
+def _per_point(trees: tuple, p: Point4):
     """Each tree's five slots at p by eval_jet, or the event code of the
     first tree whose evaluation raises."""
     try:
-        jets = [eval_jet(e, p, tol) for e in trees]
+        jets = [eval_jet(e, p) for e in trees]
     except (SingularPointError, OverflowError) as exc:
         return _EVENT_OF[type(exc)]
     return [[_slot_bits(getattr(j, f)) for f in _FIELDS] for j in jets]
@@ -255,18 +275,19 @@ def test_grid_jets_equal_eval_jet_at_every_point(kind, seed, form, points, tol) 
     """Every slot bit for bit (a NaN part as NaN) where no evaluation
     raises, and elsewhere the event of the first one that does."""
     trees, n = _grid_trees(kind, seed, form), len(points)
-    with np.errstate(all="ignore"):
-        jets, events = grid_jets(trees, columns_of([p.z1 for p in points], [p.z2 for p in points]), tol)
-    for j in jets:
-        for f in _FIELDS:
-            assert getattr(j, f).real.shape in {(n,), (1,)}
-    if kind == "constants":
-        assert all(getattr(j, f).real.shape == (1,) for j in jets for f in _FIELDS)
-    slots = [[_column_bits(getattr(j, f), n) for f in _FIELDS] for j in jets]
-    for i, p in enumerate(points):
-        expected = _per_point(trees, p, tol)
-        if isinstance(expected, int):
-            assert events.code[i] == expected
-            continue
-        assert events.code[i] == 0
-        assert [[column[i] for column in js] for js in slots] == expected
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+        with np.errstate(all="ignore"):
+            jets, events = grid_jets(trees, columns_of([p.z1 for p in points], [p.z2 for p in points]))
+        for j in jets:
+            for f in _FIELDS:
+                assert getattr(j, f).real.shape in {(n,), (1,)}
+        if kind == "constants":
+            assert all(getattr(j, f).real.shape == (1,) for j in jets for f in _FIELDS)
+        slots = [[_column_bits(getattr(j, f), n) for f in _FIELDS] for j in jets]
+        for i, p in enumerate(points):
+            expected = _per_point(trees, p)
+            if isinstance(expected, int):
+                assert events.code[i] == expected
+                continue
+            assert events.code[i] == 0
+            assert [[column[i] for column in js] for js in slots] == expected

@@ -15,6 +15,7 @@ import cmath
 import math
 import tracemalloc
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ import qfc.analysis
 import qfc.domain
 import qfc.jets
 from qfc.analysis import (
-    DEFAULT_REAL_TOL,
+    REAL_TOL,
     _classify_systems,
     _hyperholomorphy_from_jets,
     _inverse_system_from_jets,
@@ -67,10 +68,10 @@ FIXED = (
 )
 
 
-def _probe(f, p, threshold, systems, singular_sq_tol):
+def _probe(f, p, threshold, systems):
     values = None
     try:
-        j1, j2 = eval_jet(f.f1, p, singular_sq_tol), eval_jet(f.f2, p, singular_sq_tol)
+        j1, j2 = eval_jet(f.f1, p), eval_jet(f.f2, p)
         if abs(j1.val) ** 2 + abs(j2.val) ** 2 < threshold:
             return None, "norm_sq below threshold"
         if all(map(cmath.isfinite, (*vars(j1).values(), *vars(j2).values()))):
@@ -84,10 +85,10 @@ def _probe(f, p, threshold, systems, singular_sq_tol):
     return values, None
 
 
-def _per_point_sample(f, d, grid_n, systems, singular_sq_tol):
+def _per_point_sample(f, d, grid_n, systems):
     rows, masked = [], []
     for p in grid_points(d, grid_n):
-        values, reason = _probe(f, p, d.excluded_threshold, systems, singular_sq_tol)
+        values, reason = _probe(f, p, d.excluded_threshold, systems)
         if reason is None:
             rows.append((p, values))
         else:
@@ -95,8 +96,8 @@ def _per_point_sample(f, d, grid_n, systems, singular_sq_tol):
     return rows, masked
 
 
-def _classify_scalar(j1, j2, singular_sq_tol):
-    k1, k2 = inverse_jets(j1, j2, singular_sq_tol)
+def _classify_scalar(j1, j2):
+    k1, k2 = inverse_jets(j1, j2)
     e = _hyperholomorphy_from_jets(j1, j2)
     e_inv = _hyperholomorphy_from_jets(k1, k2)
     scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
@@ -109,7 +110,7 @@ def _residuals_scalar(j1, j2, mask_threshold):
         _inverse_system_from_jets(j1, j2),
         (sum_pde_from_jets(j1, j2, mask_threshold),),
     )
-    if max(abs(j1.val.imag), abs(j2.val.imag)) <= DEFAULT_REAL_TOL:
+    if max(abs(j1.val.imag), abs(j2.val.imag)) <= REAL_TOL:
         values += (_real_linear_from_jets(j1, j2),)
     return values
 
@@ -126,19 +127,18 @@ def _rows(s) -> list[tuple]:
 
 
 def _compare(f, d: Domain, grid_n: int, singular_sq_tol: float) -> list[str]:
-    """Assert both paths agree for both systems; the mask reasons seen."""
+    """Assert both paths agree for both systems under the singular
+    tolerance singular_sq_tol; the mask reasons seen."""
     mask = d.excluded_threshold
     cases = (
-        (
-            partial(_classify_scalar, singular_sq_tol=singular_sq_tol),
-            partial(_classify_systems, singular_sq_tol=singular_sq_tol),
-        ),
+        (_classify_scalar, _classify_systems),
         (partial(_residuals_scalar, mask_threshold=mask), partial(_residual_systems, mask_threshold=mask)),
     )
     reasons = []
     for scalar, batched in cases:
-        old_rows, old_masked = _per_point_sample(f, d, grid_n, scalar, singular_sq_tol)
-        s = sample(f, d, grid_n, batched, singular_sq_tol)
+        with patch.object(qfc.jets, "SINGULAR_SQ_TOL", singular_sq_tol):
+            old_rows, old_masked = _per_point_sample(f, d, grid_n, scalar)
+            s = sample(f, d, grid_n, batched)
         expected = [(p, vs[:3], vs[3] if len(vs) > 3 else None) for p, vs in old_rows]
         assert repr(_rows(s)) == repr(expected)
         assert repr([(m.point, m.reason) for m in s.masked]) == repr([(m.point, m.reason) for m in old_masked])
@@ -213,7 +213,7 @@ def test_grid_jets_holds_only_the_jets_awaiting_a_user() -> None:
     z = columns_of([p] * n, [p] * n)
     tracemalloc.start()
     try:
-        (j1, _), _ = grid_jets((f.f1, f.f2), z, 1e-12)
+        (j1, _), _ = grid_jets((f.f1, f.f2), z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

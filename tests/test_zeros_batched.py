@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qfc.domain import Domain, grid_axes, grid_points
 from qfc.errors import InconclusiveError, SingularPointError
 from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, Sub, UnitI, UnitJ, Var, const, parse
 from qfc.generators import random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import DEFAULT_SINGULAR_SQ_TOL, Point4, eval_jet, vanishes
+from qfc.jets import Point4, eval_jet, vanishes
 from qfc.lowering import QFunction, inverse_qf, lower
 from qfc.zeros import _TINY, OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
 
@@ -63,11 +64,11 @@ def _function(kind: str, rng: np.random.Generator, axes: list[list[float]]) -> Q
     return random_rational_meromorphic(rng)
 
 
-def _value(e: QExpr, p: Point4, singular_sq_tol: float) -> complex:
-    """eval_jet(e, p, singular_sq_tol).val, and the same exception first:
-    a quotient's numerator is read before its denominator, and a power's
-    n - 1 power, eval_jet's factor, before its n power.  (1e200+0j)**4 is
-    nan+nanj while (1e200+0j)**3 overflows."""
+def _value(e: QExpr, p: Point4) -> complex:
+    """eval_jet(e, p).val, and the same exception first: a quotient's
+    numerator is read before its denominator, and a power's n - 1 power,
+    eval_jet's factor, before its n power.  (1e200+0j)**4 is nan+nanj
+    while (1e200+0j)**3 overflows."""
     match e:
         case Var("z1"):
             return p.z1
@@ -82,31 +83,31 @@ def _value(e: QExpr, p: Point4, singular_sq_tol: float) -> complex:
         case UnitI():
             return 1j
         case Add(l, r):
-            return _value(l, p, singular_sq_tol) + _value(r, p, singular_sq_tol)
+            return _value(l, p) + _value(r, p)
         case Sub(l, r):
-            return _value(l, p, singular_sq_tol) - _value(r, p, singular_sq_tol)
+            return _value(l, p) - _value(r, p)
         case Neg(x):
-            return -_value(x, p, singular_sq_tol)
+            return -_value(x, p)
         case Mul(l, r):
-            return _value(l, p, singular_sq_tol) * _value(r, p, singular_sq_tol)
+            return _value(l, p) * _value(r, p)
         case Div(l, r):
-            num, den = _value(l, p, singular_sq_tol), _value(r, p, singular_sq_tol)
-            if vanishes(den, singular_sq_tol):
+            num, den = _value(l, p), _value(r, p)
+            if vanishes(den):
                 raise SingularPointError(f"denominator vanishes near {p}")
             return num / den
         case Pow(b, n):
-            base = _value(b, p, singular_sq_tol)
+            base = _value(b, p)
             base ** (n - 1)  # raises where eval_jet's factor raises
             return base**n
         case Conj(x):
-            return _value(x, p, singular_sq_tol).conjugate()
+            return _value(x, p).conjugate()
     raise TypeError(f"not a j-free expression node: {e!r}")
 
 
-def _outcome_bits(evaluate, e: QExpr, p: Point4, singular_sq_tol: float):
+def _outcome_bits(evaluate, e: QExpr, p: Point4):
     """The value's parts, with NaN as the string "nan", or the exception type."""
     try:
-        v = evaluate(e, p, singular_sq_tol)
+        v = evaluate(e, p)
     except (SingularPointError, OverflowError) as exc:
         return type(exc)
     return tuple("nan" if math.isnan(x) else x.hex() for x in (v.real, v.imag))
@@ -128,38 +129,39 @@ def test_the_value_oracle_is_eval_jets_value_slot() -> None:
                 cases += [(e, p, tol) for e in (g.f1, g.f2) for p in grid_points(d, 2) for tol in (1e-12, 1e-2)]
     seen = set()
     for e, p, tol in cases:
-        expected = _outcome_bits(lambda *a: eval_jet(*a).val, e, p, tol)
-        assert _outcome_bits(_value, e, p, tol) == expected
+        with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
+            expected = _outcome_bits(lambda *a: eval_jet(*a).val, e, p)
+            assert _outcome_bits(_value, e, p) == expected
         seen.add(expected if isinstance(expected, type) else "value")
     assert seen == {"value", SingularPointError, OverflowError}
 
 
-def _zero_at(g: QFunction, p: Point4, tol: float, singular_sq_tol: float):
+def _zero_at(g: QFunction, p: Point4, tol: float):
     """Whether both components of g are within tol of zero at p, or the
     exception evaluating them raises."""
     try:
-        v1 = _value(g.f1, p, singular_sq_tol)
-        v2 = _value(g.f2, p, singular_sq_tol)
+        v1 = _value(g.f1, p)
+        v2 = _value(g.f2, p)
         return abs(v1) <= tol and abs(v2) <= tol
     except (SingularPointError, OverflowError) as exc:
         return exc
 
 
-def _candidate(f: QFunction, p: Point4, kind: str, tol: float, singular_sq_tol: float):
+def _candidate(f: QFunction, p: Point4, kind: str, tol: float):
     if kind == "zero":
-        return _zero_at(f, p, tol, singular_sq_tol)
-    at = _zero_at(inverse_qf(f), p, tol, singular_sq_tol)
-    if isinstance(at, SingularPointError) and isinstance(_zero_at(f, p, tol, singular_sq_tol), SingularPointError):
+        return _zero_at(f, p, tol)
+    at = _zero_at(inverse_qf(f), p, tol)
+    if isinstance(at, SingularPointError) and isinstance(_zero_at(f, p, tol), SingularPointError):
         return True
     return at
 
 
-def _per_point_scan(f, d, grid_n, tol, singular_sq_tol, kind="zero"):
+def _per_point_scan(f, d, grid_n, tol, kind="zero"):
     """The scan one grid point at a time; clusters are components of the
     hits under Chebyshev adjacency, in grid order of their first member."""
     hits, skipped = {}, 0
     for p, idx in zip(grid_points(d, grid_n), product(range(grid_n), repeat=4)):
-        at = _candidate(f, p, kind, tol, singular_sq_tol)
+        at = _candidate(f, p, kind, tol)
         if isinstance(at, Exception):
             skipped += 1
         elif at:
@@ -184,13 +186,11 @@ def _per_point_scan(f, d, grid_n, tol, singular_sq_tol, kind="zero"):
     return clusters
 
 
-def _per_point_order(
-    f, q, kind="zero", *, seed=0, zero_tol=1e-9, singular_sq_tol=DEFAULT_SINGULAR_SQ_TOL, probe=complex
-):
+def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex):
     """estimate_order one probe at a time.  probe=complex evaluates with
     Python's complex arithmetic; the identity keeps the numpy.complex128
     probes of the loop the array path replaced."""
-    if _candidate(f, q, kind, zero_tol, singular_sq_tol) is not True:
+    if _candidate(f, q, kind, zero_tol) is not True:
         raise ValueError("not a candidate")
     radii = np.geomspace(1e-1, 1e-4, 8)
     rng = np.random.default_rng(seed)
@@ -205,7 +205,7 @@ def _per_point_order(
             p = Point4(probe(q.z1 + r * u1), probe(q.z2 + r * u2))
             for comp, bucket in ((f.f1, samples[0]), (f.f2, samples[1])):
                 try:
-                    v = _value(comp, p, singular_sq_tol)
+                    v = _value(comp, p)
                 except (SingularPointError, OverflowError):
                     continue
                 bucket.append((math.log(r), math.log(max(abs(v), 1e-300))))
@@ -230,20 +230,20 @@ def _outcome(run, *args, **kwargs):
 
 def _compare(f, d, grid_n, tol, singular_sq_tol, kind):
     """Assert the scans and the order estimates at each cluster's first
-    point agree; the per-point clusters, or None where every point is
-    skipped."""
+    point agree under the singular tolerance singular_sq_tol; the per-point
+    clusters, or None where every point is skipped."""
     scan = zero_set_scan if kind == "zero" else pole_set_scan
-    try:
-        expected = _per_point_scan(f, d, grid_n, tol, singular_sq_tol, kind)
-    except InconclusiveError:
-        with pytest.raises(InconclusiveError):
-            scan(f, d, grid_n, tol, singular_sq_tol)
-        return None
-    assert repr(scan(f, d, grid_n, tol, singular_sq_tol)) == repr(expected)
-    for q in [c[0] for c in expected] + [Point4(0j, 0j)]:
-        args = (f, q, kind)
-        kwargs = {"zero_tol": tol, "singular_sq_tol": singular_sq_tol}
-        assert _outcome(estimate_order, *args, **kwargs) == _outcome(_per_point_order, *args, **kwargs)
+    with patch.object(qfc.jets, "SINGULAR_SQ_TOL", singular_sq_tol):
+        try:
+            expected = _per_point_scan(f, d, grid_n, tol, kind)
+        except InconclusiveError:
+            with pytest.raises(InconclusiveError):
+                scan(f, d, grid_n, tol)
+            return None
+        assert repr(scan(f, d, grid_n, tol)) == repr(expected)
+        for q in [c[0] for c in expected] + [Point4(0j, 0j)]:
+            args = (f, q, kind)
+            assert _outcome(estimate_order, *args, zero_tol=tol) == _outcome(_per_point_order, *args, zero_tol=tol)
     return expected
 
 
