@@ -97,7 +97,11 @@ class ClassificationLabel:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-def _jet_pair(f: QFunction, p: Point4) -> tuple[WirtingerJet, WirtingerJet]:
+# The jets of a function's two components, (f1, f2), at the same points.
+Jets = tuple[WirtingerJet, WirtingerJet]
+
+
+def _jet_pair(f: QFunction, p: Point4) -> Jets:
     return eval_jet(f.f1, p), eval_jet(f.f2, p)
 
 
@@ -105,7 +109,9 @@ def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
     return maximum(j1.magnitude(), j2.magnitude())
 
 
-def _cauchy_fueter_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> DValue:
+def cauchy_fueter_from_jets(f: Jets) -> DValue:
+    """cauchy_fueter from f's jets."""
+    j1, j2 = f
     c1 = 0.5 * (j1.d_z1bar - j2.d_z2bar.conjugate())
     c2 = 0.5 * (j1.d_z2bar + j2.d_z1bar.conjugate())
     return DValue(c1, c2)
@@ -113,24 +119,25 @@ def _cauchy_fueter_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> DValue:
 
 def cauchy_fueter(f: QFunction, p: Point4) -> DValue:
     """Apply the modified Cauchy-Fueter operator to f at p."""
-    return _cauchy_fueter_from_jets(*_jet_pair(f, p))
+    return cauchy_fueter_from_jets(_jet_pair(f, p))
 
 
-def norm_sq_jet(j1: WirtingerJet, j2: WirtingerJet) -> WirtingerJet:
-    """Jet of norm_sq_expr(f) from the jets of f's components."""
+def norm_sq_jet(f: Jets) -> WirtingerJet:
+    """Jet of norm_sq_expr(f) from f's jets."""
+    j1, j2 = f
     return jet_add(jet_mul(j1, jet_conj(j1)), jet_mul(j2, jet_conj(j2)))
 
 
-def inverse_jets(j1: WirtingerJet, j2: WirtingerJet) -> tuple[WirtingerJet, WirtingerJet]:
-    """Jets of inverse_qf(f), conj(f)/norm_sq(f), from the jets of f."""
-    n = norm_sq_jet(j1, j2)
+def inverse_jets(f: Jets) -> Jets:
+    """Jets of inverse_qf(f), conj(f)/norm_sq(f), from f's jets."""
+    n = norm_sq_jet(f)
     refuse(n.val, vanishes(n.val), "norm_sq of the function vanishes")
-    return jet_div(jet_conj(j1), n), jet_div(jet_neg(j2), n)
+    return jet_div(jet_conj(f[0]), n), jet_div(jet_neg(f[1]), n)
 
 
-def _hyperholomorphy_from_jets(
-    j1: WirtingerJet, j2: WirtingerJet
-) -> tuple[float, float]:
+def hyperholomorphy_from_jets(f: Jets) -> tuple[float, float]:
+    """hyperholomorphy_residual from f's jets."""
+    j1, j2 = f
     e1 = j1.d_z1bar - j2.d_z2bar.conjugate()
     e2 = j1.d_z2bar + j2.d_z1bar.conjugate()
     return (abs(e1), abs(e2))
@@ -138,12 +145,12 @@ def _hyperholomorphy_from_jets(
 
 def hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, float]:
     """Residual magnitudes of the two component equations of 2*D(f)=0."""
-    return _hyperholomorphy_from_jets(*_jet_pair(f, p))
+    return hyperholomorphy_from_jets(_jet_pair(f, p))
 
 
-def _inverse_system_from_jets(
-    j1: WirtingerJet, j2: WirtingerJet
-) -> tuple[float, float]:
+def inverse_system_from_jets(f: Jets) -> tuple[float, float]:
+    """inverse_hyperholomorphy_residual from f's jets."""
+    j1, j2 = f
     v1, v2 = j1.val, j2.val
     w = v1.conjugate() - v1
     e1 = (
@@ -165,7 +172,7 @@ def inverse_hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, fl
     For hyperholomorphic f, this vanishes exactly when the right inverse
     of f is hyperholomorphic off the zero set of f.
     """
-    return _inverse_system_from_jets(*_jet_pair(f, p))
+    return inverse_system_from_jets(_jet_pair(f, p))
 
 
 def _require_real(values: list[complex], what: str) -> None:
@@ -181,27 +188,32 @@ def _require_real(values: list[complex], what: str) -> None:
         )
 
 
-def real_linear_residual(f: QFunction, p: Point4) -> tuple[float, float]:
-    """Residuals of the linear first-order system for real-component f."""
-    j1, j2 = _jet_pair(f, p)
-    _require_real([j1.val, j2.val], "real_linear_residual")
-    return _real_linear_from_jets(j1, j2)
-
-
-def _real_linear_from_jets(j1: WirtingerJet, j2: WirtingerJet) -> tuple[float, float]:
+def _real_linear(j1: WirtingerJet, j2: WirtingerJet) -> tuple[float, float]:
     e1 = j2.d_z1 + j1.d_z2bar
     e2 = j1.d_z1 - j2.d_z2bar
     return (abs(e1), abs(e2))
 
 
-def sum_pde_from_jets(j1: WirtingerJet, j2: WirtingerJet, mask_threshold: float) -> float:
+def real_linear_from_jets(f: Jets) -> tuple[float, float]:
+    """real_linear_residual from f's jets, with its precondition."""
+    _require_real([f[0].val, f[1].val], "real_linear_residual")
+    return _real_linear(*f)
+
+
+def real_linear_residual(f: QFunction, p: Point4) -> tuple[float, float]:
+    """Residuals of the linear first-order system for real-component f."""
+    return real_linear_from_jets(_jet_pair(f, p))
+
+
+def sum_pde_from_jets(h: Jets, mask_threshold: float) -> float:
     """sum_pde_residual from h's jets; conj_qf(h) has the jets conj(j1), -j2."""
-    nj = norm_sq_jet(j1, j2)
+    j1, j2 = h
+    nj = norm_sq_jet(h)
     n = nj.val.real
     refuse(nj.val, n < mask_threshold, "norm_sq below mask threshold")
     hbar = Quaternion(j1.val.conjugate(), -j2.val)
     dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
-    dhbar = _cauchy_fueter_from_jets(jet_conj(j1), jet_neg(j2)).as_quaternion()
+    dhbar = cauchy_fueter_from_jets((jet_conj(j1), jet_neg(j2))).as_quaternion()
     return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
@@ -213,7 +225,7 @@ def sum_pde_residual(
     Raises SingularPointError when norm_sq(h) at p is below mask_threshold,
     since the PDE divides by the norm there.
     """
-    return sum_pde_from_jets(*_jet_pair(h, p), mask_threshold)
+    return sum_pde_from_jets(_jet_pair(h, p), mask_threshold)
 
 
 def product_system_residual(f: QFunction, g: QFunction, p: Point4) -> tuple[float, float]:
@@ -222,12 +234,12 @@ def product_system_residual(f: QFunction, g: QFunction, p: Point4) -> tuple[floa
     The system is order-sensitive: it constrains the left factor's
     derivatives through the right factor's first component value.
     """
-    return _product_system_from_jets(*_jet_pair(f, p), *_jet_pair(g, p))
+    return product_system_from_jets(_jet_pair(f, p), _jet_pair(g, p))
 
 
-def _product_system_from_jets(
-    jf1: WirtingerJet, jf2: WirtingerJet, jg1: WirtingerJet, jg2: WirtingerJet
-) -> tuple[float, float]:
+def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
+    """product_system_residual from the jets of f and g."""
+    (jf1, jf2), (jg1, jg2) = f, g
     u, v = jf1.val, jf2.val
     w = u - u.conjugate()
     g1 = jg1.val
@@ -252,15 +264,13 @@ def real_combined_residual(
     """The five-equation system for real-component pairs closed under
     both sum and product: each factor's linear system plus one bilinear
     coupling equation."""
-    jf1, jf2 = _jet_pair(f, p)
-    jg1, jg2 = _jet_pair(g, p)
+    return real_combined_from_jets(_jet_pair(f, p), _jet_pair(g, p))
+
+
+def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, float, float]:
+    """real_combined_residual from the jets of f and g, with its precondition."""
+    (jf1, jf2), (jg1, jg2) = f, g
     _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_residual")
-    return _real_combined_from_jets(jf1, jf2, jg1, jg2)
-
-
-def _real_combined_from_jets(
-    jf1: WirtingerJet, jf2: WirtingerJet, jg1: WirtingerJet, jg2: WirtingerJet
-) -> tuple[float, float, float, float, float]:
     return (
         abs(jf2.d_z1 + jf1.d_z2),
         abs(jf1.d_z1 - jf2.d_z2),
@@ -277,22 +287,12 @@ def product_rule_check(f: QFunction, g: QFunction, p: Point4) -> ProductRuleChec
     of g; it reduces to f*D(g) when f is real-valued and g satisfies the
     real-component linear system.
     """
-    return _product_rule_from_jets(
-        *_jet_pair(f, p),
-        *_jet_pair(g, p),
-        *_jet_pair(product_qf(f, g), p),
-    )
+    return product_rule_from_jets(_jet_pair(f, p), _jet_pair(g, p), _jet_pair(product_qf(f, g), p))
 
 
-def _product_rule_from_jets(
-    jf1: WirtingerJet,
-    jf2: WirtingerJet,
-    jg1: WirtingerJet,
-    jg2: WirtingerJet,
-    jp1: WirtingerJet,
-    jp2: WirtingerJet,
-) -> ProductRuleCheck:
+def product_rule_from_jets(f: Jets, g: Jets, fg: Jets) -> ProductRuleCheck:
     """product_rule_check from the jets of f, g and product_qf(f, g)."""
+    (jf1, jf2), (jg1, jg2) = f, g
     u, v = jf1.val, jf2.val
     gq = Quaternion(jg1.val, jg2.val)
 
@@ -306,12 +306,12 @@ def _product_rule_from_jets(
     y2 = u * jg2.d_z2bar + v * jg1.d_z2.conjugate()
     second = Quaternion(0.5 * (x1 - y2.conjugate()), 0.5 * (y1 + x2.conjugate()))
 
-    lhs = _cauchy_fueter_from_jets(jp1, jp2).as_quaternion()
+    lhs = cauchy_fueter_from_jets(fg).as_quaternion()
     return ProductRuleCheck(lhs, first, second)
 
 
 Systems = Callable[
-    [WirtingerJet, WirtingerJet, PointEvents],
+    [Jets, PointEvents],
     tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...], np.ndarray | bool],
 ]
 
@@ -329,10 +329,6 @@ class Sample(NamedTuple):
     masked: list[MaskedPoint]
 
 
-def _per_point(values: tuple[np.ndarray, ...], n: int) -> list[tuple[float, ...]]:
-    return list(zip(*(np.broadcast_to(v, (n,)).tolist() for v in values)))
-
-
 def _columns(values: tuple[np.ndarray, ...], n: int) -> np.ndarray:
     return np.column_stack([np.broadcast_to(v, (n,)) for v in values])
 
@@ -341,7 +337,7 @@ def sample(f: QFunction, d: Domain, grid_n: int, systems: Systems) -> Sample:
     """Evaluate f's two component jets at all grid points at once and
     derive every residual system from them.
 
-    systems(j1, j2, events) returns (reported, extra, holds): reported has
+    systems(jets, events) returns (reported, extra, holds): reported has
     one tuple of residual arrays per reported system; extra is a tuple of
     further arrays for the caller's own use, defined where holds is true
     (classify's normalized maxima, everywhere; residuals' real_linear
@@ -381,7 +377,7 @@ def _sample_block(f: QFunction, z: Columns, threshold: float, systems: Systems) 
         for slot in (*vars(j1).values(), *vars(j2).values()):
             finite = finite & slot.isfinite()
         events.flag(~finite, OVERFLOW)
-        reported, extra, holds = systems(j1, j2, events)
+        reported, extra, holds = systems((j1, j2), events)
         for v in (v for values in reported for v in values):
             events.flag(~np.isfinite(v), OVERFLOW)
         for v in extra:
@@ -395,15 +391,15 @@ def _reports(names: tuple[str, ...], s: Sample) -> list[ResidualReport]:
     return [ResidualReport(n, s.points, r, s.masked) for n, r in zip(names, s.reported)]
 
 
-def _classify_systems(j1: WirtingerJet, j2: WirtingerJet, events: PointEvents):
+def _classify_systems(f: Jets, events: PointEvents):
     """f's system, its inverse's system and |f2|, and as the extra value
     the two systems' largest residuals normalized by 1 + the largest jet
     magnitude."""
-    k1, k2 = inverse_jets(j1, j2)
-    e = _hyperholomorphy_from_jets(j1, j2)
-    e_inv = _hyperholomorphy_from_jets(k1, k2)
-    scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
-    reported = (e, e_inv, (abs(j2.val),))
+    k = inverse_jets(f)
+    e = hyperholomorphy_from_jets(f)
+    e_inv = hyperholomorphy_from_jets(k)
+    scale, scale_inv = 1.0 + _jet_scale(*f), 1.0 + _jet_scale(*k)
+    reported = (e, e_inv, (abs(f[1].val),))
     return reported, (maximum(*e) / scale, maximum(*e_inv) / scale_inv), True
 
 
@@ -440,19 +436,17 @@ def classify(
     return ClassificationLabel(label, tol), reports
 
 
-def _residual_systems(
-    j1: WirtingerJet, j2: WirtingerJet, events: PointEvents, mask_threshold: float
-):
+def _residual_systems(f: Jets, events: PointEvents, mask_threshold: float):
     """The hyperholomorphy, inverse and sum systems, and as the extra value
     the real-component linear system, which holds where f is real-valued."""
     reported = (
-        _hyperholomorphy_from_jets(j1, j2),
-        _inverse_system_from_jets(j1, j2),
-        (sum_pde_from_jets(j1, j2, mask_threshold),),
+        hyperholomorphy_from_jets(f),
+        inverse_system_from_jets(f),
+        (sum_pde_from_jets(f, mask_threshold),),
     )
-    real = maximum(abs(j1.val.imag), abs(j2.val.imag)) <= REAL_TOL
+    real = maximum(abs(f[0].val.imag), abs(f[1].val.imag)) <= REAL_TOL
     with events.only(real):
-        linear = _real_linear_from_jets(j1, j2)
+        linear = _real_linear(*f)
     return reported, linear, real
 
 

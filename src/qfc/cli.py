@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands: classify, residuals, verify-paper, zero-set, order.
-Exit codes: 0 success, 1 verification failure, 2 bad input (a parse
-error, a bad option such as a non-finite --tol or a box wider than a
-float, an expression nested too deeply, or an --out path that cannot be
-written), 3 inconclusive (too many
+Exit codes: 0 success, 1 verification failure, 2 bad input (a parse error,
+a file that is not UTF-8, a bad option such as a non-finite --tol, a box
+wider than a float or a grid too large to index, an expression nested too
+deeply, or an --out path that cannot be written), 3 inconclusive (too many
 masked points, or every grid point of a zero or pole scan skipped).
 """
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .verify import run_verify
 from .zeros import estimate_order, pole_set_scan, zero_set_scan
 
 _FORMATS = ("text", "json", "csv")
+_MAX_GRID = math.isqrt(math.isqrt(sys.maxsize))  # the largest grid whose grid**4 points index
 
 _DEFAULTS: dict[str, object] = {
     "input": None,
@@ -116,7 +117,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file is not valid JSON: {exc}") from exc
@@ -173,6 +174,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     fmt, kind, out = cfg["format"], cfg["kind"], cfg["out"]
     if grid_n < 2:
         raise ParseError("grid must be at least 2")
+    if grid_n > _MAX_GRID:
+        raise ParseError(f"grid must be at most {_MAX_GRID}, so that its grid^4 points can be indexed")
     if seed < 0:
         raise ParseError("seed must be non-negative")
     if not (0.0 < tol < math.inf and 0.0 < mask < math.inf):
@@ -203,7 +206,7 @@ def _load_functions(cfg: RunConfig) -> list[tuple[str, QFunction]]:
         raise ParseError(f"--input is required for {cfg.command}")
     try:
         text = Path(cfg.input_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input file: {exc}") from exc
     return [(name, lower(expr)) for name, expr in parse_definitions(text).items()]
 

@@ -71,7 +71,8 @@ def grid_axes(domain: Domain, grid_n: int) -> list[list[float]]:
 
 
 def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
-    """The grid_n**4 lattice of the box, x1 varying slowest, y2 fastest."""
+    """The grid_n**4 lattice of the box as points, in grid_blocks' order: the
+    per-point reference for grid_blocks, which no command calls."""
     x1, y1, x2, y2 = grid_axes(domain, grid_n)
     # grid_n**2 distinct values per variable, shared by the points that use them
     z1s = [complex(x, y) for x, y in product(x1, y1)]

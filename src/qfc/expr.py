@@ -13,10 +13,11 @@ and p/q means p * rinv(q).  Nodes are immutable and interned
 ML Workshop 2006), so equal structures are one object, trees share their
 common subtrees, and == is identity.  The operator overloads build new
 nodes with constant folding (real-constant arithmetic plus the 0/1
-identities) and nothing more.  No fold hides a division: a quotient of
-real constants folds only for a nonzero divisor, and 0 * e folds to 0
-only when e has no Div node, so 0/0 or 0 * (1/z1) stays undefined where
-its divisor vanishes.
+identities) and nothing more.  No fold hides a division or makes a
+constant that is not finite: real constants fold only where the result
+is finite, so never for a zero divisor, and 0 * e folds to 0 only when e
+has no Div node.  So 0/0 or 0 * (1/z1) stays undefined where its divisor
+vanishes, and 1e200 * 1e200 overflows where it is evaluated.
 
 A tree containing no UnitJ node denotes a complex-valued function of
 z1, conj(z1), z2, conj(z2); lowering produces pairs of such trees.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import re
 import weakref
 from typing import NamedTuple
@@ -183,7 +185,7 @@ class Conj(QExpr):
     __slots__ = __match_args__ = ("operand",)
 
 
-def _is_zero(e: QExpr) -> bool:
+def is_zero(e: QExpr) -> bool:
     return isinstance(e, RealConst) and e.value == 0.0
 
 
@@ -212,30 +214,43 @@ def const(v: complex | float) -> QExpr:
     return Add(RealConst(v.real), imag)
 
 
+def _folded(op, a: QExpr, b) -> QExpr | None:
+    """The real constant op(a, b) for real constants a and b (or exponent
+    b), or None where it is undefined or not finite: then no fold is made."""
+    if isinstance(b, RealConst):
+        b = b.value
+    if not isinstance(a, RealConst) or isinstance(b, QExpr):
+        return None
+    try:
+        return RealConst(op(a.value, b))
+    except (ArithmeticError, ValueError):  # RealConst refuses a value that is not finite
+        return None
+
+
 def _add(a: QExpr, b: QExpr) -> QExpr:
-    if isinstance(a, RealConst) and isinstance(b, RealConst):
-        return RealConst(a.value + b.value)
-    if _is_zero(a):
+    if (folded := _folded(operator.add, a, b)) is not None:
+        return folded
+    if is_zero(a):
         return b
-    if _is_zero(b):
+    if is_zero(b):
         return a
     return Add(a, b)
 
 
 def _sub(a: QExpr, b: QExpr) -> QExpr:
-    if isinstance(a, RealConst) and isinstance(b, RealConst):
-        return RealConst(a.value - b.value)
-    if _is_zero(b):
+    if (folded := _folded(operator.sub, a, b)) is not None:
+        return folded
+    if is_zero(b):
         return a
-    if _is_zero(a):
+    if is_zero(a):
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a: QExpr, b: QExpr) -> QExpr:
-    if isinstance(a, RealConst) and isinstance(b, RealConst):
-        return RealConst(a.value * b.value)
-    if (_is_zero(a) and not b.has_div) or (_is_zero(b) and not a.has_div):
+    if (folded := _folded(operator.mul, a, b)) is not None:
+        return folded
+    if (is_zero(a) and not b.has_div) or (is_zero(b) and not a.has_div):
         return RealConst(0.0)
     if _is_one(a):
         return b
@@ -247,8 +262,8 @@ def _mul(a: QExpr, b: QExpr) -> QExpr:
 def _div(a: QExpr, b: QExpr) -> QExpr:
     if _is_one(b):
         return a
-    if isinstance(a, RealConst) and isinstance(b, RealConst) and b.value != 0.0:
-        return RealConst(a.value / b.value)
+    if (folded := _folded(operator.truediv, a, b)) is not None:
+        return folded
     return Div(a, b)
 
 
@@ -263,8 +278,8 @@ def _pow(a: QExpr, n: int) -> QExpr:
         raise ValueError("exponent must be a positive integer")
     if n == 1:
         return a
-    if isinstance(a, RealConst):
-        return RealConst(a.value**n)
+    if (folded := _folded(operator.pow, a, n)) is not None:
+        return folded
     return Pow(a, n)
 
 
@@ -387,7 +402,10 @@ class _Parser:
     def parse_atom(self) -> QExpr:
         tok = self.advance()
         if tok.kind == "number":
-            return RealConst(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text} is not a finite float", tok.pos)
+            return RealConst(value)
         if tok.kind == "name":
             if tok.text in _VAR_NAMES:
                 return Var(tok.text)

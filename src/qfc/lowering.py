@@ -24,8 +24,8 @@ from .expr import (
     UnitI,
     UnitJ,
     Var,
-    _is_zero,
     const,
+    is_zero,
 )
 from .quaternion import Quaternion
 
@@ -68,7 +68,7 @@ def lower(e: QExpr) -> QFunction:
             return product_qf(lower(l), inverse_qf(lower(r)))
         case Pow(b, n):
             base = lower(b)
-            if _is_zero(base.f2):
+            if is_zero(base.f2):
                 return QFunction(base.f1**n, _ZERO)
             out = base
             for _ in range(n - 1):

@@ -6,34 +6,33 @@ residuals, and reports the worst residual among the checks expected to
 be small.  Everything is driven by one seeded generator, so a repeated
 run with the same seed produces identical numbers.
 
-Each check evaluates the jets of its functions over its whole point set
-with grid_jets and derives every residual from them with the from-jets
-formulas in analysis.  CArray replays CPython's complex arithmetic, so
+Each check evaluates its functions' jets with grid_jets, streaming its
+grids from grid_blocks, and derives every residual with analysis's
+jets-level formulas.  CArray replays CPython's complex arithmetic, so
 each value, and each item, equals that of evaluating one point at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .analysis import (
     DEFAULT_TOL,
-    _cauchy_fueter_from_jets,
-    _hyperholomorphy_from_jets,
-    _inverse_system_from_jets,
-    _per_point,
-    _product_rule_from_jets,
-    _product_system_from_jets,
-    _real_combined_from_jets,
-    _real_linear_from_jets,
-    _require_real,
+    Jets,
+    cauchy_fueter_from_jets,
+    hyperholomorphy_from_jets,
     inverse_jets,
+    inverse_system_from_jets,
     norm_sq_jet,
+    product_rule_from_jets,
+    product_system_from_jets,
+    real_combined_from_jets,
+    real_linear_from_jets,
     sum_pde_from_jets,
 )
-from .domain import BLOCK_POINTS, DEFAULT_MASK_THRESHOLD, Domain, grid_points
+from .domain import DEFAULT_MASK_THRESHOLD, Domain, grid_blocks
 from .errors import MASK_REASONS, OVERFLOW, SingularPointError
 from .expr import ConjVar, RealConst, Var, const, parse
 from .generators import (
@@ -47,13 +46,12 @@ from .generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from .jets import Point4, WirtingerJet, columns_of, grid_jets
+from .jets import Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, const_qf, lower, product_qf, sum_qf
 from .quaternion import Quaternion, modulus, quat_mul
 
 _FAIL_FLOOR = 1e-3
 
-Jets = tuple[WirtingerJet, WirtingerJet]
 # A stage maps the jets of a check's functions to a tuple of values, one
 # array each, and says whether a point where it meets a singular value is
 # skipped (True) or raises (False).
@@ -68,109 +66,92 @@ class VerifyItem:
     detail: str
 
 
-def _stages(fs: list[QFunction], points: list[Point4], *stages: Stage) -> Iterator[list[tuple]]:
-    """For each point in order, the values of the stages, each a tuple of
-    floats, up to the first stage that meets an event there.
+def _stages(fs: list[QFunction], blocks: Iterable[Columns], *stages: Stage) -> Iterator[list[tuple]]:
+    """For each point of the blocks of coordinate columns, in order, the
+    values of the stages, each a tuple of floats, up to the first stage that
+    meets an event there.
 
-    The stages run as one try block of the per-point path: a point drops
-    out at the first stage whose evaluation is singular there if that
-    stage skips it, and raises SingularPointError otherwise; overflow
-    always raises OverflowError.  The functions' tree events count from
-    the first stage, so fs lists functions whose trees meet no event
-    their first stage's functions do not, such as f, g and their sum and
-    product.  Points are evaluated BLOCK_POINTS at a time.
+    The stages run as one try block of the per-point path: a point drops out
+    at the first stage whose evaluation is singular there if that stage
+    skips it, and raises SingularPointError otherwise; overflow always
+    raises OverflowError.  The functions' tree events count from the first
+    stage, so fs lists functions whose trees meet no event their first
+    stage's functions do not, such as f, g and their sum and product.
     """
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = points[start : start + BLOCK_POINTS]
-        z = columns_of([p.z1 for p in block], [p.z2 for p in block])
+    for z in blocks:
+        n = len(z[0])
         with np.errstate(all="ignore"):
             # one call, so subtrees the functions share are evaluated once
             jets, events = grid_jets(tuple(e for f in fs for e in (f.f1, f.f2)), z)
             pairs = list(zip(jets[::2], jets[1::2]))
             columns = []
             for values_of, skips in stages:
-                values = _per_point(values_of(*pairs), len(block))
-                columns.append((values, events.code.tolist(), skips))
-        for i, p in enumerate(block):
+                values = [np.broadcast_to(v, (n,)).tolist() for v in values_of(*pairs)]
+                columns.append((list(zip(*values)), events.code.tolist(), skips))
+        for i in range(n):
             out = []
             for values, code, skips in columns:
-                if code[i] == OVERFLOW:
-                    raise OverflowError(f"overflow near {p}")
-                if code[i] and not skips:
-                    raise SingularPointError(f"{MASK_REASONS[code[i]]} near {p}")
+                if code[i] == OVERFLOW or (code[i] and not skips):
+                    error = OverflowError if code[i] == OVERFLOW else SingularPointError
+                    raise error(f"{MASK_REASONS[code[i]]} near {Point4.from_reals(*(c[i] for c in z))}")
                 if code[i]:
                     break
                 out.append(values[i])
             yield out
 
 
-def _fold(worst: float, fs: list[QFunction], points: list[Point4], *stages: Stage) -> float:
+def _fold(worst: float, fs: list[QFunction], blocks: Iterable[Columns], *stages: Stage) -> float:
     """worst, raised with Python's max to the largest value of each stage
     at each point, point by point in order."""
-    for values in _stages(fs, points, *stages):
+    for values in _stages(fs, blocks, *stages):
         for v in values:
             worst = max(worst, max(v))
     return worst
 
 
+def _grid(n: int) -> Iterator[Columns]:
+    """The n**4 lattice of the default box, a block at a time."""
+    return (z for _, z in grid_blocks(Domain(), n))
+
+
+def _points(points: list[Point4]) -> list[Columns]:
+    """The points as one block of coordinate columns."""
+    return [columns_of([p.z1 for p in points], [p.z2 for p in points])]
+
+
 def _at(fs: list[QFunction], p: Point4, values_of: Callable[..., tuple]) -> tuple:
     """values_of at the one point p, as a tuple of floats."""
-    [[values]] = _stages(fs, [p], (values_of, False))
+    [[values]] = _stages(fs, _points([p]), (values_of, False))
     return values
-
-
-def _eq1(f: Jets) -> tuple:
-    return _hyperholomorphy_from_jets(*f)
-
-
-def _inverse_eq(f: Jets) -> tuple:
-    return _inverse_system_from_jets(*f)
 
 
 def _inverse_derivative(f: Jets) -> tuple:
     """|D| of the right inverse of f."""
-    return (_cauchy_fueter_from_jets(*inverse_jets(*f)).magnitude(),)
+    return (cauchy_fueter_from_jets(inverse_jets(f)).magnitude(),)
 
 
 def _sum_pde(h: Jets) -> tuple:
-    return (sum_pde_from_jets(*h, DEFAULT_MASK_THRESHOLD),)
-
-
-def _real_linear(f: Jets) -> tuple:
-    _require_real([f[0].val, f[1].val], "real_linear_residual")
-    return _real_linear_from_jets(*f)
-
-
-def _product_system(f: Jets, g: Jets, *_: Jets) -> tuple:
-    return _product_system_from_jets(*f, *g)
-
-
-def _real_combined(f: Jets, g: Jets) -> tuple:
-    _require_real([f[0].val, f[1].val, g[0].val, g[1].val], "real_combined_residual")
-    return _real_combined_from_jets(*f, *g)
+    return (sum_pde_from_jets(h, DEFAULT_MASK_THRESHOLD),)
 
 
 def _product_gap(f: Jets, g: Jets, fg: Jets) -> tuple:
-    return (_product_rule_from_jets(*f, *g, *fg).gap,)
+    return (product_rule_from_jets(f, g, fg).gap,)
 
 
 def _correction_gap(f: Jets, g: Jets, fg: Jets) -> tuple:
     """How far the correction term is from f*D(g)."""
-    expect = quat_mul(Quaternion(f[0].val, f[1].val), _cauchy_fueter_from_jets(*g).as_quaternion())
-    return (modulus(_product_rule_from_jets(*f, *g, *fg).second_term - expect),)
+    expect = quat_mul(Quaternion(f[0].val, f[1].val), cauchy_fueter_from_jets(g).as_quaternion())
+    return (modulus(product_rule_from_jets(f, g, fg).second_term - expect),)
 
 
 def _sum_pde_identity(h: Jets) -> tuple:
     """The sum PDE residual, norm_sq and the inverse's |D| of h."""
-    return (*_sum_pde(h), norm_sq_jet(*h).val.real, *_inverse_derivative(h))
+    return (*_sum_pde(h), norm_sq_jet(h).val.real, *_inverse_derivative(h))
 
 
 def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list[VerifyItem]:
     """Run all verification items and return them in a fixed order."""
     rng = np.random.default_rng(seed)
-    d = Domain()
-    pts = grid_points(d, grid_n)
-    coarse = grid_points(d, 3)
     samples = [random_point(rng) for _ in range(12)]
     items: list[VerifyItem] = []
 
@@ -185,22 +166,22 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     # and a non-member control
     worst = 0.0
     for f in (e00, e12, holo, counter):
-        worst = _fold(worst, [f], pts, (_eq1, True))
+        worst = _fold(worst, [f], _grid(grid_n), (hyperholomorphy_from_jets, True))
     curated = [f for _, f in curated_hyperholomorphic()]
     for _ in range(6):
         f = curated[int(rng.integers(0, len(curated)))]
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
-        worst = _fold(worst, [h], samples, (_eq1, False))
+        worst = _fold(worst, [h], _points(samples), (hyperholomorphy_from_jets, False))
     passed = worst <= tol
-    control = max(_at([QFunction(ConjVar("z2"), zero)], samples[0], _eq1))
+    control = max(_at([QFunction(ConjVar("z2"), zero)], samples[0], hyperholomorphy_from_jets))
     passed = passed and control >= _FAIL_FLOOR
     items.append(
         VerifyItem(
             "hyperholomorphy",
             passed,
             worst,
-            f"members and right-combinations over {len(pts)} grid points; "
+            f"members and right-combinations over {grid_n**4} grid points; "
             f"control residual {control:.3e}",
         )
     )
@@ -211,13 +192,13 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     for _ in range(20):
         f = random_polynomial_qf(rng)
         g = random_polynomial_qf(rng)
-        points = [random_point(rng) for _ in range(3)]
+        points = _points([random_point(rng) for _ in range(3)])
         worst = _fold(worst, [f, g, product_qf(f, g)], points, (_product_gap, False))
     cor_worst = 0.0
     for _ in range(5):
         f = random_real_hyperholomorphic(rng)
         g = random_real_hyperholomorphic(rng)
-        points = [random_point(rng) for _ in range(2)]
+        points = _points([random_point(rng) for _ in range(2)])
         cor_worst = _fold(cor_worst, [f, g, product_qf(f, g)], points, (_correction_gap, False))
     worst = max(worst, cor_worst)
     items.append(
@@ -236,9 +217,11 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     for _ in range(5):
         passing.append(random_rational_meromorphic(rng))
     for f in passing:
-        worst = _fold(worst, [f], samples, (_inverse_eq, True), (_inverse_derivative, True))
+        worst = _fold(
+            worst, [f], _points(samples), (inverse_system_from_jets, True), (_inverse_derivative, True)
+        )
     p_off = Point4(1 + 1j, 1 + 0j)
-    res_fail = max(_at([counter], p_off, _inverse_eq))
+    res_fail = max(_at([counter], p_off, inverse_system_from_jets))
     (dinv_fail,) = _at([counter], p_off, _inverse_derivative)
     passed = worst <= tol and res_fail >= _FAIL_FLOOR and dinv_fail >= _FAIL_FLOOR
     items.append(
@@ -257,12 +240,12 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     for _ in range(3):
         real_members.append(random_real_hyperholomorphic(rng))
     for f in real_members:
-        worst = _fold(worst, [f], coarse, (_real_linear, False))
+        worst = _fold(worst, [f], _grid(3), (real_linear_from_jets, False))
     x1_tree = const(0.5) * (Var("z1") + ConjVar("z1"))
-    res = _at([QFunction(x1_tree, zero)], samples[1], _real_linear)
+    res = _at([QFunction(x1_tree, zero)], samples[1], real_linear_from_jets)
     value_ok = abs(res[1] - 0.5) <= 1e-12 and res[1] >= _FAIL_FLOOR
     try:
-        _at([QFunction(Var("z1"), zero)], Point4(0.3 + 0.4j, 0j), _real_linear)
+        _at([QFunction(Var("z1"), zero)], Point4(0.3 + 0.4j, 0j), real_linear_from_jets)
         precondition_ok = False
     except ValueError:
         precondition_ok = True
@@ -285,10 +268,10 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
         sum_qf(e00, m_const),
     ]
     for h in sum_members:
-        worst = _fold(worst, [h], coarse, (_sum_pde, True))
+        worst = _fold(worst, [h], _grid(3), (_sum_pde, True))
     for _ in range(3):
         h = sum_qf(random_rational_meromorphic(rng), random_rational_meromorphic(rng))
-        worst = _fold(worst, [h], samples[:6], (_sum_pde, False))
+        worst = _fold(worst, [h], _points(samples[:6]), (_sum_pde, False))
     ident_worst = 0.0
     for p in (p_off, Point4(0.5 - 0.7j, -0.3 + 0.4j)):
         a, n, dinv = _at([counter], p, _sum_pde_identity)
@@ -311,17 +294,17 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     worst = _fold(
         0.0,
         [m_const, e00, product_qf(m_const, e00)],
-        coarse,
-        (_product_system, False),
-        (lambda m, e, me: _eq1(me), True),
+        _grid(3),
+        (lambda m, e, me: product_system_from_jets(m, e), False),
+        (lambda m, e, me: hyperholomorphy_from_jets(me), True),
     )
     for _ in range(3):
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
-        worst = _fold(worst, [f, g], samples[:6], (_product_system, False))
+        worst = _fold(worst, [f, g], _points(samples[:6]), (product_system_from_jets, False))
     g_anti = QFunction(ConjVar("z2"), zero)
     p0 = Point4(0.4 + 0.2j, 0.7 - 0.3j)
-    res = _at([e00, g_anti], p0, _product_system)
+    res = _at([e00, g_anti], p0, product_system_from_jets)
     expected = 2.0 * abs(p0.z2)
     value_ok = (
         min(res) >= _FAIL_FLOOR
@@ -342,13 +325,13 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
     worst = _fold(
         0.0,
         [e00, e12, m_const],
-        coarse,
-        (lambda e, f, m: _real_combined(e, f), False),
-        (lambda e, f, m: _real_combined(e, m), False),
+        _grid(3),
+        (lambda e, f, m: real_combined_from_jets(e, f), False),
+        (lambda e, f, m: real_combined_from_jets(e, m), False),
     )
     g_sq = QFunction(x1_tree**2, zero)
     p1 = Point4(0.7 + 0.4j, -0.2 + 0.1j)
-    five = _at([e00, g_sq], p1, _real_combined)
+    five = _at([e00, g_sq], p1, real_combined_from_jets)
     bilinear = five[4]
     value_ok = bilinear >= _FAIL_FLOOR and abs(bilinear - 0.7) <= 1e-12
     items.append(
@@ -369,20 +352,20 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
         worst = _fold(
             worst,
             [f, g, sum_qf(f, g), product_qf(f, g)],
-            samples[:4],
-            (lambda f, g, fpg, fg: _eq1(f), False),
-            (lambda f, g, fpg, fg: _inverse_eq(f), False),
+            _points(samples[:4]),
+            (lambda f, g, fpg, fg: hyperholomorphy_from_jets(f), False),
+            (lambda f, g, fpg, fg: inverse_system_from_jets(f), False),
             (lambda f, g, fpg, fg: _sum_pde(fpg), False),
-            (_product_system, False),
-            (lambda f, g, fpg, fg: _eq1(fg), False),
+            (lambda f, g, fpg, fg: product_system_from_jets(f, g), False),
+            (lambda f, g, fpg, fg: hyperholomorphy_from_jets(fg), False),
         )
     worst = _fold(
         worst,
         [sum_qf(m_const, e00), m_const, e00],
-        coarse,
-        (lambda h, m, e: _eq1(h), True),
+        _grid(3),
+        (lambda h, m, e: hyperholomorphy_from_jets(h), True),
         (lambda h, m, e: _sum_pde(h), True),
-        (lambda h, m, e: _product_system(m, e), True),
+        (lambda h, m, e: product_system_from_jets(m, e), True),
     )
     items.append(
         VerifyItem(

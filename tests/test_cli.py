@@ -175,6 +175,38 @@ def test_error_exit_codes(capsys, tmp_path: Path, funcs_file: str) -> None:
     assert code == 2 and err == "error: line 1: unexpected token '*' (at position 4)\n"
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("f = 1e999 * z1", 2, "error: line 1: number 1e999 is not a finite float (at position 0)\n"),
+        ("f = -1e999", 2, "error: line 1: number 1e999 is not a finite float (at position 1)\n"),
+        ("f = 1e200 * 1e200 * z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
+        ("f = 1e308 + 1e308 + z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
+        ("f = 10 ^ 400 * z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
+    ],
+)
+def test_constants_that_are_not_finite_are_refused_or_masked(
+    capsys, tmp_path: Path, text: str, code: int, message: str
+) -> None:
+    """A literal that reads as inf used to end in the parser's ValueError,
+    and a constant fold that overflows in lower's ValueError or
+    OverflowError, each a traceback with exit 1."""
+    path = tmp_path / "f.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert _run(capsys, ["classify", "--input", str(path), "--grid", "2"]) == (code, "", message)
+
+
+def test_files_that_are_not_utf8_are_refused(capsys, tmp_path: Path, funcs_file: str) -> None:
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"f = z1\xff\n")
+    code, _, err = _run(capsys, ["classify", "--input", str(bad)])
+    assert code == 2 and err.startswith("error: cannot read input file: 'utf-8' codec can't decode byte 0xff")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"grid": 2}\xff')
+    code, _, err = _run(capsys, ["classify", "--input", funcs_file, "--config", str(cfg)])
+    assert code == 2 and err.startswith("error: cannot read config file: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_inconclusive_exit_codes(capsys, funcs_file: str) -> None:
     code, _, err = _run(capsys, ["classify", "--input", funcs_file, TINY_BOX, "--grid", "2"])
     assert code == 3 and err.startswith("inconclusive:")
@@ -371,6 +403,8 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
         (["residuals"], '{"input": ["funcs.txt"]}'),
         (["classify"], '{"format": ["json"]}'),
         (["order"], '{"kind": 0}'),
+        (["classify", "--grid", "55109"], None),
+        (["verify-paper", "--grid", "100000000000000000000"], None),
     ],
 )
 def test_non_finite_options_are_refused(tmp_path: Path, funcs_file: str, argv: list[str], config: str | None) -> None:

@@ -166,6 +166,28 @@ def test_no_fold_hides_a_division() -> None:
     assert zero * (z1 * z1 + one) == RealConst(0.0)
 
 
+def test_no_fold_makes_a_constant_that_is_not_finite() -> None:
+    """A fold whose result overflows is not made; the node is built as
+    written, as 0/0 is, and its points overflow where it is evaluated."""
+    big, huge, tiny = const(1e200), const(1e308), const(1e-300)
+    assert big * big == Mul(big, big)
+    assert huge + huge == Add(huge, huge)
+    assert -huge - huge == Sub(RealConst(-1e308), huge)
+    assert huge / tiny == Div(huge, tiny)
+    assert const(10.0) ** 400 == Pow(RealConst(10.0), 400)
+    assert big * const(1e100) == RealConst(1e300)
+    z1 = Var("z1")
+    assert (big * big) * z1 == Mul(Mul(big, big), z1)
+
+
+def test_a_literal_that_reads_as_inf_is_refused_at_its_position() -> None:
+    with pytest.raises(ParseError, match=r"number 1e999 is not a finite float \(at position 0\)"):
+        parse("1e999 * z1")
+    with pytest.raises(ParseError, match=r"number 1e999 is not a finite float \(at position 6\)"):
+        parse("z1 + -1e999")
+    assert parse("1e308") == RealConst(1e308)
+
+
 def test_conjugation_folding() -> None:
     z1 = Var("z1")
     assert z1.conj() == ConjVar("z1")

@@ -45,7 +45,7 @@ def _outcome(fn):
 
 
 def _inverse_from_jets(f, p):
-    return inverse_jets(eval_jet(f.f1, p), eval_jet(f.f2, p))
+    return inverse_jets((eval_jet(f.f1, p), eval_jet(f.f2, p)))
 
 
 def _inverse_from_tree(f, p):

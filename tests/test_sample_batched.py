@@ -27,13 +27,13 @@ import qfc.jets
 from qfc.analysis import (
     REAL_TOL,
     _classify_systems,
-    _hyperholomorphy_from_jets,
-    _inverse_system_from_jets,
     _jet_scale,
-    _real_linear_from_jets,
     _residual_systems,
     classify,
+    hyperholomorphy_from_jets,
     inverse_jets,
+    inverse_system_from_jets,
+    real_linear_from_jets,
     residual_reports,
     sample,
     sum_pde_from_jets,
@@ -97,21 +97,21 @@ def _per_point_sample(f, d, grid_n, systems):
 
 
 def _classify_scalar(j1, j2):
-    k1, k2 = inverse_jets(j1, j2)
-    e = _hyperholomorphy_from_jets(j1, j2)
-    e_inv = _hyperholomorphy_from_jets(k1, k2)
+    k1, k2 = inverse_jets((j1, j2))
+    e = hyperholomorphy_from_jets((j1, j2))
+    e_inv = hyperholomorphy_from_jets((k1, k2))
     scale, scale_inv = 1.0 + _jet_scale(j1, j2), 1.0 + _jet_scale(k1, k2)
     return e, e_inv, (abs(j2.val),), (max(e) / scale, max(e_inv) / scale_inv)
 
 
 def _residuals_scalar(j1, j2, mask_threshold):
     values = (
-        _hyperholomorphy_from_jets(j1, j2),
-        _inverse_system_from_jets(j1, j2),
-        (sum_pde_from_jets(j1, j2, mask_threshold),),
+        hyperholomorphy_from_jets((j1, j2)),
+        inverse_system_from_jets((j1, j2)),
+        (sum_pde_from_jets((j1, j2), mask_threshold),),
     )
     if max(abs(j1.val.imag), abs(j2.val.imag)) <= REAL_TOL:
-        values += (_real_linear_from_jets(j1, j2),)
+        values += (real_linear_from_jets((j1, j2)),)
     return values
 
 
@@ -173,6 +173,12 @@ def test_the_comparison_meets_every_mask_reason() -> None:
                 d = Domain.from_flat(BOXES[box], MASKS[box])
                 reasons.update(_compare(_function(kind, seed), d, 2, SINGULAR_SQ_TOLS[seed % 3]))
     assert reasons == {"singular", "norm_sq below threshold", "overflow"}
+    # the patched tolerance reaches sample: 1/w for w = z1 - 0.5 divides by
+    # |w|^2, which is 1.25 at the grid-2 points with x1 = 1, so they are
+    # singular under 4.0 and not under 1e-12
+    f = lower(parse("1/(z1 - 0.5) + z2*j"))
+    assert "singular" in _compare(f, Domain(), 2, 4.0)
+    assert "singular" not in _compare(f, Domain(), 2, 1e-12)
 
 
 def test_grid_sampling_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -1,7 +1,8 @@
 """verify-paper's items against the per-point path they replaced.
 
-run_verify evaluates each check's functions over its whole point set with
-grid_jets.  The oracle here is a verbatim copy of the per-point run_verify:
+run_verify evaluates each check's functions with grid_jets, on its grids
+block by block from grid_blocks and on its sample points as one block.
+The oracle here is a verbatim copy of the per-point run_verify:
 each residual from the per-point public functions, which evaluate trees
 with the recursive eval_jet, and the points where they raise
 SingularPointError skipped where it caught them.  The items must be equal,
@@ -11,12 +12,14 @@ every float bit for bit.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qfc.analysis
+import qfc.domain
 import qfc.jets
 import qfc.verify
 import qfc.zeros
@@ -46,7 +49,7 @@ from qfc.generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from qfc.jets import CArray, Point4, PointEvents, eval_jet, eval_qfunction
+from qfc.jets import CArray, Point4, PointEvents, columns_of, eval_jet, eval_qfunction
 from qfc.lowering import (
     QFunction,
     const_qf,
@@ -326,6 +329,30 @@ def test_items_equal_the_per_point_path_on_random_seeds(seed: int, grid_n: int, 
     assert run_verify(seed, grid_n, tol) == per_point_run_verify(seed, grid_n, tol)
 
 
+def test_blocks_of_points_give_the_same_items(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Grids split into blocks, the last one partial, verify as one."""
+    monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", 7)
+    assert run_verify(5, 4) == per_point_run_verify(5, 4)
+
+
+def _peak(grid_n: int) -> int:
+    tracemalloc.start()
+    try:
+        run_verify(0, grid_n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_grid(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The grids stream from grid_blocks, so a grid with three times the
+    points, 20,736 against 6,561, peaks at about the same memory."""
+    monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", 64)
+    run_verify(0, 3)  # warm-up: caches and interned nodes
+    small, large = _peak(9), _peak(12)
+    assert large < 1.3 * small, (small, large)
+
+
 def test_verify_paper_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch, capsys) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("eval_jet called while verifying")
@@ -345,7 +372,7 @@ def test_a_stage_counts_where_a_later_stage_is_singular() -> None:
     that is singular there, where that stage skips it, and raises where
     it does not."""
     f = QFunction(Var("z1") - 3.0, RealConst(0.0))  # its inverse is singular at z1 = 3
-    points = [Point4(3 + 0j, 0j), Point4(0j, 0j)]
+    points = [columns_of([3 + 0j, 0j], [0j, 0j])]
     shifted = (lambda f: (abs(f[0].val + 10.0),), True)  # 10 at the first point, 7 at the second
     assert _fold(0.0, [f], points, shifted, (_inverse_derivative, True)) == 10.0
     assert _fold(0.0, [f], points, (_inverse_derivative, True), shifted) == 7.0
@@ -357,7 +384,7 @@ def test_a_stage_counts_where_a_later_stage_is_singular() -> None:
     # overflow raises even where a singular point is skipped
     big = QFunction(Var("z1") ** 200, RealConst(0.0))
     with pytest.raises(OverflowError):
-        _fold(0.0, [big], [Point4(1e10 + 0j, 0j)], (lambda f: (abs(f[0].val),), True))
+        _fold(0.0, [big], [columns_of([1e10 + 0j], [0j])], (lambda f: (abs(f[0].val),), True))
 
 
 def test_array_magnitude_is_math_hypot_bit_for_bit() -> None:
