@@ -1,146 +1,35 @@
 """Symbolic-numeric toolkit for quaternion-valued functions of two
 complex variables: expression trees, Wirtinger forward-mode jets, the
 modified Cauchy-Fueter operator, PDE residual systems, a classifier,
-and zero/pole order estimation."""
+and zero/pole order estimation.
+
+The package exports the names of README's Library example; everything
+else is imported from its module."""
 from __future__ import annotations
 
-from .analysis import (
-    ClassificationLabel,
-    DValue,
-    LABELS,
-    ProductRuleCheck,
-    cauchy_fueter,
-    classify,
-    hyperholomorphy_residual,
-    inverse_hyperholomorphy_residual,
-    product_rule_check,
-    product_system_residual,
-    real_combined_residual,
-    real_linear_residual,
-    sum_pde_residual,
-)
-from .domain import Domain, grid_points
-from .errors import InconclusiveError, ParseError, SingularPointError
-from .expr import (
-    Add,
-    Conj,
-    ConjVar,
-    Div,
-    Mul,
-    Neg,
-    Pow,
-    QExpr,
-    RealConst,
-    Sub,
-    UnitI,
-    UnitJ,
-    Var,
-    const,
-    parse,
-    parse_definitions,
-    unparse,
-)
-from .jets import (
-    Point4,
-    WirtingerJet,
-    eval_jet,
-    eval_qfunction,
-    fd_jet,
-)
-from .lowering import (
-    QFunction,
-    conj_qf,
-    const_qf,
-    inverse_qf,
-    lower,
-    norm_sq_expr,
-    product_qf,
-    scale_right_qf,
-    sum_qf,
-)
-from .quaternion import (
-    ONE,
-    UNIT_I,
-    UNIT_J,
-    Quaternion,
-    modulus,
-    norm_sq,
-    quat_conj,
-    quat_mul,
-    rinv,
-)
-from .report import MaskedPoint, ResidualReport, SCHEMA
-from .verify import VerifyItem, run_verify
-from .zeros import OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
+from .analysis import cauchy_fueter_from_jets, classify, hyperholomorphy_from_jets
+from .domain import Domain
+from .errors import SingularPointError
+from .expr import parse
+from .jets import Point4, jets_at
+from .lowering import inverse_qf, lower
+from .quaternion import Quaternion
+from .zeros import estimate_order, zero_set_scan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Add",
-    "ClassificationLabel",
-    "Conj",
-    "ConjVar",
-    "const",
-    "const_qf",
-    "conj_qf",
-    "cauchy_fueter",
-    "classify",
-    "Div",
     "Domain",
-    "DValue",
-    "estimate_order",
-    "eval_jet",
-    "eval_qfunction",
-    "fd_jet",
-    "grid_points",
-    "hyperholomorphy_residual",
-    "InconclusiveError",
-    "inverse_hyperholomorphy_residual",
-    "inverse_qf",
-    "LABELS",
-    "lower",
-    "MaskedPoint",
-    "modulus",
-    "Mul",
-    "Neg",
-    "norm_sq",
-    "norm_sq_expr",
-    "ONE",
-    "OrderEstimate",
-    "ParseError",
-    "parse",
-    "parse_definitions",
     "Point4",
-    "pole_set_scan",
-    "Pow",
-    "product_qf",
-    "product_rule_check",
-    "product_system_residual",
-    "ProductRuleCheck",
-    "QExpr",
-    "QFunction",
-    "quat_conj",
-    "quat_mul",
     "Quaternion",
-    "real_combined_residual",
-    "real_linear_residual",
-    "RealConst",
-    "ResidualReport",
-    "rinv",
-    "run_verify",
-    "scale_right_qf",
-    "SCHEMA",
     "SingularPointError",
-    "Sub",
-    "sum_pde_residual",
-    "sum_qf",
-    "UNIT_I",
-    "UNIT_J",
-    "UnitI",
-    "UnitJ",
-    "unparse",
-    "Var",
-    "VerifyItem",
-    "WirtingerJet",
+    "cauchy_fueter_from_jets",
+    "classify",
+    "estimate_order",
+    "hyperholomorphy_from_jets",
+    "inverse_qf",
+    "jets_at",
+    "lower",
+    "parse",
     "zero_set_scan",
 ]

@@ -1,6 +1,8 @@
 """Cauchy-Fueter operator, PDE residual systems, and the classifier.
 
-All residual functions return raw magnitudes.  The classifier is the
+Each operator and system is a formula over the jets of a function's two
+components, (j1, j2): a point's, as jets.jets_at gives them, or a block's,
+as grid_jets gives them.  All residual formulas return raw magnitudes.  The classifier is the
 only place residuals are normalized (by 1 + the largest jet magnitude
 at the point) before comparison against the tolerance.
 """
@@ -13,14 +15,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import DEFAULT_MASK_THRESHOLD, Domain, grid_blocks
+from .domain import Domain, grid_blocks
 from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
 from .jets import (
     Columns,
     Point4,
     PointEvents,
     WirtingerJet,
-    eval_jet,
     grid_jets,
     jet_add,
     jet_conj,
@@ -31,7 +32,7 @@ from .jets import (
     refuse,
     vanishes,
 )
-from .lowering import QFunction, product_qf
+from .lowering import QFunction
 from .quaternion import UNIT_J, Quaternion, modulus, norm_sq, quat_mul
 from .report import MaskedPoint, ResidualReport
 
@@ -101,25 +102,16 @@ class ClassificationLabel:
 Jets = tuple[WirtingerJet, WirtingerJet]
 
 
-def _jet_pair(f: QFunction, p: Point4) -> Jets:
-    return eval_jet(f.f1, p), eval_jet(f.f2, p)
-
-
 def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
     return maximum(j1.magnitude(), j2.magnitude())
 
 
 def cauchy_fueter_from_jets(f: Jets) -> DValue:
-    """cauchy_fueter from f's jets."""
+    """The modified Cauchy-Fueter operator applied to f, from f's jets."""
     j1, j2 = f
     c1 = 0.5 * (j1.d_z1bar - j2.d_z2bar.conjugate())
     c2 = 0.5 * (j1.d_z2bar + j2.d_z1bar.conjugate())
     return DValue(c1, c2)
-
-
-def cauchy_fueter(f: QFunction, p: Point4) -> DValue:
-    """Apply the modified Cauchy-Fueter operator to f at p."""
-    return cauchy_fueter_from_jets(_jet_pair(f, p))
 
 
 def norm_sq_jet(f: Jets) -> WirtingerJet:
@@ -136,20 +128,21 @@ def inverse_jets(f: Jets) -> Jets:
 
 
 def hyperholomorphy_from_jets(f: Jets) -> tuple[float, float]:
-    """hyperholomorphy_residual from f's jets."""
+    """Residual magnitudes of the two component equations of 2*D(f)=0,
+    from f's jets."""
     j1, j2 = f
     e1 = j1.d_z1bar - j2.d_z2bar.conjugate()
     e2 = j1.d_z2bar + j2.d_z1bar.conjugate()
     return (abs(e1), abs(e2))
 
 
-def hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, float]:
-    """Residual magnitudes of the two component equations of 2*D(f)=0."""
-    return hyperholomorphy_from_jets(_jet_pair(f, p))
-
-
 def inverse_system_from_jets(f: Jets) -> tuple[float, float]:
-    """inverse_hyperholomorphy_residual from f's jets."""
+    """Residuals of the system characterizing a hyperholomorphic inverse,
+    from f's jets.
+
+    For hyperholomorphic f, this vanishes exactly when the right inverse
+    of f is hyperholomorphic off the zero set of f.
+    """
     j1, j2 = f
     v1, v2 = j1.val, j2.val
     w = v1.conjugate() - v1
@@ -164,15 +157,6 @@ def inverse_system_from_jets(f: Jets) -> tuple[float, float]:
         - v2 * j2.d_z2.conjugate()
     )
     return (abs(e1), abs(e2))
-
-
-def inverse_hyperholomorphy_residual(f: QFunction, p: Point4) -> tuple[float, float]:
-    """Residuals of the system characterizing a hyperholomorphic inverse.
-
-    For hyperholomorphic f, this vanishes exactly when the right inverse
-    of f is hyperholomorphic off the zero set of f.
-    """
-    return inverse_system_from_jets(_jet_pair(f, p))
 
 
 def _require_real(values: list[complex], what: str) -> None:
@@ -195,18 +179,19 @@ def _real_linear(j1: WirtingerJet, j2: WirtingerJet) -> tuple[float, float]:
 
 
 def real_linear_from_jets(f: Jets) -> tuple[float, float]:
-    """real_linear_residual from f's jets, with its precondition."""
-    _require_real([f[0].val, f[1].val], "real_linear_residual")
+    """Residuals of the linear first-order system for real-component f,
+    from f's jets.  Raises ValueError unless f's values are real."""
+    _require_real([f[0].val, f[1].val], "real_linear_from_jets")
     return _real_linear(*f)
 
 
-def real_linear_residual(f: QFunction, p: Point4) -> tuple[float, float]:
-    """Residuals of the linear first-order system for real-component f."""
-    return real_linear_from_jets(_jet_pair(f, p))
-
-
 def sum_pde_from_jets(h: Jets, mask_threshold: float) -> float:
-    """sum_pde_residual from h's jets; conj_qf(h) has the jets conj(j1), -j2."""
+    """Residual of the PDE characterizing sums that stay
+    w-hypermeromorphic, from h's jets; conj_qf(h) has the jets conj(j1), -j2.
+
+    Refuses (see refuse) where norm_sq(h) is below mask_threshold, since
+    the PDE divides by the norm there.
+    """
     j1, j2 = h
     nj = norm_sq_jet(h)
     n = nj.val.real
@@ -217,28 +202,13 @@ def sum_pde_from_jets(h: Jets, mask_threshold: float) -> float:
     return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
-def sum_pde_residual(
-    h: QFunction, p: Point4, mask_threshold: float = DEFAULT_MASK_THRESHOLD
-) -> float:
-    """Residual of the PDE characterizing sums that stay w-hypermeromorphic.
-
-    Raises SingularPointError when norm_sq(h) at p is below mask_threshold,
-    since the PDE divides by the norm there.
-    """
-    return sum_pde_from_jets(_jet_pair(h, p), mask_threshold)
-
-
-def product_system_residual(f: QFunction, g: QFunction, p: Point4) -> tuple[float, float]:
-    """Residuals of the PDE pair for the ordered product f*g.
+def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
+    """Residuals of the PDE pair for the ordered product f*g, from the jets
+    of f and g.
 
     The system is order-sensitive: it constrains the left factor's
     derivatives through the right factor's first component value.
     """
-    return product_system_from_jets(_jet_pair(f, p), _jet_pair(g, p))
-
-
-def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
-    """product_system_residual from the jets of f and g."""
     (jf1, jf2), (jg1, jg2) = f, g
     u, v = jf1.val, jf2.val
     w = u - u.conjugate()
@@ -258,19 +228,13 @@ def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
     return (abs(p1), abs(p2))
 
 
-def real_combined_residual(
-    f: QFunction, g: QFunction, p: Point4
-) -> tuple[float, float, float, float, float]:
-    """The five-equation system for real-component pairs closed under
-    both sum and product: each factor's linear system plus one bilinear
-    coupling equation."""
-    return real_combined_from_jets(_jet_pair(f, p), _jet_pair(g, p))
-
-
 def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, float, float]:
-    """real_combined_residual from the jets of f and g, with its precondition."""
+    """The five-equation system for real-component pairs closed under
+    both sum and product, from the jets of f and g: each factor's linear
+    system plus one bilinear coupling equation.  Raises ValueError unless
+    the values are real."""
     (jf1, jf2), (jg1, jg2) = f, g
-    _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_residual")
+    _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_from_jets")
     return (
         abs(jf2.d_z1 + jf1.d_z2),
         abs(jf1.d_z1 - jf2.d_z2),
@@ -280,18 +244,14 @@ def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, floa
     )
 
 
-def product_rule_check(f: QFunction, g: QFunction, p: Point4) -> ProductRuleCheck:
-    """Evaluate both sides of D(f*g) = D(f)*g + (correction term).
+def product_rule_from_jets(f: Jets, g: Jets, fg: Jets) -> ProductRuleCheck:
+    """Both sides of D(f*g) = D(f)*g + (correction term), from the jets of
+    f, g and product_qf(f, g).
 
     The correction term depends on the values of f and the derivatives
     of g; it reduces to f*D(g) when f is real-valued and g satisfies the
     real-component linear system.
     """
-    return product_rule_from_jets(_jet_pair(f, p), _jet_pair(g, p), _jet_pair(product_qf(f, g), p))
-
-
-def product_rule_from_jets(f: Jets, g: Jets, fg: Jets) -> ProductRuleCheck:
-    """product_rule_check from the jets of f, g and product_qf(f, g)."""
     (jf1, jf2), (jg1, jg2) = f, g
     u, v = jf1.val, jf2.val
     gq = Quaternion(jg1.val, jg2.val)

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jets import Columns, Point4
+from .jets import Columns
 
 Interval = tuple[float, float]
 
@@ -68,16 +67,6 @@ def grid_axes(domain: Domain, grid_n: int) -> list[list[float]]:
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     return [np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in domain.box]
-
-
-def grid_points(domain: Domain, grid_n: int) -> list[Point4]:
-    """The grid_n**4 lattice of the box as points, in grid_blocks' order: the
-    per-point reference for grid_blocks, which no command calls."""
-    x1, y1, x2, y2 = grid_axes(domain, grid_n)
-    # grid_n**2 distinct values per variable, shared by the points that use them
-    z1s = [complex(x, y) for x, y in product(x1, y1)]
-    z2s = [complex(x, y) for x, y in product(x2, y2)]
-    return [Point4(z1, z2) for z1, z2 in product(z1s, z2s)]
 
 
 def grid_blocks(domain: Domain, grid_n: int) -> Iterator[tuple[tuple[np.ndarray, ...], Columns]]:

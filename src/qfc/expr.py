@@ -8,7 +8,7 @@ The surface language is parsed by a small recursive-descent parser:
     atom   := 'z1' | 'z2' | 'i' | 'j' | number | 'conj' '(' expr ')' | '(' expr ')'
 
 Multiplication is quaternionic, so operand order is preserved everywhere,
-and p/q means p * rinv(q).  Nodes are immutable and interned
+and p/q means p times conj(q)/|q|^2.  Nodes are immutable and interned
 (hash-consed: Filliatre and Conchon, "Type-safe modular hash-consing",
 ML Workshop 2006), so equal structures are one object, trees share their
 common subtrees, and == is identity.  The operator overloads build new

@@ -4,22 +4,21 @@ A jet carries the value of a scalar expression at a point together with
 its four first-order Wirtinger partials with respect to z1, conj(z1),
 z2, conj(z2).  Conjugation swaps the barred and unbarred slots and
 conjugates them; all other rules are the usual bilinear ones.  The jet_*
-helpers carry these rules; eval_jet and the from-jets forms in analysis
-share them, so a derived jet is bit-identical to evaluating its tree.
+helpers carry these rules for the jets-level formulas of analysis.
 
-There is one evaluator per shape of input: eval_jet at one point, whose
-val slot is also the tree's plain value, and grid_jets at a block of
-points given as coordinate columns.  grid_jets holds each node's jet as a
-value and a stacked gradient, CArrays of shapes (n,) and (2, 2, n), or
-(1,) and (2, 2, 1) for a value all n points share, the gradient's axes
-being [unbarred, barred] x [z1, z2].  Each rule then runs once on the
-gradient instead of once per slot (vector forward mode: Griewank and
-Walther, Evaluating Derivatives, 2nd ed., 2008, section 3.1), and
-conjugation reverses the first axis.  Every slot still sees the jet_*
-helpers' operations in their order, so each slot at each point has the
-bits eval_jet gives there.  grid_jets returns the roots' jets as
+grid_jets is the one evaluator.  It takes a block of points as coordinate
+columns and holds each node's jet as a value and a stacked gradient,
+CArrays of shapes (n,) and (2, 2, n), or (1,) and (2, 2, 1) for a value
+all n points share, the gradient's axes being [unbarred, barred] x
+[z1, z2].  Each rule then runs once on the gradient instead of once per
+slot (vector forward mode: Griewank and Walther, Evaluating Derivatives,
+2nd ed., 2008, section 3.1), and conjugation reverses the first axis.
+Every slot still sees the jet rules' operations in their order, so each
+slot at each point has the bits the rules give on that point's Python
+complex numbers.  grid_jets returns the roots' jets as
 WirtingerJets of CArray rows, and the block's PointEvents: per point, the
-first event at which eval_jet would have raised.
+first event at which evaluating that point alone would have raised.
+jets_at is its one-point form, which raises there instead.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import OVERFLOW, SINGULAR, SingularPointError
+from .errors import MASK_REASONS, OVERFLOW, SINGULAR, SingularPointError
 from .expr import (
     Add,
     Conj,
@@ -46,8 +45,6 @@ from .expr import (
     UnitJ,
     Var,
 )
-from .lowering import QFunction
-from .quaternion import Quaternion
 
 # A divisor d vanishes, and its quotient is refused, where |d|^2 is below
 # this.  vanishes reads it at each call, not as a default argument bound at
@@ -280,7 +277,6 @@ class WirtingerJet:
         )
 
 
-_ZERO_JET = (0j, 0j, 0j, 0j)
 # Where grid_jets' stacked gradient holds d_z1, d_z1bar, d_z2 and d_z2bar.
 _SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -292,16 +288,6 @@ def jet_add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
         a.d_z1bar + b.d_z1bar,
         a.d_z2 + b.d_z2,
         a.d_z2bar + b.d_z2bar,
-    )
-
-
-def jet_sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(
-        a.val - b.val,
-        a.d_z1 - b.d_z1,
-        a.d_z1bar - b.d_z1bar,
-        a.d_z2 - b.d_z2,
-        a.d_z2bar - b.d_z2bar,
     )
 
 
@@ -338,17 +324,6 @@ def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     )
 
 
-def jet_pow(a: WirtingerJet, n: int) -> WirtingerJet:
-    factor = n * a.val ** (n - 1)
-    return WirtingerJet(
-        a.val**n,
-        factor * a.d_z1,
-        factor * a.d_z1bar,
-        factor * a.d_z2,
-        factor * a.d_z2bar,
-    )
-
-
 def jet_conj(a: WirtingerJet) -> WirtingerJet:
     """Conjugation swaps the barred and unbarred slots."""
     return WirtingerJet(
@@ -360,59 +335,23 @@ def jet_conj(a: WirtingerJet) -> WirtingerJet:
     )
 
 
-def eval_jet(e: QExpr, p: Point4) -> WirtingerJet:
-    """Value and Wirtinger partials of a j-free tree at p."""
-    match e:
-        case Var("z1"):
-            return WirtingerJet(p.z1, 1 + 0j, 0j, 0j, 0j)
-        case Var("z2"):
-            return WirtingerJet(p.z2, 0j, 0j, 1 + 0j, 0j)
-        case ConjVar("z1"):
-            return WirtingerJet(p.z1.conjugate(), 0j, 1 + 0j, 0j, 0j)
-        case ConjVar("z2"):
-            return WirtingerJet(p.z2.conjugate(), 0j, 0j, 0j, 1 + 0j)
-        case RealConst(v):
-            return WirtingerJet(complex(v), *_ZERO_JET)
-        case UnitI():
-            return WirtingerJet(1j, *_ZERO_JET)
-        case UnitJ():
-            raise ValueError("j has no scalar jet; lower the expression first")
-        case Add(l, r):
-            return jet_add(eval_jet(l, p), eval_jet(r, p))
-        case Sub(l, r):
-            return jet_sub(eval_jet(l, p), eval_jet(r, p))
-        case Neg(x):
-            return jet_neg(eval_jet(x, p))
-        case Mul(l, r):
-            return jet_mul(eval_jet(l, p), eval_jet(r, p))
-        case Div(l, r):
-            a = eval_jet(l, p)
-            b = eval_jet(r, p)
-            if vanishes(b.val):
-                raise SingularPointError(f"denominator vanishes near {p}")
-            return jet_div(a, b)
-        case Pow(b, n):
-            return jet_pow(eval_jet(b, p), n)
-        case Conj(x):
-            return jet_conj(eval_jet(x, p))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet], PointEvents]:
     """Jets of j-free trees at every point of a block at once, z holding
     the points' coordinate columns, and the first event evaluating them
     meets at each point.
 
     An iterative post-order walk, the trees in order and each node after
-    its children, left before right: the order in which eval_jet would
-    raise, so each point keeps the event eval_jet would have raised first.
+    its children, left before right: the order in which evaluating one
+    point alone meets them, so each point keeps the event that evaluation
+    would have raised first.
     A vanishing divisor is flagged "singular" on the returned events, an
     overflowing power "overflow"; the jets' CArray slots share those
     events, so a caller's further arithmetic on them flags there too.
 
     A node's jet is a pair (value, gradient), the gradient stacking
     d_z1, d_z1bar, d_z2 and d_z2bar on axes [unbarred, barred] x [z1, z2].
-    The rules keep jet_*'s bits: a product's slot is a.d * b.val + a.val *
+    The rules keep the bits of the jet rules on one point's complex
+    numbers: a product's slot is a.d * b.val + a.val *
     b.d, a quotient's (a.d - val * b.d) / den after its value a.val / den;
     a power's n - 1 power is taken before its n power, and both powers
     and quotients of values go through CArray, so flags and the n > 100
@@ -519,31 +458,15 @@ def _post_order(exprs: tuple[QExpr, ...]) -> list[QExpr]:
     return list(done)
 
 
-def eval_qfunction(f: QFunction, p: Point4) -> Quaternion:
-    return Quaternion(eval_jet(f.f1, p).val, eval_jet(f.f2, p).val)
-
-
-def fd_jet(e: QExpr, p: Point4, h: float = 1e-5) -> WirtingerJet:
-    """Central-difference estimate of eval_jet, for cross-checking.
-
-    Any stencil point that hits a near-singular denominator raises
-    SingularPointError, same as the exact evaluator.
-    """
-    if not (h > 0.0) or not math.isfinite(h):
-        raise ValueError("step size must be positive and finite")
-    x1, y1, x2, y2 = p.reals()
-
-    def at(a: float, b: float, c: float, d: float) -> complex:
-        return eval_jet(e, Point4.from_reals(a, b, c, d)).val
-
-    dx1 = (at(x1 + h, y1, x2, y2) - at(x1 - h, y1, x2, y2)) / (2 * h)
-    dy1 = (at(x1, y1 + h, x2, y2) - at(x1, y1 - h, x2, y2)) / (2 * h)
-    dx2 = (at(x1, y1, x2 + h, y2) - at(x1, y1, x2 - h, y2)) / (2 * h)
-    dy2 = (at(x1, y1, x2, y2 + h) - at(x1, y1, x2, y2 - h)) / (2 * h)
-    return WirtingerJet(
-        at(x1, y1, x2, y2),
-        0.5 * (dx1 - 1j * dy1),
-        0.5 * (dx1 + 1j * dy1),
-        0.5 * (dx2 - 1j * dy2),
-        0.5 * (dx2 + 1j * dy2),
-    )
+def jets_at(exprs: tuple[QExpr, ...], p: Point4) -> list[WirtingerJet]:
+    """Jets of j-free trees at the one point p, with Python complex slots:
+    grid_jets on a one-point block.  Raises SingularPointError where its
+    first event is "singular" (a divisor vanishes) and OverflowError where
+    it is "overflow"."""
+    with np.errstate(all="ignore"):
+        jets, events = grid_jets(exprs, columns_of([p.z1], [p.z2]))
+    code = int(events.code[0])
+    if code:
+        error = OverflowError if code == OVERFLOW else SingularPointError
+        raise error(f"{MASK_REASONS[code]} near {p}")
+    return [WirtingerJet(*(complex(s.real[0], s.imag[0]) for s in vars(j).values())) for j in jets]

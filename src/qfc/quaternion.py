@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OVERFLOW, SingularPointError
+from .errors import OVERFLOW
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,3 @@ def norm_sq(q: Quaternion) -> float:
 def modulus(q: Quaternion) -> float:
     n = norm_sq(q)
     return np.sqrt(n) if isinstance(n, np.ndarray) else math.sqrt(n)
-
-
-def rinv(q: Quaternion, singular_sq_tol: float = 0.0) -> Quaternion:
-    """Right inverse conj(q)/norm_sq(q); it is in fact two-sided.
-
-    Raises SingularPointError when norm_sq(q) <= singular_sq_tol (so the
-    default rejects exactly q = 0).
-    """
-    n = norm_sq(q)
-    if n <= singular_sq_tol:
-        raise SingularPointError(f"no inverse: norm_sq = {n}")
-    c = quat_conj(q)
-    return Quaternion(c.z1 / n, c.z2 / n)
-

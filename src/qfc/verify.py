@@ -7,9 +7,10 @@ be small.  Everything is driven by one seeded generator, so a repeated
 run with the same seed produces identical numbers.
 
 Each check evaluates its functions' jets with grid_jets, streaming its
-grids from grid_blocks, and derives every residual with analysis's
-jets-level formulas.  CArray replays CPython's complex arithmetic, so
-each value, and each item, equals that of evaluating one point at a time.
+grids from grid_blocks, or with jets_at at a single control point, and
+derives every residual with analysis's jets-level formulas.  CArray
+replays CPython's complex arithmetic, so each value, and each item,
+equals that of evaluating one point at a time.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from .jets import Columns, Point4, columns_of, grid_jets
+from .jets import Columns, Point4, columns_of, grid_jets, jets_at
 from .lowering import QFunction, const_qf, lower, product_qf, sum_qf
 from .quaternion import Quaternion, modulus, quat_mul
 
@@ -120,9 +121,10 @@ def _points(points: list[Point4]) -> list[Columns]:
 
 
 def _at(fs: list[QFunction], p: Point4, values_of: Callable[..., tuple]) -> tuple:
-    """values_of at the one point p, as a tuple of floats."""
-    [[values]] = _stages(fs, _points([p]), (values_of, False))
-    return values
+    """values_of at the one point p, as a tuple of floats; raises where the
+    functions or values_of meet an event there."""
+    jets = jets_at(tuple(e for f in fs for e in (f.f1, f.f2)), p)
+    return values_of(*zip(jets[::2], jets[1::2]))
 
 
 def _inverse_derivative(f: Jets) -> tuple:

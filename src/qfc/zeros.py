@@ -2,10 +2,11 @@
 
 Both evaluate their trees over arrays of points, a block of at most
 BLOCK_POINTS at a time, with grid_jets.  Its arithmetic is CPython's
-(see jets.CArray), so each value equals the one eval_jet gives at that
-point, and a point where eval_jet would raise (a vanishing divisor, an
-overflowing power or magnitude) carries that event instead and is
-skipped.
+(see jets.CArray), so each value equals the one evaluating that point
+alone gives, and a point where that evaluation would raise (a vanishing
+divisor, an overflowing power or magnitude) carries that event instead
+and is skipped.  So is a point where a value the zero test reads is not
+finite.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import Domain, grid_blocks
-from .errors import MASK_REASONS, SINGULAR, InconclusiveError
+from .errors import MASK_REASONS, OVERFLOW, SINGULAR, InconclusiveError
 from .jets import Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, inverse_qf
 
@@ -30,13 +31,16 @@ Test = Callable[[Columns], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _zero_test(f: QFunction, tol: float) -> Test:
-    """Points where both components of f are within tol of zero."""
+    """Points where both components of f are within tol of zero; a point
+    where a value read is not finite is flagged "overflow"."""
 
     def test(z: Columns):
         (j1, j2), events = grid_jets((f.f1, f.f2), z)
         a1 = abs(j1.val)
-        with events.only(a1 <= tol):  # |v2| is taken only where |v1| passes
+        events.flag(~j1.val.isfinite(), OVERFLOW)
+        with events.only(a1 <= tol):  # v2 is read only where |v1| passes
             a2 = abs(j2.val)
+            events.flag(~j2.val.isfinite(), OVERFLOW)
         code = events.code
         return (code == 0) & (a1 <= tol) & (a2 <= tol), code, a1, a2
 

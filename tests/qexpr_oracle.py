@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, Sub, UnitI, UnitJ, Var
 from qfc.jets import SINGULAR_SQ_TOL, Point4
-from qfc.quaternion import UNIT_I, UNIT_J, Quaternion, quat_conj, quat_mul, rinv
+from qfc.quaternion import UNIT_I, UNIT_J, Quaternion, quat_conj, quat_mul
+
+from jet_oracle import rinv
 
 
 def eval_qexpr(e: QExpr, p: Point4, singular_sq_tol: float = SINGULAR_SQ_TOL) -> Quaternion:

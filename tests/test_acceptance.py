@@ -17,43 +17,22 @@ from unittest.mock import patch
 import numpy as np
 
 import qfc.jets
-from qfc import (
-    Add,
-    Conj,
-    ConjVar,
-    Div,
-    Domain,
-    Mul,
-    Neg,
-    Point4,
-    Pow,
-    QFunction,
-    Quaternion,
-    RealConst,
-    SingularPointError,
-    Sub,
-    UnitI,
-    Var,
-    cauchy_fueter,
+from qfc.analysis import (
+    cauchy_fueter_from_jets,
     classify,
-    estimate_order,
-    eval_jet,
-    eval_qfunction,
-    fd_jet,
-    grid_points,
-    hyperholomorphy_residual,
-    inverse_hyperholomorphy_residual,
-    inverse_qf,
-    norm_sq,
-    product_qf,
-    product_rule_check,
-    product_system_residual,
-    quat_mul,
-    scale_right_qf,
-    sum_pde_residual,
-    sum_qf,
-    zero_set_scan,
+    hyperholomorphy_from_jets,
+    inverse_system_from_jets,
+    product_rule_from_jets,
+    product_system_from_jets,
+    sum_pde_from_jets,
 )
+from qfc.domain import DEFAULT_MASK_THRESHOLD, Domain
+from qfc.errors import SingularPointError
+from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, RealConst, Sub, UnitI, Var
+from qfc.jets import Point4
+from qfc.lowering import QFunction, inverse_qf, product_qf, scale_right_qf, sum_qf
+from qfc.quaternion import Quaternion, norm_sq, quat_mul
+from qfc.zeros import estimate_order, zero_set_scan
 from qfc.cli import main
 from qfc.generators import (
     counterexample_pair,
@@ -66,6 +45,8 @@ from qfc.generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
+
+from jet_oracle import eval_jet, eval_qfunction, fd_jet, grid_points, jet_pair
 
 MASK = 1e-6
 
@@ -86,8 +67,8 @@ def test_criterion_01_linear_family_residuals_and_label() -> None:
         for p in pts:
             if norm_sq(eval_qfunction(f, p)) < MASK:
                 continue
-            worst = max(worst, *hyperholomorphy_residual(f, p))
-            worst = max(worst, *hyperholomorphy_residual(inv, p))
+            worst = max(worst, *hyperholomorphy_from_jets(jet_pair(f, p)))
+            worst = max(worst, *hyperholomorphy_from_jets(jet_pair(inv, p)))
         label, _ = classify(f)
         labels.append(label.label)
     elapsed = time.monotonic() - t0
@@ -113,13 +94,14 @@ def test_criterion_02_antiholomorphic_pair_inverse_quantities() -> None:
     inv = inverse_qf(f)
 
     def quantities(p: Point4) -> tuple[float, float]:
-        return cauchy_fueter(inv, p).magnitude(), max(inverse_hyperholomorphy_residual(f, p))
+        dinv = cauchy_fueter_from_jets(jet_pair(inv, p)).magnitude()
+        return dinv, max(inverse_system_from_jets(jet_pair(f, p)))
 
     pts = grid_points(Domain(), 6)
     assert len(pts) == 1296
     worst_eq1 = 0.0
     for p in pts:
-        worst_eq1 = max(worst_eq1, *hyperholomorphy_residual(f, p))
+        worst_eq1 = max(worst_eq1, *hyperholomorphy_from_jets(jet_pair(f, p)))
     off = Point4(1 + 1j, 1 + 0j)
     dinv_off, inv_res_off = quantities(off)
     min_dinv = min_res = math.inf
@@ -172,8 +154,8 @@ def test_criterion_03_inverse_equivalence_passing_direction() -> None:
             nsq = norm_sq(eval_qfunction(f, p))
             if nsq < MASK:
                 continue
-            worst_sys = max(worst_sys, *inverse_hyperholomorphy_residual(f, p))
-            worst_dinv = max(worst_dinv, cauchy_fueter(inv, p).magnitude() / nsq**2)
+            worst_sys = max(worst_sys, *inverse_system_from_jets(jet_pair(f, p)))
+            worst_dinv = max(worst_dinv, cauchy_fueter_from_jets(jet_pair(inv, p)).magnitude() / nsq**2)
     ok = worst_sys <= 1e-9 and worst_dinv <= 1e-9
     _line(3, ok, f"system {worst_sys:.3e}, scaled inverse derivative {worst_dinv:.3e}")
     assert worst_sys <= 1e-9
@@ -186,14 +168,16 @@ def test_criterion_04_product_rule_and_its_reduction() -> None:
     for _ in range(100):
         f = random_polynomial_qf(rng)
         g = random_polynomial_qf(rng)
-        worst_gap = max(worst_gap, product_rule_check(f, g, random_point(rng)).gap)
+        p = random_point(rng)
+        chk = product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g))))
+        worst_gap = max(worst_gap, chk.gap)
     worst_red = 0.0
     for _ in range(20):
         f = random_real_hyperholomorphic(rng)
         g = random_real_hyperholomorphic(rng)
         p = random_point(rng)
-        chk = product_rule_check(f, g, p)
-        expect = quat_mul(eval_qfunction(f, p), cauchy_fueter(g, p).as_quaternion())
+        chk = product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g))))
+        expect = quat_mul(eval_qfunction(f, p), cauchy_fueter_from_jets(jet_pair(g, p)).as_quaternion())
         diff = chk.second_term - expect
         worst_red = max(worst_red, math.hypot(abs(diff.z1), abs(diff.z2)))
     ok = worst_gap <= 1e-9 and worst_red <= 1e-10
@@ -275,11 +259,11 @@ def test_criterion_07_meromorphic_substructure() -> None:
         for p in [random_point(rng) for _ in range(4)]:
             if norm_sq(eval_qfunction(f, p)) < MASK or norm_sq(eval_qfunction(g, p)) < MASK:
                 continue
-            worst = max(worst, *hyperholomorphy_residual(f, p))
-            worst = max(worst, *inverse_hyperholomorphy_residual(f, p))
-            worst = max(worst, sum_pde_residual(sum_qf(f, g), p))
-            worst = max(worst, *product_system_residual(f, g, p))
-            worst = max(worst, *hyperholomorphy_residual(product_qf(f, g), p))
+            worst = max(worst, *hyperholomorphy_from_jets(jet_pair(f, p)))
+            worst = max(worst, *inverse_system_from_jets(jet_pair(f, p)))
+            worst = max(worst, sum_pde_from_jets(jet_pair(sum_qf(f, g), p), DEFAULT_MASK_THRESHOLD))
+            worst = max(worst, *product_system_from_jets(jet_pair(f, p), jet_pair(g, p)))
+            worst = max(worst, *hyperholomorphy_from_jets(jet_pair(product_qf(f, g), p)))
     # Combinations with the linear example use a real constant partner; the
     # order puts the constant first, where the product system is exact.
     m = QFunction(RealConst(1.5), RealConst(0.0))
@@ -289,10 +273,10 @@ def test_criterion_07_meromorphic_substructure() -> None:
         if norm_sq(eval_qfunction(e00, p)) < MASK:
             continue
         s = sum_qf(m, e00)
-        worst_combo = max(worst_combo, *hyperholomorphy_residual(s, p))
-        worst_combo = max(worst_combo, sum_pde_residual(s, p))
-        worst_combo = max(worst_combo, *hyperholomorphy_residual(product_qf(m, e00), p))
-        worst_combo = max(worst_combo, *product_system_residual(m, e00, p))
+        worst_combo = max(worst_combo, *hyperholomorphy_from_jets(jet_pair(s, p)))
+        worst_combo = max(worst_combo, sum_pde_from_jets(jet_pair(s, p), DEFAULT_MASK_THRESHOLD))
+        worst_combo = max(worst_combo, *hyperholomorphy_from_jets(jet_pair(product_qf(m, e00), p)))
+        worst_combo = max(worst_combo, *product_system_from_jets(jet_pair(m, p), jet_pair(e00, p)))
     ok = worst <= 1e-10 and worst_combo <= 1e-10
     _line(7, ok, f"rational pairs {worst:.3e}, example combinations {worst_combo:.3e}")
     assert worst <= 1e-10
@@ -308,7 +292,7 @@ def test_criterion_08_right_linear_combinations_stay_in_the_kernel() -> None:
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
         for _ in range(4):
-            worst = max(worst, *hyperholomorphy_residual(h, random_point(rng)))
+            worst = max(worst, *hyperholomorphy_from_jets(jet_pair(h, random_point(rng))))
     ok = worst <= 1e-9
     _line(8, ok, f"worst residual {worst:.3e}")
     assert worst <= 1e-9

@@ -175,25 +175,37 @@ def test_error_exit_codes(capsys, tmp_path: Path, funcs_file: str) -> None:
     assert code == 2 and err == "error: line 1: unexpected token '*' (at position 4)\n"
 
 
+_UNMASKED = "inconclusive: f: only 0 of 16 grid points are unmasked\n"
+_SKIPPED = "inconclusive: f: every grid point is skipped (16 overflow)\n"
+# text, exit code, classify's stderr, and zero-set's and order's stderr
+_NOT_FINITE = [
+    ("f = 1e999 * z1", 2, *["error: line 1: number 1e999 is not a finite float (at position 0)\n"] * 2),
+    ("f = -1e999", 2, *["error: line 1: number 1e999 is not a finite float (at position 1)\n"] * 2),
+    ("f = 1e200 * 1e200 * z1", 3, _UNMASKED, _SKIPPED),
+    ("f = 1e308 + 1e308 + z1", 3, _UNMASKED, _SKIPPED),
+    ("f = 10 ^ 400 * z1", 3, _UNMASKED, _SKIPPED),
+]
+
+
 @pytest.mark.parametrize(
-    "text, code, message",
+    "text, code, message, command",
     [
-        ("f = 1e999 * z1", 2, "error: line 1: number 1e999 is not a finite float (at position 0)\n"),
-        ("f = -1e999", 2, "error: line 1: number 1e999 is not a finite float (at position 1)\n"),
-        ("f = 1e200 * 1e200 * z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
-        ("f = 1e308 + 1e308 + z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
-        ("f = 10 ^ 400 * z1", 3, "inconclusive: f: only 0 of 16 grid points are unmasked\n"),
+        (text, code, message if command == "classify" else scan_message, command)
+        for text, code, message, scan_message in _NOT_FINITE
+        for command in ("classify", "zero-set", "order")
     ],
 )
 def test_constants_that_are_not_finite_are_refused_or_masked(
-    capsys, tmp_path: Path, text: str, code: int, message: str
+    capsys, tmp_path: Path, text: str, code: int, message: str, command: str
 ) -> None:
     """A literal that reads as inf used to end in the parser's ValueError,
     and a constant fold that overflows in lower's ValueError or
-    OverflowError, each a traceback with exit 1."""
+    OverflowError, each a traceback with exit 1.  zero-set and order used
+    to scan an infinite value that raised nothing as finite, and exit 0
+    with no cluster."""
     path = tmp_path / "f.txt"
     path.write_text(text + "\n", encoding="utf-8")
-    assert _run(capsys, ["classify", "--input", str(path), "--grid", "2"]) == (code, "", message)
+    assert _run(capsys, [command, "--input", str(path), "--grid", "2"]) == (code, "", message)
 
 
 def test_files_that_are_not_utf8_are_refused(capsys, tmp_path: Path, funcs_file: str) -> None:

@@ -7,8 +7,10 @@ from itertools import product
 import pytest
 
 import qfc.domain
-from qfc import Domain, Point4, grid_points
-from qfc.domain import grid_axes, grid_blocks
+from qfc.domain import Domain, grid_axes, grid_blocks
+from qfc.jets import Point4
+
+from jet_oracle import grid_points
 
 
 def test_default_domain_is_the_unit_box() -> None:

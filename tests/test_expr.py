@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qfc import (
+from qfc.errors import ParseError, SingularPointError
+from qfc.expr import (
     Add,
     Conj,
     ConjVar,
     Div,
     Mul,
     Neg,
-    ParseError,
-    Point4,
     Pow,
     QExpr,
     RealConst,
-    SingularPointError,
     Sub,
     UnitI,
     UnitJ,
@@ -31,9 +29,9 @@ from qfc import (
     parse_definitions,
     unparse,
 )
-
+from qfc.jets import Point4, _post_order
 from qfc import expr as expr_module
-from qfc.jets import _post_order
+
 from qexpr_oracle import eval_qexpr
 from random_trees import random_scalar_tree, random_surface_tree
 

@@ -14,20 +14,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import qfc.jets
-from qfc import (
-    Quaternion,
-    SingularPointError,
-    cauchy_fueter,
-    conj_qf,
-    eval_jet,
-    inverse_qf,
-    modulus,
-    norm_sq_expr,
-    quat_mul,
-    sum_pde_residual,
-)
-from qfc.analysis import inverse_jets
+from qfc.analysis import cauchy_fueter_from_jets, inverse_jets, sum_pde_from_jets
+from qfc.errors import SingularPointError
 from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
+from qfc.lowering import conj_qf, inverse_qf, norm_sq_expr
+from qfc.quaternion import Quaternion, modulus, quat_mul
+
+from jet_oracle import eval_jet, jet_pair
 
 GENERATORS = st.sampled_from([random_polynomial_qf, random_rational_meromorphic])
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -45,12 +38,11 @@ def _outcome(fn):
 
 
 def _inverse_from_jets(f, p):
-    return inverse_jets((eval_jet(f.f1, p), eval_jet(f.f2, p)))
+    return inverse_jets(jet_pair(f, p))
 
 
 def _inverse_from_tree(f, p):
-    inv = inverse_qf(f)
-    return (eval_jet(inv.f1, p), eval_jet(inv.f2, p))
+    return jet_pair(inverse_qf(f), p)
 
 
 def _sum_pde_from_trees(h, p, mask_threshold):
@@ -60,10 +52,10 @@ def _sum_pde_from_trees(h, p, mask_threshold):
     n = nj.val.real
     if n < mask_threshold:
         raise SingularPointError(f"norm_sq below mask threshold at {p}")
-    j1, j2 = eval_jet(h.f1, p), eval_jet(h.f2, p)
+    j1, j2 = jet_pair(h, p)
     hbar = Quaternion(j1.val.conjugate(), -j2.val)
     dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
-    dhbar = cauchy_fueter(conj_qf(h), p).as_quaternion()
+    dhbar = cauchy_fueter_from_jets(jet_pair(conj_qf(h), p)).as_quaternion()
     return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
@@ -84,7 +76,8 @@ def test_sum_pde_from_jets_equals_the_tree_formula(gen, seed: int, tol: float, m
     h = gen(rng)
     p = random_point(rng)
     with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
-        assert _outcome(lambda: sum_pde_residual(h, p, mask)) == _outcome(lambda: _sum_pde_from_trees(h, p, mask))
+        from_jets = _outcome(lambda: sum_pde_from_jets(jet_pair(h, p), mask))
+        assert from_jets == _outcome(lambda: _sum_pde_from_trees(h, p, mask))
 
 
 def test_the_comparisons_cover_values_and_refusals() -> None:
@@ -98,5 +91,5 @@ def test_the_comparisons_cover_values_and_refusals() -> None:
                 with patch.object(qfc.jets, "SINGULAR_SQ_TOL", tol):
                     kinds.add(("inverse", _outcome(lambda: _inverse_from_jets(f, p)) == "singular"))
             for mask in (1e-6, 1.0):
-                kinds.add(("sum_pde", _outcome(lambda: sum_pde_residual(f, p, mask)) == "singular"))
+                kinds.add(("sum_pde", _outcome(lambda: sum_pde_from_jets(jet_pair(f, p), mask)) == "singular"))
     assert kinds == {(name, refused) for name in ("inverse", "sum_pde") for refused in (False, True)}

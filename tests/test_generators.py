@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qfc import (
-    ConjVar,
-    ONE,
-    Point4,
-    QFunction,
-    Quaternion,
-    RealConst,
-    eval_qfunction,
-    hyperholomorphy_residual,
-    norm_sq,
-    real_linear_residual,
-)
+from qfc.analysis import hyperholomorphy_from_jets, real_linear_from_jets
+from qfc.expr import ConjVar, RealConst
+from qfc.jets import Point4
+from qfc.lowering import QFunction
+from qfc.quaternion import ONE, Quaternion, norm_sq
 from qfc.generators import (
     antiholomorphic_linear,
     counterexample_pair,
@@ -30,6 +23,7 @@ from qfc.generators import (
     right_combination,
 )
 
+from jet_oracle import eval_qfunction, jet_pair
 from random_trees import random_scalar_tree, random_surface_tree
 
 SEED = 3301
@@ -69,13 +63,13 @@ def test_curated_set_names_and_membership() -> None:
     rng = np.random.default_rng(SEED)
     for _, f in curated:
         for _ in range(6):
-            assert max(hyperholomorphy_residual(f, random_point(rng))) <= 1e-10
+            assert max(hyperholomorphy_from_jets(jet_pair(f, random_point(rng)))) <= 1e-10
 
 
 @given(p=POINTS)
 def test_antiholomorphic_linear_is_hyperholomorphic(p: Point4) -> None:
     f = antiholomorphic_linear(1.5 - 0.5j, 0.25 + 0j, -1.0 + 2j)
-    assert max(hyperholomorphy_residual(f, p)) <= 1e-12
+    assert max(hyperholomorphy_from_jets(jet_pair(f, p))) <= 1e-12
 
 
 def test_real_component_functions_are_real_and_in_the_kernel() -> None:
@@ -86,8 +80,8 @@ def test_real_component_functions_are_real_and_in_the_kernel() -> None:
         v = eval_qfunction(f, p)
         assert abs(v.z1.imag) <= 1e-10 * (1.0 + abs(v.z1))
         assert abs(v.z2.imag) <= 1e-10 * (1.0 + abs(v.z2))
-        assert max(hyperholomorphy_residual(f, p)) <= 1e-9
-        assert max(real_linear_residual(f, p)) <= 1e-9
+        assert max(hyperholomorphy_from_jets(jet_pair(f, p))) <= 1e-9
+        assert max(real_linear_from_jets(jet_pair(f, p))) <= 1e-9
 
 
 def test_rational_meromorphic_functions_are_scalar_and_nonsingular() -> None:
@@ -98,7 +92,7 @@ def test_rational_meromorphic_functions_are_scalar_and_nonsingular() -> None:
         for _ in range(6):
             p = random_point(rng, -2.0, 2.0)
             assert norm_sq(eval_qfunction(f, p)) > 1e-6
-            assert hyperholomorphy_residual(f, p) == (0.0, 0.0)
+            assert hyperholomorphy_from_jets(jet_pair(f, p)) == (0.0, 0.0)
 
 
 def test_right_combination_identity() -> None:
@@ -115,7 +109,7 @@ def test_right_combination_stays_in_the_kernel() -> None:
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
         for _ in range(3):
-            assert max(hyperholomorphy_residual(h, random_point(rng))) <= 1e-9
+            assert max(hyperholomorphy_from_jets(jet_pair(h, random_point(rng)))) <= 1e-9
 
 
 def test_random_trees_are_reproducible_and_bounded() -> None:

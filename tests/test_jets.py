@@ -1,4 +1,5 @@
-"""Forward-mode Wirtinger jets against hand values and central differences."""
+"""Forward-mode Wirtinger jets against hand values and central differences,
+and grid_jets and its one-point form jets_at against the recursive oracle."""
 
 from __future__ import annotations
 
@@ -9,35 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfc import (
-    Add,
-    Conj,
-    ConjVar,
-    Div,
-    Mul,
-    Neg,
-    Point4,
-    Pow,
-    QFunction,
-    Quaternion,
-    RealConst,
-    SingularPointError,
-    Sub,
-    UnitI,
-    UnitJ,
-    Var,
-    conj_qf,
-    eval_jet,
-    eval_qfunction,
-    fd_jet,
-    inverse_qf,
-    lower,
-)
 import qfc.jets
-from qfc.errors import OVERFLOW, SINGULAR
+from qfc.errors import OVERFLOW, SINGULAR, SingularPointError
+from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, RealConst, Sub, UnitI, UnitJ, Var
 from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import columns_of, grid_jets
+from qfc.jets import Point4, columns_of, grid_jets, jets_at
+from qfc.lowering import QFunction, conj_qf, inverse_qf, lower
+from qfc.quaternion import Quaternion
 
+from jet_oracle import eval_jet, eval_qfunction, fd_jet
 from qexpr_oracle import eval_qexpr
 from random_trees import random_scalar_tree, random_surface_tree
 
@@ -291,3 +272,30 @@ def test_grid_jets_equal_eval_jet_at_every_point(kind, seed, form, points, tol) 
                 continue
             assert events.code[i] == 0
             assert [[column[i] for column in js] for js in slots] == expected
+
+
+def test_the_point_entry_evaluates_a_sum_too_deep_to_recurse() -> None:
+    """A 10,001-term Add chain, built without lower, is deeper than
+    Python's recursion limit; jets_at walks it and returns grid_jets'
+    value, the left-to-right sum of the terms."""
+    chain = Var("z1")
+    for _ in range(10_000):
+        chain = Add(chain, Var("z1"))
+    p = Point4(0.3 + 0.7j, -0.2 + 0.1j)
+    (j,) = jets_at((chain,), p)
+    (g,), _ = grid_jets((chain,), columns_of([p.z1], [p.z2]))
+    assert j.val == complex(g.val.real[0], g.val.imag[0]) == sum([p.z1] * 10_001, 0j)
+    assert j.val == pytest.approx(3000.3 + 7000.7j, rel=1e-12)
+    assert (j.d_z1, j.d_z1bar, j.d_z2, j.d_z2bar) == (10_001 + 0j, 0j, 0j, 0j)
+    assert type(j.val) is complex and type(j.d_z1) is complex
+    with pytest.raises(RecursionError):
+        eval_jet(chain, p)
+
+
+def test_the_point_entry_raises_where_grid_jets_flags() -> None:
+    with pytest.raises(SingularPointError, match=r"^singular near Point4"):
+        jets_at((Var("z2"), Div(RealConst(1.0), Var("z1"))), Point4(0j, 1j))
+    with pytest.raises(OverflowError, match=r"^overflow near Point4"):
+        jets_at((Pow(Var("z1"), 2),), Point4(1e200 + 0j, 0j))
+    q = Point4(0.5 + 0j, 1j)
+    assert jets_at((Div(RealConst(1.0), Var("z1")),), q) == [eval_jet(Div(RealConst(1.0), Var("z1")), q)]

@@ -7,41 +7,26 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from qfc import (
-    Add,
-    ConjVar,
-    InconclusiveError,
-    Mul,
-    Neg,
-    ONE,
-    Point4,
-    Pow,
+import qfc.jets
+from qfc.analysis import classify
+from qfc.errors import InconclusiveError, SingularPointError
+from qfc.expr import Add, ConjVar, Mul, Neg, Pow, RealConst, Sub, UnitJ, Var, parse
+from qfc.generators import random_point
+from qfc.jets import Point4
+from qfc.lowering import (
     QFunction,
-    Quaternion,
-    RealConst,
-    SingularPointError,
-    Sub,
-    UnitJ,
-    Var,
-    classify,
     conj_qf,
     const_qf,
-    eval_qfunction,
     inverse_qf,
     lower,
-    modulus,
-    norm_sq,
     norm_sq_expr,
-    parse,
     product_qf,
-    quat_conj,
-    quat_mul,
     scale_right_qf,
     sum_qf,
 )
-import qfc.jets
-from qfc.generators import random_point
+from qfc.quaternion import ONE, Quaternion, modulus, norm_sq, quat_conj, quat_mul
 
+from jet_oracle import eval_qfunction
 from qexpr_oracle import eval_qexpr
 from random_trees import random_surface_tree
 

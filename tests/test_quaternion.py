@@ -7,18 +7,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qfc import (
-    ONE,
-    UNIT_I,
-    UNIT_J,
-    Quaternion,
-    SingularPointError,
-    modulus,
-    norm_sq,
-    quat_conj,
-    quat_mul,
-    rinv,
-)
+from qfc.errors import SingularPointError
+from qfc.quaternion import ONE, UNIT_I, UNIT_J, Quaternion, modulus, norm_sq, quat_conj, quat_mul
+
+from jet_oracle import rinv
 
 ABS_TOL = 1e-12
 REL_TOL = 1e-9

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
+import qfc
 from qfc.analysis import LABELS
 from qfc.cli import _DEFAULTS
 
@@ -27,10 +29,25 @@ def test_the_config_row_names_every_config_key() -> None:
     assert sorted(_names(row)) == sorted(_DEFAULTS)
 
 
-def test_the_library_example_runs() -> None:
-    """The python block under "## Library" runs as written, so the public
-    signatures it shows stay callable."""
+def _library_code() -> str:
+    """The python block under "## Library"."""
     text = README.read_text(encoding="utf-8")
     (section,) = re.findall(r"^## Library\n(.*?)(?=^## |\Z)", text, re.M | re.S)
     (code,) = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
-    exec(compile(code, "README.md", "exec"), {})
+    return code
+
+
+def test_the_library_example_runs() -> None:
+    """The Library example runs as written, so the public signatures it
+    shows stay callable."""
+    exec(compile(_library_code(), "README.md", "exec"), {})
+
+
+def test_the_package_exports_what_the_library_example_imports() -> None:
+    imported = [
+        a.name
+        for node in ast.walk(ast.parse(_library_code()))
+        if isinstance(node, ast.ImportFrom) and node.module == "qfc"
+        for a in node.names
+    ]
+    assert sorted(qfc.__all__) == sorted(imported)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfc import Point4
+from qfc.jets import Point4
 from qfc.report import (
     _BATCH_ROWS,
     CSV_HEADER,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-from qfc import run_verify
-from qfc.verify import VerifyItem
+from qfc.verify import VerifyItem, run_verify
 
 EXPECTED_ORDER = [
     "hyperholomorphy",

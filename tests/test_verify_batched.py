@@ -2,10 +2,10 @@
 
 run_verify evaluates each check's functions with grid_jets, on its grids
 block by block from grid_blocks and on its sample points as one block.
-The oracle here is a verbatim copy of the per-point run_verify:
-each residual from the per-point public functions, which evaluate trees
-with the recursive eval_jet, and the points where they raise
-SingularPointError skipped where it caught them.  The items must be equal,
+The oracle here is a copy of the per-point run_verify: each residual
+from analysis's jets-level formulas on the jets of the recursive eval_jet
+(jet_oracle), as the per-point functions it called computed it, and the
+points where they raise SingularPointError skipped where it caught them.  The items must be equal,
 every float bit for bit.
 """
 
@@ -25,17 +25,17 @@ import qfc.verify
 import qfc.zeros
 from qfc.analysis import (
     DValue,
-    cauchy_fueter,
-    hyperholomorphy_residual,
-    inverse_hyperholomorphy_residual,
-    product_rule_check,
-    product_system_residual,
-    real_combined_residual,
-    real_linear_residual,
-    sum_pde_residual,
+    cauchy_fueter_from_jets,
+    hyperholomorphy_from_jets,
+    inverse_system_from_jets,
+    product_rule_from_jets,
+    product_system_from_jets,
+    real_combined_from_jets,
+    real_linear_from_jets,
+    sum_pde_from_jets,
 )
 from qfc.cli import main
-from qfc.domain import Domain, grid_points
+from qfc.domain import DEFAULT_MASK_THRESHOLD, Domain
 from qfc.errors import SingularPointError
 from qfc.expr import ConjVar, RealConst, Var, const, parse
 from qfc.generators import (
@@ -49,7 +49,7 @@ from qfc.generators import (
     random_real_hyperholomorphic,
     right_combination,
 )
-from qfc.jets import CArray, Point4, PointEvents, columns_of, eval_jet, eval_qfunction
+from qfc.jets import CArray, Point4, PointEvents, columns_of
 from qfc.lowering import (
     QFunction,
     const_qf,
@@ -62,6 +62,8 @@ from qfc.lowering import (
 from qfc.quaternion import Quaternion, modulus, quat_mul
 from qfc.verify import VerifyItem, _fold, _inverse_derivative, run_verify
 
+from jet_oracle import eval_jet, eval_qfunction, grid_points, jet_pair
+
 _FAIL_FLOOR = 1e-3
 
 
@@ -69,14 +71,15 @@ def _max_eq1(f: QFunction, pts: list[Point4]) -> float:
     worst = 0.0
     for p in pts:
         try:
-            worst = max(worst, max(hyperholomorphy_residual(f, p)))
+            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(f, p))))
         except SingularPointError:
             continue
     return worst
 
 
 def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> list[VerifyItem]:
-    """run_verify as it was before the array evaluator, verbatim."""
+    """run_verify as it was before the array evaluator, each per-point
+    residual function written as its formula on jet_pair."""
     rng = np.random.default_rng(seed)
     d = Domain()
     pts = grid_points(d, grid_n)
@@ -102,10 +105,10 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
         for p in samples:
-            worst = max(worst, max(hyperholomorphy_residual(h, p)))
+            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(h, p))))
     passed = worst <= tol
     control = max(
-        hyperholomorphy_residual(QFunction(ConjVar("z2"), zero), samples[0])
+        hyperholomorphy_from_jets(jet_pair(QFunction(ConjVar("z2"), zero), samples[0]))
     )
     passed = passed and control >= _FAIL_FLOOR
     items.append(
@@ -125,15 +128,16 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         f = random_polynomial_qf(rng)
         g = random_polynomial_qf(rng)
         for _ in range(3):
-            worst = max(worst, product_rule_check(f, g, random_point(rng)).gap)
+            p = random_point(rng)
+            worst = max(worst, product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g)))).gap)
     cor_worst = 0.0
     for _ in range(5):
         f = random_real_hyperholomorphic(rng)
         g = random_real_hyperholomorphic(rng)
         for _ in range(2):
             p = random_point(rng)
-            chk = product_rule_check(f, g, p)
-            expect = quat_mul(eval_qfunction(f, p), cauchy_fueter(g, p).as_quaternion())
+            chk = product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g))))
+            expect = quat_mul(eval_qfunction(f, p), cauchy_fueter_from_jets(jet_pair(g, p)).as_quaternion())
             cor_worst = max(cor_worst, modulus(chk.second_term - expect))
     worst = max(worst, cor_worst)
     items.append(
@@ -154,13 +158,13 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     for f in passing:
         for p in samples:
             try:
-                worst = max(worst, max(inverse_hyperholomorphy_residual(f, p)))
-                worst = max(worst, cauchy_fueter(inverse_qf(f), p).magnitude())
+                worst = max(worst, max(inverse_system_from_jets(jet_pair(f, p))))
+                worst = max(worst, cauchy_fueter_from_jets(jet_pair(inverse_qf(f), p)).magnitude())
             except SingularPointError:
                 continue
     p_off = Point4(1 + 1j, 1 + 0j)
-    res_fail = max(inverse_hyperholomorphy_residual(counter, p_off))
-    dinv_fail = cauchy_fueter(inverse_qf(counter), p_off).magnitude()
+    res_fail = max(inverse_system_from_jets(jet_pair(counter, p_off)))
+    dinv_fail = cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p_off)).magnitude()
     passed = worst <= tol and res_fail >= _FAIL_FLOOR and dinv_fail >= _FAIL_FLOOR
     items.append(
         VerifyItem(
@@ -179,12 +183,12 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         real_members.append(random_real_hyperholomorphic(rng))
     for f in real_members:
         for p in coarse:
-            worst = max(worst, max(real_linear_residual(f, p)))
+            worst = max(worst, max(real_linear_from_jets(jet_pair(f, p))))
     x1_tree = const(0.5) * (Var("z1") + ConjVar("z1"))
-    res = real_linear_residual(QFunction(x1_tree, zero), samples[1])
+    res = real_linear_from_jets(jet_pair(QFunction(x1_tree, zero), samples[1]))
     value_ok = abs(res[1] - 0.5) <= 1e-12 and res[1] >= _FAIL_FLOOR
     try:
-        real_linear_residual(QFunction(Var("z1"), zero), Point4(0.3 + 0.4j, 0j))
+        real_linear_from_jets(jet_pair(QFunction(Var("z1"), zero), Point4(0.3 + 0.4j, 0j)))
         precondition_ok = False
     except ValueError:
         precondition_ok = True
@@ -209,20 +213,20 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     for h in sum_members:
         for p in coarse:
             try:
-                worst = max(worst, sum_pde_residual(h, p))
+                worst = max(worst, sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD))
             except SingularPointError:
                 continue
     for _ in range(3):
         h = sum_qf(random_rational_meromorphic(rng), random_rational_meromorphic(rng))
         for p in samples[:6]:
-            worst = max(worst, sum_pde_residual(h, p))
+            worst = max(worst, sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD))
     ident_worst = 0.0
     for p in (p_off, Point4(0.5 - 0.7j, -0.3 + 0.4j)):
-        a = sum_pde_residual(counter, p)
+        a = sum_pde_from_jets(jet_pair(counter, p), DEFAULT_MASK_THRESHOLD)
         n = eval_jet(norm_sq_expr(counter), p).val.real
-        b = 2.0 * n * n * cauchy_fueter(inverse_qf(counter), p).magnitude()
+        b = 2.0 * n * n * cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p)).magnitude()
         ident_worst = max(ident_worst, abs(a - b) / (1.0 + a + b))
-    neg = sum_pde_residual(counter, p_off)
+    neg = sum_pde_from_jets(jet_pair(counter, p_off), DEFAULT_MASK_THRESHOLD)
     passed = worst <= tol and ident_worst <= tol and neg >= _FAIL_FLOOR
     worst = max(worst, ident_worst)
     items.append(
@@ -238,16 +242,16 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     # order-sensitive control with known residual value
     worst = 0.0
     for p in coarse:
-        worst = max(worst, max(product_system_residual(m_const, e00, p)))
+        worst = max(worst, max(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p))))
         worst = max(worst, _max_eq1(product_qf(m_const, e00), [p]))
     for _ in range(3):
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
         for p in samples[:6]:
-            worst = max(worst, max(product_system_residual(f, g, p)))
+            worst = max(worst, max(product_system_from_jets(jet_pair(f, p), jet_pair(g, p))))
     g_anti = QFunction(ConjVar("z2"), zero)
     p0 = Point4(0.4 + 0.2j, 0.7 - 0.3j)
-    res = product_system_residual(e00, g_anti, p0)
+    res = product_system_from_jets(jet_pair(e00, p0), jet_pair(g_anti, p0))
     expected = 2.0 * abs(p0.z2)
     value_ok = (
         min(res) >= _FAIL_FLOOR
@@ -267,11 +271,11 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     # combined system for real-component pairs closed under sum and product
     worst = 0.0
     for p in coarse:
-        worst = max(worst, max(real_combined_residual(e00, e12, p)))
-        worst = max(worst, max(real_combined_residual(e00, m_const, p)))
+        worst = max(worst, max(real_combined_from_jets(jet_pair(e00, p), jet_pair(e12, p))))
+        worst = max(worst, max(real_combined_from_jets(jet_pair(e00, p), jet_pair(m_const, p))))
     g_sq = QFunction(x1_tree**2, zero)
     p1 = Point4(0.7 + 0.4j, -0.2 + 0.1j)
-    five = real_combined_residual(e00, g_sq, p1)
+    five = real_combined_from_jets(jet_pair(e00, p1), jet_pair(g_sq, p1))
     bilinear = five[4]
     value_ok = bilinear >= _FAIL_FLOOR and abs(bilinear - 0.7) <= 1e-12
     items.append(
@@ -290,16 +294,16 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
         for p in samples[:4]:
-            worst = max(worst, max(hyperholomorphy_residual(f, p)))
-            worst = max(worst, max(inverse_hyperholomorphy_residual(f, p)))
-            worst = max(worst, sum_pde_residual(sum_qf(f, g), p))
-            worst = max(worst, max(product_system_residual(f, g, p)))
-            worst = max(worst, max(hyperholomorphy_residual(product_qf(f, g), p)))
+            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(f, p))))
+            worst = max(worst, max(inverse_system_from_jets(jet_pair(f, p))))
+            worst = max(worst, sum_pde_from_jets(jet_pair(sum_qf(f, g), p), DEFAULT_MASK_THRESHOLD))
+            worst = max(worst, max(product_system_from_jets(jet_pair(f, p), jet_pair(g, p))))
+            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(product_qf(f, g), p))))
     for p in coarse:
         try:
-            worst = max(worst, max(hyperholomorphy_residual(sum_qf(m_const, e00), p)))
-            worst = max(worst, sum_pde_residual(sum_qf(m_const, e00), p))
-            worst = max(worst, max(product_system_residual(m_const, e00, p)))
+            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(sum_qf(m_const, e00), p))))
+            worst = max(worst, sum_pde_from_jets(jet_pair(sum_qf(m_const, e00), p), DEFAULT_MASK_THRESHOLD))
+            worst = max(worst, max(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p))))
         except SingularPointError:
             continue
     items.append(
@@ -353,13 +357,10 @@ def test_verify_memory_does_not_grow_with_the_grid(monkeypatch: pytest.MonkeyPat
     assert large < 1.3 * small, (small, large)
 
 
-def test_verify_paper_never_evaluates_per_point(monkeypatch: pytest.MonkeyPatch, capsys) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("eval_jet called while verifying")
-
-    monkeypatch.setattr(qfc.analysis, "eval_jet", refuse)
-    monkeypatch.setattr(qfc.jets, "eval_jet", refuse)
-    for name in ("eval_jet", "eval_qfunction", "inverse_qf", "norm_sq_expr", "CArray", "PointEvents"):
+def test_verify_paper_never_evaluates_per_point(capsys) -> None:
+    for module in (qfc.analysis, qfc.jets, qfc.verify):
+        assert not hasattr(module, "eval_jet")
+    for name in ("eval_qfunction", "inverse_qf", "norm_sq_expr", "CArray", "PointEvents"):
         assert not hasattr(qfc.verify, name)
     for name in ("CArray", "PointEvents"):  # grid_jets builds a block's events and coordinates
         assert not hasattr(qfc.zeros, name)

@@ -6,19 +6,11 @@ import math
 
 import pytest
 
-from qfc import (
-    ONE,
-    Point4,
-    Pow,
-    QFunction,
-    RealConst,
-    Var,
-    const_qf,
-    estimate_order,
-    lower,
-    parse,
-    zero_set_scan,
-)
+from qfc.expr import Pow, RealConst, Var, parse
+from qfc.jets import Point4
+from qfc.lowering import QFunction, const_qf, lower
+from qfc.quaternion import ONE
+from qfc.zeros import estimate_order, zero_set_scan
 from qfc.generators import counterexample_pair, example_pair
 
 ORDER_TOL = 0.05
