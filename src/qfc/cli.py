@@ -3,9 +3,9 @@
 Subcommands: classify, residuals, verify-paper, zero-set, order.
 Exit codes: 0 success, 1 verification failure, 2 bad input (a parse error,
 a file that is not UTF-8, a bad option such as a non-finite --tol, a box
-wider than a float or a grid too large to index, an expression nested too
-deeply, or an --out path that cannot be written), 3 inconclusive (too many
-masked points, or every grid point of a zero or pole scan skipped).
+wider than a float or a grid too large to index, or an --out path that
+cannot be written), 3 inconclusive (too many masked points, or every grid
+point of a zero or pole scan skipped).
 """
 from __future__ import annotations
 
@@ -300,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: expression nests too deeply to evaluate", file=sys.stderr)
         return 2
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

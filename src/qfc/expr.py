@@ -1,6 +1,6 @@
 """Expression trees for quaternion-valued functions of (z1, z2).
 
-The surface language is parsed by a small recursive-descent parser:
+The surface language is parsed by this grammar, run on an explicit stack:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -79,8 +79,7 @@ class QExpr:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        return _emit(self, _repr_pieces)
 
     def __add__(self, other):
         return _add(self, _coerce(other))
@@ -183,6 +182,25 @@ class Pow(QExpr):
 
 class Conj(QExpr):
     __slots__ = __match_args__ = ("operand",)
+
+
+def post_order(exprs: tuple[QExpr, ...]) -> list[QExpr]:
+    """The distinct nodes of the trees, the trees in order and each node
+    after its children, left before right; iterative, so deep trees walk."""
+    done: dict[QExpr, None] = {}
+    for root in exprs:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if e in done:
+                stack.pop()
+                continue
+            todo = [k for k in e.kids if k not in done]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            done[stack.pop()] = None
+    return list(done)
 
 
 def is_zero(e: QExpr) -> bool:
@@ -332,112 +350,99 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
+def _op(tok: _Token, ops: str) -> str | None:
+    """The operator tok is, when it is one of the characters of ops."""
+    return tok.text if tok.kind == "op" and tok.text in ops else None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+def _expect(tok: _Token, op: str) -> None:
+    if _op(tok, op) is None:
+        raise ParseError(f"expected {op!r}, found {tok.text!r}" if tok.text else f"expected {op!r}", tok.pos)
 
-    def accept_op(self, *ops: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
-            return self.advance()
-        return None
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text!r}" if tok.text else f"expected {op!r}", tok.pos)
-        return tok
+def _exponent(tok: _Token) -> int:
+    if tok.kind != "number" or not tok.text.isdecimal() or int(tok.text) < 1:
+        raise ParseError("exponent must be a positive integer", tok.pos)
+    return int(tok.text)
 
-    def parse_expr(self) -> QExpr:
-        node = self.parse_term()
-        while True:
-            tok = self.accept_op("+", "-")
-            if tok is None:
-                return node
-            rhs = self.parse_term()
-            node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
 
-    def parse_term(self) -> QExpr:
-        node = self.parse_factor()
-        while True:
-            tok = self.accept_op("*", "/")
-            if tok is None:
-                return node
-            rhs = self.parse_factor()
-            node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
+def _atom(tok: _Token) -> QExpr:
+    """The leaf that tok is; '(' and 'conj' are parse's own."""
+    if tok.kind == "number":
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok.text} is not a finite float", tok.pos)
+        return RealConst(value)
+    if tok.kind == "name":
+        if tok.text in _VAR_NAMES:
+            return Var(tok.text)
+        if tok.text in ("i", "j"):
+            return UnitI() if tok.text == "i" else UnitJ()
+        raise ParseError(f"unknown name {tok.text!r}", tok.pos)
+    if tok.kind == "end":
+        raise ParseError("unexpected end of input", tok.pos)
+    raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
-    def parse_factor(self) -> QExpr:
-        negate = self.accept_op("-") is not None
-        node = self.parse_atom()
-        if self.accept_op("^") is not None:
-            node = Pow(node, self.parse_exponent())
-        if negate:
-            if isinstance(node, RealConst):
-                return RealConst(-node.value)
-            return Neg(node)
-        return node
 
-    def parse_exponent(self) -> int:
-        tok = self.advance()
-        if tok.kind != "number":
-            raise ParseError("exponent must be a positive integer", tok.pos)
-        try:
-            value = int(tok.text)
-        except ValueError:
-            raise ParseError("exponent must be a positive integer", tok.pos) from None
-        if value < 1:
-            raise ParseError("exponent must be a positive integer", tok.pos)
-        return value
-
-    def parse_atom(self) -> QExpr:
-        tok = self.advance()
-        if tok.kind == "number":
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {tok.text} is not a finite float", tok.pos)
-            return RealConst(value)
-        if tok.kind == "name":
-            if tok.text in _VAR_NAMES:
-                return Var(tok.text)
-            if tok.text == "i":
-                return UnitI()
-            if tok.text == "j":
-                return UnitJ()
-            if tok.text == "conj":
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                if isinstance(inner, Var):
-                    return ConjVar(inner.name)
-                return Conj(inner)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+_SUM_OPS = {"+": Add, "-": Sub}
+_PRODUCT_OPS = {"*": Mul, "/": Div}
 
 
 def parse(text: str) -> QExpr:
-    """Parse an expression; raises ParseError with the failing position."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected token {tail.text!r}", tail.pos)
-    return node
+    """Parse an expression; raises ParseError with the failing position.
+
+    The grammar runs on an explicit stack: '(' and 'conj(' suspend the
+    enclosing sum, product, pending operators and negation, and ')'
+    resumes them, so nesting costs no Python frames.
+    """
+    tokens = _tokenize(text)
+    idx = 0
+    suspended: list[tuple] = []
+    total = add = product = mul = None
+    while True:
+        # a factor starts at tokens[idx]
+        negate = _op(tokens[idx], "-") is not None
+        idx += negate
+        tok = tokens[idx]
+        idx += 1
+        if _op(tok, "(") or (tok.kind == "name" and tok.text == "conj"):
+            if tok.kind == "name":
+                _expect(tokens[idx], "(")
+                idx += 1
+            suspended.append((total, add, product, mul, negate, tok.kind == "name"))
+            total = add = product = mul = None
+            continue
+        node = _atom(tok)
+        while True:
+            # node is the factor's atom: finish the factor, then the term
+            # and the sum it ends, and resume the enclosing factor at ')'
+            if _op(tokens[idx], "^"):
+                node = Pow(node, _exponent(tokens[idx + 1]))
+                idx += 2
+            if negate:
+                node = RealConst(-node.value) if isinstance(node, RealConst) else Neg(node)
+            product = node if mul is None else mul(product, node)
+            tok = tokens[idx]
+            if op := _op(tok, "*/"):
+                mul = _PRODUCT_OPS[op]
+                idx += 1
+                break
+            total = product if add is None else add(total, product)
+            product = mul = None
+            if op := _op(tok, "+-"):
+                add = _SUM_OPS[op]
+                idx += 1
+                break
+            if not suspended:
+                if tok.kind != "end":
+                    raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+                return total
+            _expect(tok, ")")
+            idx += 1
+            node = total
+            total, add, product, mul, negate, in_conj = suspended.pop()
+            if in_conj:
+                node = ConjVar(node.name) if isinstance(node, Var) else Conj(node)
 
 
 # --------------------------------------------------------------------------
@@ -449,61 +454,75 @@ _LEVEL_NEG = 5
 _LEVEL_POW = 6
 _LEVEL_ATOM = 8
 
+_LEVELS = {Add: _LEVEL_ADD, Sub: _LEVEL_ADD, Mul: _LEVEL_MUL, Div: _LEVEL_MUL, Neg: _LEVEL_NEG, Pow: _LEVEL_POW}
+_BINARY = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
+
 
 def _level(e: QExpr) -> int:
-    match e:
-        case Add() | Sub():
-            return _LEVEL_ADD
-        case Mul() | Div():
-            return _LEVEL_MUL
-        case Neg():
-            return _LEVEL_NEG
-        case RealConst(value):
-            # copysign catches -0.0, whose repr also starts with a minus
-            return _LEVEL_ATOM if math.copysign(1.0, value) > 0 else _LEVEL_NEG
-        case Pow():
-            return _LEVEL_POW
-        case _:
-            return _LEVEL_ATOM
+    # copysign catches -0.0, whose repr also starts with a minus
+    if isinstance(e, RealConst) and math.copysign(1.0, e.value) < 0:
+        return _LEVEL_NEG
+    return _LEVELS.get(type(e), _LEVEL_ATOM)
 
 
-def _render(e: QExpr, min_level: int) -> str:
+def _emit(root: QExpr, pieces) -> str:
+    """The text pieces(root, 0) spells: pieces(e, level) returns strings
+    and (child, level) items, which are spelled in their place.  The walk
+    keeps its own stack and joins the strings once, so its cost is linear
+    in the text however deep the tree."""
+    out: list[str] = []
+    todo: list = [(root, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(pieces(*item)))
+    return "".join(out)
+
+
+def _repr_pieces(e: QExpr, level: int) -> list:
+    out: list = [f"{type(e).__name__}("]
+    for i, name in enumerate(e.__match_args__):
+        value = getattr(e, name)
+        out += [", " * (i > 0) + f"{name}=", (value, 0) if isinstance(value, QExpr) else repr(value)]
+    return out + [")"]
+
+
+def _unparse_pieces(e: QExpr, min_level: int) -> list:
     if _level(e) < min_level:
-        return "(" + _render(e, 0) + ")"
+        return ["(", (e, 0), ")"]
     match e:
         case Var(name):
-            return name
+            return [name]
         case ConjVar(name):
-            return f"conj({name})"
+            return [f"conj({name})"]
         case RealConst(value):
-            return repr(value)
+            return [repr(value)]
         case UnitI():
-            return "i"
+            return ["i"]
         case UnitJ():
-            return "j"
-        case Add(l, r):
-            return f"{_render(l, _LEVEL_ADD)} + {_render(r, _LEVEL_ADD + 1)}"
-        case Sub(l, r):
-            return f"{_render(l, _LEVEL_ADD)} - {_render(r, _LEVEL_ADD + 1)}"
-        case Mul(l, r):
-            return f"{_render(l, _LEVEL_MUL)} * {_render(r, _LEVEL_MUL + 1)}"
-        case Div(l, r):
-            return f"{_render(l, _LEVEL_MUL)} / {_render(r, _LEVEL_MUL + 1)}"
+            return ["j"]
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+            level = _LEVELS[type(e)]
+            return [(l, level), _BINARY[type(e)], (r, level + 1)]
         case Neg(x):
-            # a bare negative literal would re-parse as a folded constant
+            # -(c), not -c, shows the Neg node; both parse to the constant -c
             if isinstance(x, RealConst):
-                return f"-({_render(x, 0)})"
-            return "-" + _render(x, _LEVEL_POW)
+                return ["-(", (x, 0), ")"]
+            return ["-", (x, _LEVEL_POW)]
         case Pow(b, n):
-            return f"{_render(b, _LEVEL_ATOM)}^{n}"
+            return [(b, _LEVEL_ATOM), f"^{n}"]
         case Conj(x):
-            return f"conj({_render(x, 0)})"
+            return ["conj(", (x, 0), ")"]
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def unparse(e: QExpr) -> str:
-    """Deterministic rendering; parse(unparse(e)) is structurally e."""
-    return _render(e, 0)
+    """Deterministic rendering.  parse(unparse(e)) is e for every tree
+    that parse returns; a tree parse cannot return may print as another,
+    as Neg(RealConst(2.0)) prints as -(2.0), which parses to RealConst(-2.0)."""
+    return _emit(e, _unparse_pieces)
 
 
 # --------------------------------------------------------------------------

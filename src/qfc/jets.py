@@ -44,6 +44,7 @@ from .expr import (
     UnitI,
     UnitJ,
     Var,
+    post_order,
 )
 
 # A divisor d vanishes, and its quotient is refused, where |d|^2 is below
@@ -423,7 +424,7 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
         rows = [CArray(grad.real[i, k], grad.imag[i, k], events) for i, k in _SLOTS]
         return WirtingerJet(val, *rows)
 
-    plan = _post_order(exprs)
+    plan = post_order(exprs)
     # A jet is dropped once its last user is evaluated, so only the walk's
     # frontier is held, not every distinct node's jet.
     uses = dict.fromkeys(plan, 0)
@@ -437,25 +438,6 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
             if not uses[k]:
                 del jets[k]
     return [unpack(*jets[e]) for e in exprs], events
-
-
-def _post_order(exprs: tuple[QExpr, ...]) -> list[QExpr]:
-    """The distinct nodes of the trees, the trees in order and each node
-    after its children, left before right; iterative, so deep trees walk."""
-    done: dict[QExpr, None] = {}
-    for root in exprs:
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if e in done:
-                stack.pop()
-                continue
-            todo = [k for k in e.kids if k not in done]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            done[stack.pop()] = None
-    return list(done)
 
 
 def jets_at(exprs: tuple[QExpr, ...], p: Point4) -> list[WirtingerJet]:

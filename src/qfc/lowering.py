@@ -26,6 +26,7 @@ from .expr import (
     Var,
     const,
     is_zero,
+    post_order,
 )
 from .quaternion import Quaternion
 
@@ -46,28 +47,38 @@ class QFunction:
 
 
 def lower(e: QExpr) -> QFunction:
-    """Rewrite e as an equivalent (f1, f2) component pair."""
+    """Rewrite e as an equivalent (f1, f2) component pair.  Each distinct
+    node is lowered once, after its children, without recursion."""
+    lowered: dict[QExpr, QFunction] = {}
+    for node in post_order((e,)):
+        lowered[node] = _lower_node(node, [lowered[k] for k in node.kids])
+    return lowered[e]
+
+
+def _lower_node(e: QExpr, parts: list[QFunction]) -> QFunction:
+    """The pair of e, given the pairs of its children."""
     match e:
         case Var() | ConjVar() | RealConst() | UnitI():
             return QFunction(e, _ZERO)
         case UnitJ():
             return QFunction(_ZERO, _ONE)
-        case Add(l, r):
-            return sum_qf(lower(l), lower(r))
-        case Sub(l, r):
-            a, b = lower(l), lower(r)
+        case Add():
+            return sum_qf(*parts)
+        case Sub():
+            a, b = parts
             return QFunction(a.f1 - b.f1, a.f2 - b.f2)
-        case Neg(x):
-            a = lower(x)
+        case Neg():
+            (a,) = parts
             return QFunction(-a.f1, -a.f2)
-        case Conj(x):
-            return conj_qf(lower(x))
-        case Mul(l, r):
-            return product_qf(lower(l), lower(r))
-        case Div(l, r):
-            return product_qf(lower(l), inverse_qf(lower(r)))
-        case Pow(b, n):
-            base = lower(b)
+        case Conj():
+            return conj_qf(*parts)
+        case Mul():
+            return product_qf(*parts)
+        case Div():
+            a, b = parts
+            return product_qf(a, inverse_qf(b))
+        case Pow(_, n):
+            (base,) = parts
             if is_zero(base.f2):
                 return QFunction(base.f1**n, _ZERO)
             out = base

@@ -364,17 +364,26 @@ def test_a_pole_on_a_grid_node_has_order_one(capsys, tmp_path: Path) -> None:
     assert est["display_order"] == 1.0
 
 
-def test_deeply_nested_input_is_refused(capsys, tmp_path: Path) -> None:
-    deep = tmp_path / "deep.txt"
-    deep.write_text("f = " + " + ".join(["z1"] * 3000) + "\n", encoding="utf-8")
-    code, out, err = _run(capsys, ["classify", "--input", str(deep), "--grid", "2"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: expression nests too deeply")
-    shallow = tmp_path / "shallow.txt"
-    shallow.write_text("f = " + " + ".join(["z1"] * 200) + "\n", encoding="utf-8")
-    code, out, err = _run(capsys, ["classify", "--input", str(shallow), "--grid", "3"])
-    assert code == 0 and err == ""
-    assert "f: Holomorphic" in out
+@pytest.mark.parametrize(
+    "deep, short, label",
+    [
+        (" + ".join(["z1"] * 3_000), " + ".join(["z1"] * 300), "Holomorphic"),
+        (" + ".join(["z1"] * 10_000), " + ".join(["z1"] * 300), "Holomorphic"),
+        ("(" * 10_000 + "z1" + ")" * 10_000, "(" * 200 + "z1" + ")" * 200, "Holomorphic"),
+        ("conj(" * 5_000 + "z1 + z2*j" + ")" * 5_000, "conj(" * 4 + "z1 + z2*j" + ")" * 4, "Hyperholomorphic"),
+    ],
+    ids=["sum-3000", "sum-10000", "parentheses-10000", "conj-5000"],
+)
+def test_deep_inputs_classify_as_their_short_versions(capsys, tmp_path: Path, deep: str, short: str, label: str) -> None:
+    """No input is too deep: parsing, lowering and evaluation walk without
+    recursion, so a sum or nesting far past Python's recursion limit gets
+    the label of its short version."""
+    for name, text in (("deep", deep), ("short", short)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"f = {text}\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["classify", "--input", str(path), "--grid", "3", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["functions"][0]["label"] == label
 
 
 def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:

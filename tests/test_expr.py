@@ -27,11 +27,14 @@ from qfc.expr import (
     const,
     parse,
     parse_definitions,
+    post_order,
     unparse,
 )
-from qfc.jets import Point4, _post_order
+from qfc.jets import Point4
 from qfc import expr as expr_module
+from qfc.lowering import lower
 
+from expr_oracle import oracle_lower, oracle_parse, oracle_repr, oracle_unparse
 from qexpr_oracle import eval_qexpr
 from random_trees import random_scalar_tree, random_surface_tree
 
@@ -231,6 +234,69 @@ def test_unparse_parse_round_trip(expr) -> None:
     assert cmath.isclose(after.z2, before.z2, rel_tol=1e-9, abs_tol=1e-9)
 
 
+@given(expr=EXPRESSIONS, seed=st.integers(0, 10_000), surface=st.booleans())
+def test_lower_unparse_and_repr_agree_with_the_recursive_oracle(expr, seed, surface) -> None:
+    """Nodes are interned, so the lowered pairs agree when their component
+    nodes are the same objects."""
+    tree = (random_surface_tree if surface else random_scalar_tree)(np.random.default_rng(seed), 4)
+    for e in (expr, tree):
+        assert lower(e) == oracle_lower(e)
+        assert unparse(e) == oracle_unparse(e)
+        assert repr(e) == oracle_repr(e)
+
+
+PARSE_TOKENS = ["z1", "z2", "i", "j", "conj", "(", ")", "+", "-", "*", "/", "^", "2", "0", "0.5", "1e999", "x", "$", " "]
+
+
+def _splice(text: str, i: int, token: str) -> str:
+    """text with its i-th character replaced by token, or dropped."""
+    return text[:i] + token + text[i + 1 :]
+
+
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(PARSE_TOKENS), max_size=14).map("".join),
+    EXPRESSIONS.map(unparse),
+    st.builds(_splice, EXPRESSIONS.map(unparse), st.integers(0, 60), st.sampled_from(["", *PARSE_TOKENS])),
+)
+
+
+@settings(max_examples=400)
+@given(text=TEXTS)
+def test_parse_agrees_with_the_recursive_parser(text) -> None:
+    """The same node, or a ParseError with the same message and position."""
+    try:
+        want = oracle_parse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert (got.value.args, got.value.position) == (exc.args, exc.position)
+        return
+    assert parse(text) is want
+
+
+DEEP_TEXTS = {
+    "sum-3000": " + ".join(["z1"] * 3_000),
+    "sum-10000": " + ".join(["z1"] * 10_000),
+    "parentheses-10000": "(" * 10_000 + "z1" + ")" * 10_000,
+    "conj-5000": "conj(" * 5_000 + "z1 + z2*j" + ")" * 5_000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS.values(), ids=DEEP_TEXTS.keys())
+def test_trees_deeper_than_the_recursion_limit_print_and_reparse(text) -> None:
+    e = parse(text)
+    assert parse(unparse(e)) is e
+    assert repr(e).startswith(f"{type(e).__name__}(")
+
+
+def test_a_chain_deeper_than_the_recursion_limit_prints_and_lowers() -> None:
+    """A 10,000-term sum prints term by term, and its lowered first
+    component is the sum itself."""
+    chain = parse(DEEP_TEXTS["sum-10000"])
+    assert unparse(chain) == " + ".join(["z1"] * 10_000)
+    assert lower(chain).f1 is chain
+
+
 def test_parse_definitions_reads_named_functions() -> None:
     text = "# scratch functions\nf = z1*z2\n\ng = conj(z1)\n"
     defs = parse_definitions(text)
@@ -356,5 +422,5 @@ def test_nodes_are_one_object_exactly_when_their_old_keys_agree(seeds, depth, su
         for y, ky in zip(nodes, keys):
             assert (x is y) == (kx == ky)
             assert (x == y) == (kx == ky)
-    plan = _post_order((a, b))
+    plan = post_order((a, b))
     assert len(plan) == len(set(keys)) == len({_old_key(x) for x in plan})

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qfc.jets
+import qfc.lowering
 from qfc.analysis import classify
 from qfc.errors import InconclusiveError, SingularPointError
 from qfc.expr import Add, ConjVar, Mul, Neg, Pow, RealConst, Sub, UnitJ, Var, parse
@@ -26,6 +27,7 @@ from qfc.lowering import (
 )
 from qfc.quaternion import ONE, Quaternion, modulus, norm_sq, quat_conj, quat_mul
 
+import expr_oracle
 from jet_oracle import eval_qfunction
 from qexpr_oracle import eval_qexpr
 from random_trees import random_surface_tree
@@ -116,6 +118,29 @@ def test_scale_right_by_a_real_constant_scales_values() -> None:
     scaled = scale_right_qf(f, Quaternion(-3.0 + 0j, 0j))
     p = Point4(0.6 + 0.1j, -0.4 + 0.8j)
     assert eval_qfunction(scaled, p) == eval_qfunction(f, p).scale(-3.0)
+
+
+def test_lowering_lowers_each_distinct_node_once(monkeypatch) -> None:
+    """Twelve squarings x = x * x of z1*j + z2 make a tree of 4,096
+    copies of it but only 17 distinct nodes: lower makes one product for
+    z1*j and one per squaring, where lowering each occurrence of a shared
+    subtree (the recursive oracle) makes 8,191."""
+    x = parse("z1*j + z2")
+    for _ in range(12):
+        x = x * x
+    calls = {"lower": 0, "oracle": 0}
+
+    def counting(name):
+        def product(f, g):
+            calls[name] += 1
+            return product_qf(f, g)
+
+        return product
+
+    monkeypatch.setattr(qfc.lowering, "product_qf", counting("lower"))
+    monkeypatch.setattr(expr_oracle, "product_qf", counting("oracle"))
+    assert lower(x) == expr_oracle.oracle_lower(x)
+    assert calls == {"lower": 13, "oracle": 8_191}
 
 
 def test_lowering_is_sound_against_direct_evaluation() -> None:
