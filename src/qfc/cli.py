@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import DEFAULT_TOL, classify, residual_reports
@@ -40,38 +40,6 @@ _DEFAULTS: dict[str, object] = {
     "out": None,
     "kind": "zero",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    box: tuple[float, ...]
-    grid_n: int
-    tol: float
-    mask_threshold: float
-    output_format: str
-    seed: int
-    out: str | None
-    kind: str
-
-    def domain(self) -> Domain:
-        return Domain.from_flat(self.box, self.mask_threshold)
-
-    def embedded(self) -> dict:
-        """The reproducibility-relevant part, embedded in reports."""
-        d: dict = {
-            "box": list(self.box),
-            "grid": self.grid_n,
-            "tol": self.tol,
-            "mask": self.mask_threshold,
-            "seed": self.seed,
-        }
-        if self.input_path is not None:
-            d["input"] = self.input_path
-        if self.command == "order":
-            d["kind"] = self.kind
-        return d
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> dict:
+    """The options merged from _DEFAULTS, the config file and the flags,
+    validated, under their own names, and the command."""
     cfg = dict(_DEFAULTS)
     if args.config:
         try:
@@ -144,7 +114,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if any(isinstance(x, bool) for x in parts):
         raise ParseError("bad box bound: a bound must be a number, not a boolean")
     try:
-        box = tuple(float(x) for x in parts)
+        cfg["box"] = box = tuple(float(x) for x in parts)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad box bound: {exc}") from exc
     for lo, hi in zip(box[0::2], box[1::2]):
@@ -160,10 +130,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if isinstance(v, bool) or fractional:
             raise ParseError(f"bad numeric option: {k} {json.dumps(v)}")
     try:
-        grid_n = int(cfg["grid"])
-        tol = float(cfg["tol"])
-        mask = float(cfg["mask"])
-        seed = int(cfg["seed"])
+        for k, cast in (("grid", int), ("tol", float), ("mask", float), ("seed", int)):
+            cfg[k] = cast(cfg[k])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad numeric option: {exc}") from exc
     for k in ("input", "format", "out", "kind"):
@@ -171,10 +139,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         v = cfg[k]
         if not (isinstance(v, str) or (v is None and k in ("input", "out"))):
             raise ParseError(f"bad option: {k} {json.dumps(v)} is not a string")
+    grid, tol, mask, seed = cfg["grid"], cfg["tol"], cfg["mask"], cfg["seed"]
     fmt, kind, out = cfg["format"], cfg["kind"], cfg["out"]
-    if grid_n < 2:
+    if grid < 2:
         raise ParseError("grid must be at least 2")
-    if grid_n > _MAX_GRID:
+    if grid > _MAX_GRID:
         raise ParseError(f"grid must be at most {_MAX_GRID}, so that its grid^4 points can be indexed")
     if seed < 0:
         raise ParseError("seed must be non-negative")
@@ -187,25 +156,25 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         reason = "it is a directory" if os.path.isdir(out) else "its directory does not exist"
         raise ParseError(f"cannot write --out {out}: {reason}")
-    return RunConfig(
-        command=args.command,
-        input_path=cfg["input"],
-        box=box,
-        grid_n=grid_n,
-        tol=tol,
-        mask_threshold=mask,
-        output_format=fmt,
-        seed=seed,
-        out=out,
-        kind=kind,
-    )
+    cfg["command"] = args.command
+    return cfg
 
 
-def _load_functions(cfg: RunConfig) -> list[tuple[str, QFunction]]:
-    if not cfg.input_path:
-        raise ParseError(f"--input is required for {cfg.command}")
+def _embedded(cfg: dict) -> dict:
+    """The reproducibility-relevant options, embedded in reports."""
+    d = {"box": list(cfg["box"]), **{k: cfg[k] for k in ("grid", "tol", "mask", "seed")}}
+    if cfg["input"] is not None:
+        d["input"] = cfg["input"]
+    if cfg["command"] == "order":
+        d["kind"] = cfg["kind"]
+    return d
+
+
+def _load_functions(cfg: dict) -> list[tuple[str, QFunction]]:
+    if not cfg["input"]:
+        raise ParseError(f"--input is required for {cfg['command']}")
     try:
-        text = Path(cfg.input_path).read_text(encoding="utf-8")
+        text = Path(cfg["input"]).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input file: {exc}") from exc
     return [(name, lower(expr)) for name, expr in parse_definitions(text).items()]
@@ -215,29 +184,29 @@ def _finite_or_str(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
-def _classify(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
-    label, reports = classify(f, d, cfg.grid_n, cfg.tol)
+def _classify(cfg: dict, f: QFunction, d: Domain) -> dict:
+    label, reports = classify(f, d, cfg["grid"], cfg["tol"])
     return {"label": label.label, "tolerance": label.tol, "reports": reports}
 
 
-def _residuals(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
-    reports = residual_reports(f, d, cfg.grid_n)
+def _residuals(cfg: dict, f: QFunction, d: Domain) -> dict:
+    reports = residual_reports(f, d, cfg["grid"])
     if not len(reports[0].points):
         raise InconclusiveError("every grid point is masked")
     return {"reports": reports}
 
 
-def _zero_set(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
-    clusters = zero_set_scan(f, d, cfg.grid_n, cfg.tol)
+def _zero_set(cfg: dict, f: QFunction, d: Domain) -> dict:
+    clusters = zero_set_scan(f, d, cfg["grid"], cfg["tol"])
     return {
         "cluster_count": len(clusters),
         "clusters": [[list(p.reals()) for p in cluster] for cluster in clusters],
     }
 
 
-def _estimate(cfg: RunConfig, f: QFunction, ci: int, q) -> dict:
+def _estimate(cfg: dict, f: QFunction, ci: int, q) -> dict:
     try:
-        est = estimate_order(f, q, cfg.kind, seed=cfg.seed, zero_tol=cfg.tol)
+        est = estimate_order(f, q, cfg["kind"], seed=cfg["seed"], zero_tol=cfg["tol"])
     except ValueError as exc:
         return {"cluster": ci, "error": str(exc)}
     return {
@@ -250,9 +219,9 @@ def _estimate(cfg: RunConfig, f: QFunction, ci: int, q) -> dict:
     }
 
 
-def _order(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
-    scan = zero_set_scan if cfg.kind == "zero" else pole_set_scan
-    clusters = scan(f, d, cfg.grid_n, cfg.tol)
+def _order(cfg: dict, f: QFunction, d: Domain) -> dict:
+    scan = zero_set_scan if cfg["kind"] == "zero" else pole_set_scan
+    clusters = scan(f, d, cfg["grid"], cfg["tol"])
     return {"estimates": [_estimate(cfg, f, ci, cluster[0]) for ci, cluster in enumerate(clusters)]}
 
 
@@ -261,23 +230,21 @@ def _order(cfg: RunConfig, f: QFunction, d: Domain) -> dict:
 _PER_FUNCTION = {"classify": _classify, "residuals": _residuals, "zero-set": _zero_set, "order": _order}
 
 
-def _document(cfg: RunConfig) -> dict:
+def _document(cfg: dict) -> dict:
     """The command's report: the schema, the command, its embedded config
     and the command's results."""
-    doc = {"schema": SCHEMA, "command": cfg.command, "config": cfg.embedded()}
-    if cfg.command == "verify-paper":
-        items = run_verify(seed=cfg.seed, grid_n=cfg.grid_n, tol=cfg.tol)
+    command = cfg["command"]
+    doc = {"schema": SCHEMA, "command": command, "config": _embedded(cfg)}
+    if command == "verify-paper":
+        items = run_verify(seed=cfg["seed"], grid_n=cfg["grid"], tol=cfg["tol"])
         doc["all_passed"] = all(it.passed for it in items)
-        doc["items"] = [
-            {"name": it.name, "passed": it.passed, "worst_residual": it.worst_residual, "detail": it.detail}
-            for it in items
-        ]
+        doc["items"] = [asdict(it) for it in items]
         return doc
-    functions, d = _load_functions(cfg), cfg.domain()
+    functions, d = _load_functions(cfg), Domain.from_flat(cfg["box"], cfg["mask"])
     doc["functions"] = []
     for name, f in functions:
         try:
-            doc["functions"].append({"name": name, **_PER_FUNCTION[cfg.command](cfg, f, d)})
+            doc["functions"].append({"name": name, **_PER_FUNCTION[command](cfg, f, d)})
         except InconclusiveError as exc:
             raise InconclusiveError(f"{name}: {exc}") from None
     return doc
@@ -288,15 +255,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         doc = _document(cfg)
-        if cfg.out:
+        if cfg["out"]:
             try:
-                fh = open(cfg.out, "w", encoding="utf-8")
+                fh = open(cfg["out"], "w", encoding="utf-8")
             except OSError as exc:
-                raise ParseError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
+                raise ParseError(f"cannot write --out {cfg['out']}: {exc.strerror}") from exc
             with fh:
-                write_report(doc, cfg.output_format, fh)
+                write_report(doc, cfg["format"], fh)
         else:
-            write_report(doc, cfg.output_format, sys.stdout)
+            write_report(doc, cfg["format"], sys.stdout)
         sys.stdout.flush()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

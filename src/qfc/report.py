@@ -3,18 +3,16 @@ document.
 
 A document is the dict of JSON values one command produces, with each
 residual table held as a ResidualReport.  write_report renders it a piece
-at a time.  Its JSON is byte for byte what json.dumps(doc, sort_keys=True,
-indent=2, allow_nan=False) + "\\n" gives for the document with every
-report expanded into a dict, but each table's point rows are formatted
-from one fixed template instead of through json's pure-Python encoder,
-which it falls back to whenever indent is set, and written _BATCH_ROWS
-rows at a time.
+at a time.  Its JSON is json's own encoder, sort_keys=True, indent=2,
+allow_nan=False, plus a newline.  Only each report is laid out here and
+spliced in where the encoder meets it: its point rows are formatted from
+one fixed template and written _BATCH_ROWS rows at a time.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -73,7 +71,7 @@ def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
     """Write a command's document to out as "json", "csv" or "text"."""
     csv_rows, text = _LAYOUTS[doc["command"]]
     if fmt == "json":
-        out.writelines(chain(_json_pieces(doc, "", {}), ("\n",)))
+        out.writelines(chain(_json_pieces(doc), ("\n",)))
     elif fmt == "csv":
         out.writelines(csv_rows(doc))
     else:
@@ -95,47 +93,33 @@ def _coord_text(points: np.ndarray, last: dict, layout: str | None = None) -> li
     return last[key][1]
 
 
-def _finite(ok: bool) -> None:
-    if not ok:
-        raise ValueError("Out of range float values are not JSON compliant")
+def _json_pieces(doc: dict) -> Iterator[str]:
+    """json's encoding of doc, sort_keys=True, indent=2, allow_nan=False,
+    in pieces, with each ResidualReport laid out by _report_json.
 
+    The encoder's default returns "" for a report, and the report replaces
+    the piece the encoder yields next, the encoding of that "": the call
+    marks it, not its text, so a "" of the document's own stays.  This
+    assumes non-one-shot iterencode is json's pure-Python generator, which
+    calls default lazily, between pieces.
+    """
+    reports: list[ResidualReport] = []
 
-def _json_scalar(x) -> str:
-    if isinstance(x, str):
-        return _json_str(x)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        _finite(math.isfinite(x))
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    def default(obj):
+        if isinstance(obj, ResidualReport):
+            reports.append(obj)
+            return ""
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-
-def _json_pieces(obj, indent: str, last: dict) -> Iterator[str]:
-    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in
-    pieces, for a value nested at indent."""
-    if isinstance(obj, ResidualReport):
-        yield from _report_json(obj, indent, last)
-    elif isinstance(obj, (dict, list, tuple)):
-        if isinstance(obj, dict):
-            items, brackets = [(_json_str(k) + ": ", obj[k]) for k in sorted(obj)], "{}"
-        else:
-            items, brackets = [("", v) for v in obj], "[]"
-        if not items:
-            yield brackets
-            return
-        inner, sep = indent + "  ", brackets[0] + "\n"
-        for head, value in items:
-            yield sep + inner + head
-            yield from _json_pieces(value, inner, last)
-            sep = ",\n"
-        yield "\n" + indent + brackets[1]
-    else:
-        yield _json_scalar(obj)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default)
+    indent, last = "", {}
+    for piece in encoder.iterencode(doc):
+        if reports:
+            yield from _report_json(reports.pop(), indent, last)
+            continue
+        yield piece
+        if "\n" in piece:  # the newline and indent before a report are a piece of their own
+            indent = piece.rpartition("\n")[2]
 
 
 def _row_template(indent: str, fields: tuple[tuple[str, int | None], ...]) -> str:
@@ -159,13 +143,14 @@ def _json_list(items: Iterable[str], indent: str) -> str:
 def _report_json(rep: ResidualReport, indent: str, last: dict) -> Iterator[str]:
     inner, item = indent + "  ", indent + "    "
     masked = [(*m.point.reals(), _json_str(m.reason)) for m in rep.masked]
-    _finite(np.isfinite(rep.points).all() and np.isfinite([m[:4] for m in masked]).all())
+    if not (np.isfinite(rep.points).all() and np.isfinite([m[:4] for m in masked]).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
     masked_row = _row_template(item, (("point", 4), ("reason", None)))
     point_row = _row_template(item, (("point", None), ("residuals", rep.residuals.shape[1])))
     yield (
         f'{{\n{inner}"masked": {_json_list(map(masked_row.__mod__, masked), inner)},\n'
-        f'{inner}"max_residual": {_json_scalar(rep.max_residual)},\n'
-        f'{inner}"mean_residual": {_json_scalar(rep.mean_residual)},\n'
+        f'{inner}"max_residual": {json.dumps(rep.max_residual, allow_nan=False)},\n'
+        f'{inner}"mean_residual": {json.dumps(rep.mean_residual, allow_nan=False)},\n'
         f'{inner}"points": '
     )
     lists = _coord_text(rep.points, last, _json_list([item + "    %s"] * 4, item + "  "))

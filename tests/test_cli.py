@@ -249,6 +249,31 @@ def test_config_file_merging(capsys, tmp_path: Path, funcs_file: str) -> None:
     assert code == 2 and err == "error: unknown config key 'grid_n'\n"
 
 
+_ROUND_TRIP_BOX = "--box=-1,1,-0.5,1,-1,1,-1,0.75"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--grid", "3", "--tol", "1e-7", "--mask", "1e-5", "--seed", "2"],
+        ["residuals", "--grid", "3", "--mask", "1e-5"],
+        ["zero-set", "--grid", "5", "--tol", "0.4", "--seed", "1"],
+        ["order", "--kind", "pole", "--grid", "4", "--tol", "0.4", "--seed", "3"],
+        ["verify-paper", "--grid", "2", "--tol", "1e-7", "--seed", "5"],
+    ],
+)
+def test_the_embedded_config_reruns_the_report(capsys, tmp_path: Path, funcs_file: str, argv: list[str]) -> None:
+    """Each option has one name as a flag, a config key and an embedded
+    key, so a report's config, saved as a config file, gives the report
+    back."""
+    inputs = [] if argv[0] == "verify-paper" else ["--input", funcs_file]
+    code, out, err = _run(capsys, [*argv, *inputs, _ROUND_TRIP_BOX, "--format", "json"])
+    assert (code, err) == (0, "")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(out)["config"]), encoding="utf-8")
+    assert _run(capsys, [argv[0], "--config", str(cfg), "--format", "json"]) == (0, out, "")
+
+
 def test_out_file_holds_the_report(capsys, tmp_path: Path, funcs_file: str) -> None:
     out_path = tmp_path / "report.json"
     code, out, _ = _run(capsys, ["residuals", "--input", funcs_file, "--grid", "2", "--out", str(out_path), "--format", "json"])

@@ -327,6 +327,23 @@ def test_json_writer_covers_empty_and_all_masked_reports() -> None:
     assert '"input": "a\\"b\\\\c \\u00fc.txt"' in text
 
 
+def test_json_splices_each_report_where_the_document_holds_it() -> None:
+    """Reports as list items at two depths and as dict values, one report
+    object twice and two reports sharing a points array, next to "" (the
+    text the encoder's default stands in for a report) and "\x00" as keys
+    and as values."""
+    rep = _sample()
+    twin = ResidualReport("twin", rep.points, rep.residuals[:, :1])
+    doc = {
+        "schema": SCHEMA,
+        "command": "verify-paper",
+        "": [rep, "", [twin, "\x00", rep], ""],
+        "\x00": {"": rep, "\x00": "", "a": {"": "\x00", "b": twin}, "c": ""},
+        "d": [[], [rep], {}, twin],
+    }
+    assert _write(doc, "json") == _old_json(doc)
+
+
 # Row batches and points arrays shared by reports.
 
 COORD_POOL = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, 5e-324, -5e-324, 1e308, 2.0**53 + 2])
