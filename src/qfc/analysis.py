@@ -16,10 +16,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import Domain, grid_blocks
-from .errors import BELOW_THRESHOLD, MASK_REASONS, OVERFLOW, InconclusiveError
+from .errors import BELOW_THRESHOLD, OVERFLOW, InconclusiveError
 from .jets import (
     Columns,
-    Point4,
     PointEvents,
     WirtingerJet,
     grid_jets,
@@ -34,7 +33,7 @@ from .jets import (
 )
 from .lowering import QFunction
 from .quaternion import UNIT_J, Quaternion, modulus, norm_sq, quat_mul
-from .report import MaskedPoint, ResidualReport
+from .report import ResidualReport
 
 LABELS = (
     "Holomorphic",
@@ -229,10 +228,10 @@ def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
 
 
 def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, float, float]:
-    """The five-equation system for real-component pairs closed under
-    both sum and product, from the jets of f and g: each factor's linear
-    system plus one bilinear coupling equation.  Raises ValueError unless
-    the values are real."""
+    """Five residuals for real-component f and g, from their jets, with _k
+    for d/dzk: |f2_z1 + f1_z2|, |f1_z1 - f2_z2|, the same two for g, and
+    |f1_z1 g1_z1 - f1_z2 g1_z2|.  The first four take d/dz2 where
+    real_linear_from_jets takes d/dzbar2.  Raises ValueError unless real."""
     (jf1, jf2), (jg1, jg2) = f, g
     _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_from_jets")
     return (
@@ -280,13 +279,14 @@ class Sample(NamedTuple):
     """sample's result, in grid order: the unmasked points as rows
     (x1, y1, x2, y2); one array per reported system with a row of
     residuals per unmasked point; the extra values, a row per unmasked
-    point, and where they hold; and the masked points."""
+    point, and where they hold; and the masked points' rows and codes."""
 
     points: np.ndarray
     reported: list[np.ndarray]
     extra: np.ndarray
     holds: np.ndarray
-    masked: list[MaskedPoint]
+    masked: np.ndarray
+    reasons: np.ndarray
 
 
 def _columns(values: tuple[np.ndarray, ...], n: int) -> np.ndarray:
@@ -316,13 +316,10 @@ def sample(f: QFunction, d: Domain, grid_n: int, systems: Systems) -> Sample:
     """
     blocks = [_sample_block(f, z, d.excluded_threshold, systems) for _, z in grid_blocks(d, grid_n)]
     code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks  # so the copies below can reuse the blocks' memory
     bad = code != 0
-    masked = [
-        MaskedPoint(Point4.from_reals(*p), MASK_REASONS[c])
-        for p, c in zip(columns[0][bad].tolist(), code[bad].tolist())
-    ]
     coords, extra, holds, *reported = (c[~bad] for c in columns)
-    return Sample(coords, reported, extra, holds, masked)
+    return Sample(coords, reported, extra, holds, columns[0][bad], code[bad])
 
 
 def _sample_block(f: QFunction, z: Columns, threshold: float, systems: Systems) -> tuple[np.ndarray, ...]:
@@ -348,7 +345,7 @@ def _sample_block(f: QFunction, z: Columns, threshold: float, systems: Systems) 
 
 
 def _reports(names: tuple[str, ...], s: Sample) -> list[ResidualReport]:
-    return [ResidualReport(n, s.points, r, s.masked) for n, r in zip(names, s.reported)]
+    return [ResidualReport(n, s.points, r, s.masked, s.reasons) for n, r in zip(names, s.reported)]
 
 
 def _classify_systems(f: Jets, events: PointEvents):
@@ -420,5 +417,5 @@ def residual_reports(f: QFunction, d: Domain, grid_n: int) -> list[ResidualRepor
     s = sample(f, d, grid_n, systems)
     reports = _reports(("hyperholomorphy", "inverse_hyperholomorphy", "sum_pde"), s)
     if s.holds.all():
-        reports.append(ResidualReport("real_linear", s.points, s.extra, s.masked))
+        reports.append(ResidualReport("real_linear", s.points, s.extra, s.masked, s.reasons))
     return reports

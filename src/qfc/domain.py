@@ -47,6 +47,8 @@ class Domain:
                 raise ValueError("box bounds must be finite")
             if lo > hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"interval ({lo}, {hi}) is too wide: its width overflows")
         if not (self.excluded_threshold > 0.0):
             raise ValueError("excluded_threshold must be positive")
 

@@ -178,6 +178,10 @@ class Pow(QExpr):
     def _check(base, exponent) -> None:
         if not isinstance(exponent, int) or exponent < 1:
             raise ValueError("exponent must be a positive integer")
+        try:
+            float(exponent)  # the jets' power rule multiplies by it
+        except OverflowError:
+            raise ValueError("exponent is too large for a float") from None
 
 
 class Conj(QExpr):
@@ -361,8 +365,12 @@ def _expect(tok: _Token, op: str) -> None:
 
 
 def _exponent(tok: _Token) -> int:
-    if tok.kind != "number" or not tok.text.isdecimal() or int(tok.text) < 1:
+    """The exponent that tok spells.  float(tok.text) rounds as float of
+    the int does, and refuses one too large before int reads its digits."""
+    if tok.kind != "number" or not tok.text.isdecimal() or float(tok.text) < 1:
         raise ParseError("exponent must be a positive integer", tok.pos)
+    if math.isinf(float(tok.text)):
+        raise ParseError("exponent is too large for a float", tok.pos)
     return int(tok.text)
 
 

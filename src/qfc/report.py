@@ -5,8 +5,8 @@ A document is the dict of JSON values one command produces, with each
 residual table held as a ResidualReport.  write_report renders it a piece
 at a time.  Its JSON is json's own encoder, sort_keys=True, indent=2,
 allow_nan=False, plus a newline.  Only each report is laid out here and
-spliced in where the encoder meets it: its point rows are formatted from
-one fixed template and written _BATCH_ROWS rows at a time.
+spliced in where the encoder meets it: its point rows and masked rows are
+formatted from one fixed template each and written _BATCH_ROWS at a time.
 """
 from __future__ import annotations
 
@@ -21,16 +21,10 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .jets import Point4
+from .errors import MASK_REASONS
 
 SCHEMA = "qfc-report/1"
 _BATCH_ROWS = 256
-
-
-@dataclass(frozen=True)
-class MaskedPoint:
-    point: Point4
-    reason: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,14 +33,15 @@ class ResidualReport:
 
     points holds the unmasked points as rows (x1, y1, x2, y2) and
     residuals the per-equation residual magnitudes at each of them, one
-    row per point; both are float64.  Masked points carry a reason instead
-    of numbers, so serialized output never contains NaN.
+    row per point; both are float64.  masked holds the masked points' rows
+    and reasons their MASK_REASONS codes, so output never contains NaN.
     """
 
     system: str
     points: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     residuals: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
-    masked: list[MaskedPoint] = field(default_factory=list)
+    masked: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    reasons: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
 
     def __post_init__(self):
         bad = ~(np.isfinite(self.residuals) & (self.residuals >= 0.0))
@@ -54,6 +49,11 @@ class ResidualReport:
             raise ValueError(
                 f"residual magnitudes must be finite and non-negative, got {self.residuals[bad][0]}"
             )
+        if len(self.points) != len(self.residuals) or len(self.masked) != len(self.reasons):
+            raise ValueError("each point needs a row of residuals, and each masked point a reason")
+        # a set, not np.isin or np.setdiff1d, whose first call adds 0.3-1 MB to a request's peak
+        if unknown := set(self.reasons.tolist()) - MASK_REASONS.keys():
+            raise ValueError(f"mask reasons must be MASK_REASONS codes, got {sorted(unknown)}")
 
     @cached_property
     def max_residual(self) -> float:
@@ -81,8 +81,8 @@ def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
 def _coord_text(points: np.ndarray, last: dict, layout: str | None = None) -> list:
     """Each row of points as its coordinates' reprs, put into layout if
     given, formatting each distinct value (by bits: -0.0 is not 0.0) once.
-    A function's reports share one points array; last keeps the result
-    for the last array asked for, and only that one."""
+    A function's reports share their points and masked arrays; last keeps
+    the last array's result only, and a writer keeps one last for each."""
     key = (id(points), layout)
     if key not in last or last[key][0] is not points:
         last.clear()
@@ -112,10 +112,10 @@ def _json_pieces(doc: dict) -> Iterator[str]:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default)
-    indent, last = "", {}
+    indent, memos = "", ({}, {})
     for piece in encoder.iterencode(doc):
         if reports:
-            yield from _report_json(reports.pop(), indent, last)
+            yield from _report_json(reports.pop(), indent, memos)
             continue
         yield piece
         if "\n" in piece:  # the newline and indent before a report are a piece of their own
@@ -129,37 +129,39 @@ def _row_template(indent: str, fields: tuple[tuple[str, int | None], ...]) -> st
     inner, leaf = indent + "  ", indent + "    "
     body = []
     for key, n in fields:
-        value = "%s" if n is None else _json_list([leaf + "%r"] * n, inner)
+        value = "%s" if n is None else "".join(_json_rows([leaf + "%r"] * n, inner))
         body.append(f'{inner}"{key}": {value}')
     return f"{indent}{{\n" + ",\n".join(body) + f"\n{indent}}}"
 
 
-def _json_list(items: Iterable[str], indent: str) -> str:
-    """A list at indent of items already laid out, indentation included."""
-    text = ",\n".join(items)
-    return f"[\n{text}\n{indent}]" if text else "[]"
+def _json_rows(rows: Iterable[str], indent: str) -> Iterator[str]:
+    """A list at indent of rows already laid out, _BATCH_ROWS rows a piece."""
+    rows, opening = iter(rows), "[\n"
+    while batch := ",\n".join(islice(rows, _BATCH_ROWS)):
+        yield opening + batch
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else f"\n{indent}]"
 
 
-def _report_json(rep: ResidualReport, indent: str, last: dict) -> Iterator[str]:
+def _report_json(rep: ResidualReport, indent: str, memos: tuple[dict, dict]) -> Iterator[str]:
     inner, item = indent + "  ", indent + "    "
-    masked = [(*m.point.reals(), _json_str(m.reason)) for m in rep.masked]
-    if not (np.isfinite(rep.points).all() and np.isfinite([m[:4] for m in masked]).all()):
+    if not (np.isfinite(rep.points).all() and np.isfinite(rep.masked).all()):
         raise ValueError("Out of range float values are not JSON compliant")
-    masked_row = _row_template(item, (("point", 4), ("reason", None)))
+    max_text, mean_text = (json.dumps(x, allow_nan=False) for x in (rep.max_residual, rep.mean_residual))
+    coords = "".join(_json_rows([item + "    %s"] * 4, item + "  "))
+    masked_row = _row_template(item, (("point", None), ("reason", None)))
     point_row = _row_template(item, (("point", None), ("residuals", rep.residuals.shape[1])))
+    masked_lists = _coord_text(rep.masked, memos[1], coords)
+    reasons = map({c: _json_str(r) for c, r in MASK_REASONS.items()}.__getitem__, rep.reasons.tolist())
+    yield f'{{\n{inner}"masked": '
+    yield from _json_rows(map(masked_row.__mod__, zip(masked_lists, reasons)), inner)
     yield (
-        f'{{\n{inner}"masked": {_json_list(map(masked_row.__mod__, masked), inner)},\n'
-        f'{inner}"max_residual": {json.dumps(rep.max_residual, allow_nan=False)},\n'
-        f'{inner}"mean_residual": {json.dumps(rep.mean_residual, allow_nan=False)},\n'
+        f',\n{inner}"max_residual": {max_text},\n'
+        f'{inner}"mean_residual": {mean_text},\n'
         f'{inner}"points": '
     )
-    lists = _coord_text(rep.points, last, _json_list([item + "    %s"] * 4, item + "  "))
-    rows = map(point_row.__mod__, zip(lists, *rep.residuals.T.tolist()))
-    sep = "[\n"
-    while batch := ",\n".join(islice(rows, _BATCH_ROWS)):
-        yield sep + batch
-        sep = ",\n"
-    yield f"\n{inner}]" if lists else "[]"
+    lists = _coord_text(rep.points, memos[0], coords)
+    yield from _json_rows(map(point_row.__mod__, zip(lists, *rep.residuals.T.tolist())), inner)
     yield f',\n{inner}"system": {_json_str(rep.system)}\n{indent}}}'
 
 
@@ -177,11 +179,11 @@ def _csv_row(fields: list[str]) -> str:
 
 def _residual_csv(doc: dict) -> Iterator[str]:
     """One row per point per equation; masked points carry the reason.
-    A report's text fields are quoted once, and its point rows laid out
-    from one template, for no coordinate or residual repr needs quoting."""
+    A report's text fields are quoted once and its rows laid out from
+    templates, for no repr of a number and no MASK_REASONS text needs quoting."""
     labelled = doc["command"] == "classify"
     yield _csv_row(["function", *(["label"] if labelled else []), *CSV_HEADER])
-    last: dict = {}
+    last, last_masked = {}, {}
     for fn in doc["functions"]:
         prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
         for rep in fn["reports"]:
@@ -190,10 +192,11 @@ def _residual_csv(doc: dict) -> Iterator[str]:
             columns = rep.residuals.T.tolist()
             row = "".join(f"{head},%s,{k},%r,\n" for k in range(len(columns)))
             rows = map(row.__mod__, zip(*chain.from_iterable((coords, col) for col in columns)))
+            masked = _coord_text(rep.masked, last_masked, "%s,%s,%s,%s")
+            reasons = map(MASK_REASONS.__getitem__, rep.reasons.tolist())
+            rows = chain(rows, map(f"{head},%s,,,%s\n".__mod__, zip(masked, reasons)))
             while batch := "".join(islice(rows, _BATCH_ROWS)):
                 yield batch
-            for m in rep.masked:
-                yield _csv_row([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason])
 
 
 def _verify_csv(doc: dict) -> Iterator[str]:

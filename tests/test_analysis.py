@@ -178,6 +178,21 @@ def test_real_combined_system_values() -> None:
     assert got[4] == pytest.approx(0.7, abs=1e-12)
 
 
+def test_real_combined_takes_d_dz2_where_real_linear_takes_d_dzbar2() -> None:
+    """real_combined_from_jets's first four equations are not each
+    factor's linear system: a real-component f that satisfies that system
+    leaves them nonzero.  Pinned until they are checked against the
+    paper's system, so verify-paper's output stays as it is."""
+    f = random_real_hyperholomorphic(np.random.default_rng(3))
+    p = Point4(0.3 + 0.2j, -0.4 + 0.7j)
+    (f1, f2), g = jet_pair(f, p), jet_pair(example_pair(), p)
+    assert real_linear_from_jets((f1, f2)) == (0.0, 0.0)
+    got = real_combined_from_jets((f1, f2), g)
+    assert got[:2] == (abs(f2.d_z1 + f1.d_z2), abs(f1.d_z1 - f2.d_z2))
+    assert got[0] == pytest.approx(1.1967172104415418, rel=1e-12)
+    assert got[1] == pytest.approx(0.42274926690874814, rel=1e-12)
+
+
 def test_product_rule_is_exact_for_holomorphic_factors() -> None:
     f = lower(parse("z1*z2"))
     g = lower(parse("z1^2 + z2"))

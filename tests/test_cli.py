@@ -208,6 +208,21 @@ def test_constants_that_are_not_finite_are_refused_or_masked(
     assert _run(capsys, [command, "--input", str(path), "--grid", "2"]) == (code, "", message)
 
 
+@pytest.mark.parametrize("command", ["classify", "residuals", "zero-set", "order"])
+def test_an_exponent_that_no_float_holds_is_refused(capsys, tmp_path: Path, command: str) -> None:
+    """z1^(10^400) used to end in the jets' OverflowError, int too large
+    to convert to float, a traceback with exit 1; one of 5,001 digits in
+    int's ValueError, past the digits it reads from text.  z1^(10^300)
+    stays a function whose every point is masked as overflow."""
+    path = tmp_path / "f.txt"
+    for digits in (400, 5000):
+        path.write_text(f"f = z1^1{'0' * digits} + z2*j\n", encoding="utf-8")
+        message = "error: line 1: exponent is too large for a float (at position 3)\n"
+        assert _run(capsys, [command, "--input", str(path), "--grid", "2"]) == (2, "", message)
+    path.write_text(f"f = z1^1{'0' * 300} + z2*j\n", encoding="utf-8")
+    assert _run(capsys, [command, "--input", str(path), "--grid", "2"])[0] == 3
+
+
 def test_files_that_are_not_utf8_are_refused(capsys, tmp_path: Path, funcs_file: str) -> None:
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"f = z1\xff\n")

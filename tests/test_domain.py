@@ -26,6 +26,19 @@ def test_domain_validation() -> None:
         Domain(excluded_threshold=0.0)
 
 
+def test_a_box_whose_width_overflows_is_refused() -> None:
+    """Each bound is finite but hi - lo is not: np.linspace used to give
+    the coordinates [nan, inf, 1e308], with RuntimeWarnings, and a zero-set
+    scan to find no cluster there without a word."""
+    with pytest.raises(ValueError, match=r"interval \(-1e\+308, 1e\+308\) is too wide: its width overflows"):
+        Domain(((-1e308, 1e308),) * 4)
+    with pytest.raises(ValueError, match="its width overflows"):
+        Domain.from_flat([-1.0, 1.0, -1.0, 1.0, 0.0, 1.0, -1e308, 1e308])
+    # the widest intervals are still sampled, at finite coordinates
+    axes = grid_axes(Domain(((-8.9e307, 8.9e307),) * 4), 3)
+    assert axes == [[-8.9e307, 0.0, 8.9e307]] * 4
+
+
 def test_from_flat_expects_eight_bounds() -> None:
     d = Domain.from_flat([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0], 1e-5)
     assert d.box == ((0.0, 1.0),) * 4

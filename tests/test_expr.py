@@ -137,6 +137,27 @@ def test_node_validation() -> None:
         RealConst(float("inf"))
 
 
+def test_an_exponent_that_no_float_holds_is_refused() -> None:
+    """The jets' power rule multiplies by the exponent as a float, so one
+    that float() cannot hold used to end in OverflowError at evaluation."""
+    with pytest.raises(ParseError, match=r"exponent is too large for a float \(at position 3\)"):
+        parse(f"z1^{2**1024}")
+    with pytest.raises(ParseError, match="too large for a float"):
+        parse("z1^1" + "0" * 5000)  # more digits than int() reads from text
+    least = 2**1024 - 2**970  # the least int that float() rounds to inf
+    with pytest.raises(OverflowError):
+        float(least)
+    for n in (2**1024, least):
+        with pytest.raises(ValueError, match="exponent is too large for a float"):
+            Pow(Var("z1"), n)
+        with pytest.raises(ValueError, match="exponent is too large for a float"):
+            Var("z1") ** n
+        with pytest.raises(ParseError, match="too large for a float"):
+            parse(f"z1^{n}")
+    for n in (10**300, least - 1):
+        assert parse(f"z1^{n}") == Pow(Var("z1"), n) == Var("z1") ** n
+
+
 def test_operator_folding_identities() -> None:
     z1 = Var("z1")
     zero = const(0.0)

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qfc.errors import MASK_REASONS, OVERFLOW, SINGULAR
 from qfc.jets import Point4
 from qfc.report import (
     _BATCH_ROWS,
     CSV_HEADER,
     SCHEMA,
-    MaskedPoint,
     ResidualReport,
+    _json_pieces,
     render_text_table,
     write_report,
 )
@@ -35,16 +36,20 @@ RESIDUAL_LISTS = st.lists(
 
 
 def _report(system: str, rows: list[tuple[Point4, tuple[float, ...]]], masked=(), k: int = 1) -> ResidualReport:
+    """A report of rows, each a point with its residuals, and of masked,
+    each a point with its MASK_REASONS code."""
     points = np.array([p.reals() for p, _ in rows], dtype=float).reshape(-1, 4)
     residuals = np.array([vs for _, vs in rows], dtype=float).reshape(-1, k)
-    return ResidualReport(system, points, residuals, list(masked))
+    masked_rows = np.array([p.reals() for p, _ in masked], dtype=float).reshape(-1, 4)
+    reasons = np.array([c for _, c in masked], dtype=np.int8)
+    return ResidualReport(system, points, residuals, masked_rows, reasons)
 
 
 def _sample() -> ResidualReport:
     return _report(
         "demo",
         [(Point4(0j, 0j), (0.5, 0.25)), (Point4(1 + 0j, 0j), (0.0, 0.25))],
-        [MaskedPoint(Point4(0j, 1j), "singular")],
+        [(Point4(0j, 1j), SINGULAR)],
         k=2,
     )
 
@@ -52,6 +57,11 @@ def _sample() -> ResidualReport:
 def _rows(rep: ResidualReport) -> list[tuple[Point4, tuple[float, ...]]]:
     """Each unmasked point with its residual magnitudes."""
     return [(Point4.from_reals(*p), tuple(vs)) for p, vs in zip(rep.points.tolist(), rep.residuals.tolist())]
+
+
+def _masked(rep: ResidualReport) -> list[tuple[Point4, str]]:
+    """Each masked point with its reason's text."""
+    return [(Point4.from_reals(*p), MASK_REASONS[c]) for p, c in zip(rep.masked.tolist(), rep.reasons.tolist())]
 
 
 def _to_dict(rep: ResidualReport) -> dict:
@@ -62,7 +72,7 @@ def _to_dict(rep: ResidualReport) -> dict:
         "max_residual": max(flat, default=0.0),
         "mean_residual": sum(flat) / len(flat) if flat else 0.0,
         "points": [{"point": list(p.reals()), "residuals": list(vs)} for p, vs in _rows(rep)],
-        "masked": [{"point": list(m.point.reals()), "reason": m.reason} for m in rep.masked],
+        "masked": [{"point": list(p.reals()), "reason": reason} for p, reason in _masked(rep)],
     }
 
 
@@ -91,8 +101,8 @@ def _old_csv(doc: dict) -> list[str]:
             for p, vs in _rows(rep):
                 coords = [repr(c) for c in p.reals()]
                 lines += [",".join([*prefix, rep.system, *coords, str(k), repr(v), ""]) for k, v in enumerate(vs)]
-            for m in rep.masked:
-                lines.append(",".join([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason]))
+            for p, reason in _masked(rep):
+                lines.append(",".join([*prefix, rep.system, *(repr(c) for c in p.reals()), "", "", reason]))
     return lines
 
 
@@ -170,8 +180,11 @@ def test_json_rendering_is_deterministic_and_finite() -> None:
         with pytest.raises(ValueError, match="not JSON compliant"):
             _write(_doc("residuals", [], tol=bad), "json")
     wide = ResidualReport("wide", np.array([[float("inf"), 0.0, 0.0, 0.0]]), np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        _write(_doc("residuals", [{"name": "f", "reports": [wide]}]), "json")
+    nan_row, singular = np.array([[0.0, 0.0, float("nan"), 0.0]]), np.array([SINGULAR], dtype=np.int8)
+    wide_masked = ResidualReport("wide", masked=nan_row, reasons=singular)
+    for rep in (wide, wide_masked):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write(_doc("residuals", [{"name": "f", "reports": [rep]}]), "json")
     with pytest.raises(TypeError, match="not JSON serializable"):
         _write(_doc("residuals", [], tol=object()), "json")
 
@@ -212,7 +225,7 @@ def test_max_dominates_mean(values: list[float]) -> None:
 def test_masked_points_do_not_change_aggregates(values: list[float]) -> None:
     rows = [(Point4(0j, 0j), tuple(values))]
     bare = _report("prop", rows, k=len(values))
-    masked = _report("prop", rows, [MaskedPoint(Point4(1j, 0j), "singular")], k=len(values))
+    masked = _report("prop", rows, [(Point4(1j, 0j), SINGULAR)], k=len(values))
     assert bare.max_residual == masked.max_residual
     assert bare.mean_residual == masked.mean_residual
 
@@ -226,14 +239,14 @@ RESIDUALS = st.sampled_from([v for v in SPECIAL if v >= 0.0]) | st.floats(
 )
 NAMES = st.sampled_from(["funcs.txt", 'we"ird\\pätH ☃.txt', "", "\x00\x1f "]) | st.text()
 POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS).map(lambda c: Point4.from_reals(*c))
-REASONS = st.sampled_from(["singular", "norm_sq below threshold", "overflow", 'a "quoted", 100%\r\nreason'])
+REASONS = st.sampled_from(sorted(MASK_REASONS))
 
 
 @st.composite
 def reports(draw) -> ResidualReport:
     k = draw(st.integers(1, 4))
     rows = draw(st.lists(st.tuples(POINTS, st.tuples(*[RESIDUALS] * k)), max_size=6))
-    masked = draw(st.lists(st.builds(MaskedPoint, POINTS, REASONS), max_size=4))
+    masked = draw(st.lists(st.tuples(POINTS, REASONS), max_size=4))
     return _report(draw(NAMES), rows, masked, k=k)
 
 
@@ -263,15 +276,15 @@ def _csv_writer_rows(doc: dict) -> str:
             for c, values in zip(rep.points.tolist(), rep.residuals.tolist()):
                 for k, v in enumerate(values):
                     rows.append([*prefix, rep.system, *map(repr, c), str(k), repr(v), ""])
-            for m in rep.masked:
-                rows.append([*prefix, rep.system, *(repr(c) for c in m.point.reals()), "", "", m.reason])
+            for p, reason in _masked(rep):
+                rows.append([*prefix, rep.system, *(repr(c) for c in p.reals()), "", "", reason])
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
 _QUOTED = _report(
-    'sys,"%s"\n', [(Point4(-0.0 + 1j, 5e-324 + 0j), (0.5, 1e300))], [MaskedPoint(Point4(0j, 1j), 'r,"%d"\r')], k=2
+    'sys,"%s"\n', [(Point4(-0.0 + 1j, 5e-324 + 0j), (0.5, 1e300))], [(Point4(0j, 1j), OVERFLOW)], k=2
 )
 
 
@@ -279,7 +292,7 @@ _QUOTED = _report(
 @given(doc=documents())
 @example(_doc("classify", [{"name": "100% f,\"", "label": "a\nb", "tolerance": 1e-8, "reports": [_QUOTED, _QUOTED]}]))
 def test_csv_writer_equals_csv_writer_rows(doc: dict) -> None:
-    """Names, labels, systems and reasons that need quoting or hold "%"."""
+    """Names, labels and systems that need quoting or hold "%"."""
     assert _write(doc, "csv") == _csv_writer_rows(doc)
 
 
@@ -317,7 +330,7 @@ def test_json_writer_covers_empty_and_all_masked_reports() -> None:
     p = Point4.from_reals(-0.0, 5e-324, 1e308, 0.1)
     cases = [
         ResidualReport("empty"),
-        _report("all-masked", [], [MaskedPoint(p, "overflow"), MaskedPoint(p, "singular")]),
+        _report("all-masked", [], [(p, OVERFLOW), (p, SINGULAR)]),
         _report("no-masked", [(p, (1e16, 0.0, 5e-324))], k=3),
     ]
     doc = _doc("residuals", [{"name": "f", "reports": cases}], input='a"b\\c ü.txt')
@@ -349,14 +362,19 @@ def test_json_splices_each_report_where_the_document_holds_it() -> None:
 COORD_POOL = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, 5e-324, -5e-324, 1e308, 2.0**53 + 2])
 
 
-def _shared_function(name: str, rows: int, seed: int) -> dict:
-    """A function whose three reports share one points array drawn from a
-    few coordinates, -0.0 and 0.0 among them, as analysis.sample gives."""
+def _shared_function(name: str, rows: int, seed: int, masked_rows: int | None = None) -> dict:
+    """A function whose three reports share one points array and one
+    masked array drawn from a few coordinates, -0.0 and 0.0 among them, as
+    analysis.sample gives: masked_rows masked points with random reasons,
+    or one singular point if None."""
     rng = np.random.default_rng(seed)
     points = rng.choice(COORD_POOL, size=(rows, 4))
-    masked = [MaskedPoint(Point4.from_reals(-0.0, 0.0, 0.1, -0.0), "singular")]
+    masked, reasons = np.array([[-0.0, 0.0, 0.1, -0.0]]), np.array([SINGULAR], dtype=np.int8)
+    if masked_rows is not None:
+        masked = rng.choice(COORD_POOL, size=(masked_rows, 4))
+        reasons = rng.choice(sorted(MASK_REASONS), size=masked_rows).astype(np.int8)
     reports = [
-        ResidualReport(system, points, rng.random((rows, k)), masked)
+        ResidualReport(system, points, rng.random((rows, k)), masked, reasons)
         for system, k in (("hyperholomorphy", 2), ("inverse_hyperholomorphy", 2), ("sum_pde", 1))
     ]
     return {"name": name, "label": "Holomorphic", "tolerance": 1e-8, "reports": reports}
@@ -371,6 +389,32 @@ def test_row_batches_and_shared_points_equal_the_old_encoding(rows: int, command
     doc = _doc(command, functions, tol=1e-8)
     assert _write(doc, "json") == _old_json(doc)
     assert _write(doc, "csv").splitlines() == _old_csv(doc)
+
+
+@pytest.mark.parametrize("masked_rows", [0, 1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1, 2 * _BATCH_ROWS + 1])
+@pytest.mark.parametrize("command", ["classify", "residuals"])
+def test_masked_row_batches_and_shared_masked_arrays_equal_the_old_encoding(masked_rows: int, command: str) -> None:
+    functions = [_shared_function("f", 3, 1, masked_rows), _shared_function("g", 3, 2, masked_rows)]
+    # h's reports hold f's masked array again after g's has replaced it in the writer
+    functions.append({**functions[0], "name": "h"})
+    doc = _doc(command, functions, tol=1e-8)
+    assert _write(doc, "json") == _old_json(doc)
+    assert _write(doc, "csv") == _csv_writer_rows(doc)
+    # the masked list goes out _BATCH_ROWS rows a piece, as the points do
+    pieces = list(_json_pieces(doc))
+    assert max(piece.count('"reason"') for piece in pieces) == min(masked_rows, _BATCH_ROWS)
+    assert sum(piece.count('"reason"') for piece in pieces) == 9 * masked_rows
+
+
+def test_rejects_masked_points_without_one_known_reason() -> None:
+    row = np.zeros((1, 4))
+    with pytest.raises(ValueError, match="each masked point a reason"):
+        ResidualReport("bad", masked=row, reasons=np.array([], dtype=np.int8))
+    with pytest.raises(ValueError, match="each point needs a row of residuals"):
+        ResidualReport("bad", points=row, residuals=np.zeros((2, 1)))
+    for code in (0, max(MASK_REASONS) + 1, -1):
+        with pytest.raises(ValueError, match=f"MASK_REASONS codes, got \\[{code}\\]$"):
+            ResidualReport("bad", masked=row, reasons=np.array([code], dtype=np.int8))
 
 
 def test_negative_zero_keeps_its_sign_in_shared_coordinates() -> None:

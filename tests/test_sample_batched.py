@@ -39,12 +39,11 @@ from qfc.analysis import (
     sum_pde_from_jets,
 )
 from qfc.domain import Domain
-from qfc.errors import SingularPointError
+from qfc.errors import MASK_REASONS, SingularPointError
 from qfc.expr import parse
 from qfc.generators import example_pair, random_polynomial_qf, random_rational_meromorphic
 from qfc.jets import Point4, columns_of, grid_jets
 from qfc.lowering import lower
-from qfc.report import MaskedPoint
 
 from jet_oracle import eval_jet, grid_points, jet_pair
 
@@ -94,7 +93,7 @@ def _per_point_sample(f, d, grid_n, systems):
         if reason is None:
             rows.append((p, values))
         else:
-            masked.append(MaskedPoint(p, reason))
+            masked.append((p, reason))
     return rows, masked
 
 
@@ -143,8 +142,9 @@ def _compare(f, d: Domain, grid_n: int, singular_sq_tol: float) -> list[str]:
             s = sample(f, d, grid_n, batched)
         expected = [(p, vs[:3], vs[3] if len(vs) > 3 else None) for p, vs in old_rows]
         assert repr(_rows(s)) == repr(expected)
-        assert repr([(m.point, m.reason) for m in s.masked]) == repr([(m.point, m.reason) for m in old_masked])
-        reasons += [m.reason for m in s.masked]
+        masked = [(Point4.from_reals(*p), MASK_REASONS[c]) for p, c in zip(s.masked.tolist(), s.reasons.tolist())]
+        assert repr(masked) == repr(old_masked)
+        reasons += [reason for _, reason in masked]
     return reasons
 
 

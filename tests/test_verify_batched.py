@@ -340,6 +340,10 @@ def test_blocks_of_points_give_the_same_items(monkeypatch: pytest.MonkeyPatch) -
 
 
 def _peak(grid_n: int) -> int:
+    """Peak bytes traced in run_verify(0, grid_n), run once untraced
+    first: the first run at a grid pays one-time allocations, numpy's
+    buffers under np.unravel_index and the interned-node dict's growth."""
+    run_verify(0, grid_n)
     tracemalloc.start()
     try:
         run_verify(0, grid_n)
@@ -352,7 +356,6 @@ def test_verify_memory_does_not_grow_with_the_grid(monkeypatch: pytest.MonkeyPat
     """The grids stream from grid_blocks, so a grid with three times the
     points, 20,736 against 6,561, peaks at about the same memory."""
     monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", 64)
-    run_verify(0, 3)  # warm-up: caches and interned nodes
     small, large = _peak(9), _peak(12)
     assert large < 1.3 * small, (small, large)
 
