@@ -1,10 +1,13 @@
 """Cauchy-Fueter operator, PDE residual systems, and the classifier.
 
 Each operator and system is a formula over the jets of a function's two
-components, (j1, j2): a point's, as jets.jets_at gives them, or a block's,
-as grid_jets gives them.  All residual formulas return raw magnitudes.  The classifier is the
-only place residuals are normalized (by 1 + the largest jet magnitude
-at the point) before comparison against the tolerance.
+components, (j1, j2), as grid_jets gives them for a block of points or
+jets_at for one point, and returns an array with a value per point.  Jets
+are derived only by the jet_* rules of jets.  The formulas, and the
+methods of what they return, are quiet, also on jets_at's jets.  All
+residual formulas return raw magnitudes.  The classifier is the only place
+residuals are normalized (by 1 + the largest jet magnitude at the point)
+before comparison against the tolerance.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .domain import Domain, grid_blocks
-from .errors import BELOW_THRESHOLD, OVERFLOW, InconclusiveError
+from .errors import BELOW_THRESHOLD, OVERFLOW, SINGULAR, InconclusiveError
 from .jets import (
+    CArray,
     Columns,
     PointEvents,
     WirtingerJet,
@@ -28,8 +32,7 @@ from .jets import (
     jet_mul,
     jet_neg,
     maximum,
-    refuse,
-    vanishes,
+    quiet,
 )
 from .lowering import QFunction
 from .quaternion import UNIT_J, Quaternion, modulus, norm_sq, quat_mul
@@ -55,19 +58,18 @@ class DValue:
     canonical pair (c1, conj(c2)), see as_quaternion.
     """
 
-    z1: complex
-    z2: complex
+    z1: CArray
+    z2: CArray
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(self.z1, self.z2.conjugate())
 
-    def magnitude(self) -> float:
-        """math.hypot of the parts' magnitudes, elementwise for grid parts:
-        np.hypot differs from math.hypot in the last bit on some pairs."""
-        a1, a2 = abs(self.z1), abs(self.z2)
-        if not isinstance(a1, np.ndarray):
-            return math.hypot(a1, a2)
-        return np.array(list(map(math.hypot, *(a.tolist() for a in np.broadcast_arrays(a1, a2)))))
+    @quiet
+    def magnitude(self) -> np.ndarray:
+        """math.hypot of the parts' magnitudes, elementwise: np.hypot
+        differs from math.hypot in the last bit on some pairs."""
+        a1, a2 = np.broadcast_arrays(abs(self.z1), abs(self.z2))
+        return np.array(list(map(math.hypot, a1.tolist(), a2.tolist())))
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,13 @@ class ProductRuleCheck:
     second_term: Quaternion
 
     @property
+    @quiet
     def rhs(self) -> Quaternion:
         return self.first_term + self.second_term
 
     @property
-    def gap(self) -> float:
+    @quiet
+    def gap(self) -> np.ndarray:
         return modulus(self.lhs - self.rhs)
 
 
@@ -101,10 +105,11 @@ class ClassificationLabel:
 Jets = tuple[WirtingerJet, WirtingerJet]
 
 
-def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> float:
+def _jet_scale(j1: WirtingerJet, j2: WirtingerJet) -> np.ndarray:
     return maximum(j1.magnitude(), j2.magnitude())
 
 
+@quiet
 def cauchy_fueter_from_jets(f: Jets) -> DValue:
     """The modified Cauchy-Fueter operator applied to f, from f's jets."""
     j1, j2 = f
@@ -113,20 +118,23 @@ def cauchy_fueter_from_jets(f: Jets) -> DValue:
     return DValue(c1, c2)
 
 
+@quiet
 def norm_sq_jet(f: Jets) -> WirtingerJet:
     """Jet of norm_sq_expr(f) from f's jets."""
     j1, j2 = f
     return jet_add(jet_mul(j1, jet_conj(j1)), jet_mul(j2, jet_conj(j2)))
 
 
+@quiet
 def inverse_jets(f: Jets) -> Jets:
-    """Jets of inverse_qf(f), conj(f)/norm_sq(f), from f's jets."""
+    """Jets of inverse_qf(f), conj(f)/norm_sq(f), from f's jets; singular
+    where norm_sq(f) vanishes, as jet_div flags."""
     n = norm_sq_jet(f)
-    refuse(n.val, vanishes(n.val), "norm_sq of the function vanishes")
     return jet_div(jet_conj(f[0]), n), jet_div(jet_neg(f[1]), n)
 
 
-def hyperholomorphy_from_jets(f: Jets) -> tuple[float, float]:
+@quiet
+def hyperholomorphy_from_jets(f: Jets) -> tuple[np.ndarray, np.ndarray]:
     """Residual magnitudes of the two component equations of 2*D(f)=0,
     from f's jets."""
     j1, j2 = f
@@ -135,7 +143,8 @@ def hyperholomorphy_from_jets(f: Jets) -> tuple[float, float]:
     return (abs(e1), abs(e2))
 
 
-def inverse_system_from_jets(f: Jets) -> tuple[float, float]:
+@quiet
+def inverse_system_from_jets(f: Jets) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the system characterizing a hyperholomorphic inverse,
     from f's jets.
 
@@ -158,12 +167,11 @@ def inverse_system_from_jets(f: Jets) -> tuple[float, float]:
     return (abs(e1), abs(e2))
 
 
-def _require_real(values: list[complex], what: str) -> None:
-    """Raise ValueError unless every value is real within REAL_TOL; for
-    grid values, at the first point where one is not."""
+def _require_real(values: list[CArray], what: str) -> None:
+    """Raise ValueError unless every value is real within REAL_TOL, at the
+    first point where one is not."""
     worst = maximum(*(abs(v.imag) for v in values))
-    if isinstance(worst, np.ndarray):
-        worst = worst.tolist()[int(np.argmax(worst > REAL_TOL))]
+    worst = worst.tolist()[int(np.argmax(worst > REAL_TOL))]
     if worst > REAL_TOL:
         raise ValueError(
             f"{what} requires real-valued components at the point "
@@ -171,37 +179,40 @@ def _require_real(values: list[complex], what: str) -> None:
         )
 
 
-def _real_linear(j1: WirtingerJet, j2: WirtingerJet) -> tuple[float, float]:
+def _real_linear(j1: WirtingerJet, j2: WirtingerJet) -> tuple[np.ndarray, np.ndarray]:
     e1 = j2.d_z1 + j1.d_z2bar
     e2 = j1.d_z1 - j2.d_z2bar
     return (abs(e1), abs(e2))
 
 
-def real_linear_from_jets(f: Jets) -> tuple[float, float]:
+@quiet
+def real_linear_from_jets(f: Jets) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the linear first-order system for real-component f,
     from f's jets.  Raises ValueError unless f's values are real."""
     _require_real([f[0].val, f[1].val], "real_linear_from_jets")
     return _real_linear(*f)
 
 
-def sum_pde_from_jets(h: Jets, mask_threshold: float) -> float:
+@quiet
+def sum_pde_from_jets(h: Jets, mask_threshold: float) -> np.ndarray:
     """Residual of the PDE characterizing sums that stay
     w-hypermeromorphic, from h's jets; conj_qf(h) has the jets conj(j1), -j2.
 
-    Refuses (see refuse) where norm_sq(h) is below mask_threshold, since
-    the PDE divides by the norm there.
+    Flags "singular" where norm_sq(h) is below mask_threshold, since the
+    PDE divides by the norm there.
     """
     j1, j2 = h
     nj = norm_sq_jet(h)
     n = nj.val.real
-    refuse(nj.val, n < mask_threshold, "norm_sq below mask threshold")
+    nj.val.events.flag(n < mask_threshold, SINGULAR)
     hbar = Quaternion(j1.val.conjugate(), -j2.val)
     dn = Quaternion(0.5 * nj.d_z1bar, (0.5 * nj.d_z2bar).conjugate())
     dhbar = cauchy_fueter_from_jets((jet_conj(j1), jet_neg(j2))).as_quaternion()
     return modulus(quat_mul(dn.scale(-2.0), hbar) + dhbar.scale(2.0 * n))
 
 
-def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
+@quiet
+def product_system_from_jets(f: Jets, g: Jets) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the PDE pair for the ordered product f*g, from the jets
     of f and g.
 
@@ -227,7 +238,8 @@ def product_system_from_jets(f: Jets, g: Jets) -> tuple[float, float]:
     return (abs(p1), abs(p2))
 
 
-def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, float, float]:
+@quiet
+def real_combined_from_jets(f: Jets, g: Jets) -> tuple[np.ndarray, ...]:
     """Five residuals for real-component f and g, from their jets, with _k
     for d/dzk: |f2_z1 + f1_z2|, |f1_z1 - f2_z2|, the same two for g, and
     |f1_z1 g1_z1 - f1_z2 g1_z2|.  The first four take d/dz2 where
@@ -243,6 +255,7 @@ def real_combined_from_jets(f: Jets, g: Jets) -> tuple[float, float, float, floa
     )
 
 
+@quiet
 def product_rule_from_jets(f: Jets, g: Jets, fg: Jets) -> ProductRuleCheck:
     """Both sides of D(f*g) = D(f)*g + (correction term), from the jets of
     f, g and product_qf(f, g).
@@ -330,10 +343,8 @@ def _sample_block(f: QFunction, z: Columns, threshold: float, systems: Systems) 
     with np.errstate(all="ignore"):
         (j1, j2), events = grid_jets((f.f1, f.f2), z)
         events.flag(norm_sq(Quaternion(j1.val, j2.val)) < threshold, BELOW_THRESHOLD)
-        finite = True
-        for slot in (*vars(j1).values(), *vars(j2).values()):
-            finite = finite & slot.isfinite()
-        events.flag(~finite, OVERFLOW)
+        grads = (j1.grad.isfinite() & j2.grad.isfinite()).all(axis=(0, 1))
+        events.flag(~(j1.val.isfinite() & j2.val.isfinite() & grads), OVERFLOW)
         reported, extra, holds = systems((j1, j2), events)
         for v in (v for values in reported for v in values):
             events.flag(~np.isfinite(v), OVERFLOW)

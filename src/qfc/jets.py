@@ -1,24 +1,24 @@
 """Forward-mode Wirtinger differentiation of component trees.
 
-A jet carries the value of a scalar expression at a point together with
+A jet carries the value of a scalar expression at n points together with
 its four first-order Wirtinger partials with respect to z1, conj(z1),
-z2, conj(z2).  Conjugation swaps the barred and unbarred slots and
-conjugates them; all other rules are the usual bilinear ones.  The jet_*
-helpers carry these rules for the jets-level formulas of analysis.
-
-grid_jets is the one evaluator.  It takes a block of points as coordinate
-columns and holds each node's jet as a value and a stacked gradient,
+z2, conj(z2).  WirtingerJet holds them as a value and a stacked gradient,
 CArrays of shapes (n,) and (2, 2, n), or (1,) and (2, 2, 1) for a value
 all n points share, the gradient's axes being [unbarred, barred] x
-[z1, z2].  Each rule then runs once on the gradient instead of once per
-slot (vector forward mode: Griewank and Walther, Evaluating Derivatives,
-2nd ed., 2008, section 3.1), and conjugation reverses the first axis.
-Every slot still sees the jet rules' operations in their order, so each
-slot at each point has the bits the rules give on that point's Python
-complex numbers.  grid_jets returns the roots' jets as
-WirtingerJets of CArray rows, and the block's PointEvents: per point, the
-first event at which evaluating that point alone would have raised.
-jets_at is its one-point form, which raises there instead.
+[z1, z2].  Each jet_* rule then runs once on the gradient instead of once
+per partial (vector forward mode: Griewank and Walther, Evaluating
+Derivatives, 2nd ed., 2008, section 3.1); conjugation reverses the first
+axis and conjugates, and the other rules are the usual bilinear ones.
+Every partial still sees the rules' operations in their order (a
+product's a.d * b.val + a.val * b.d, a quotient's (a.d - val * b.d) / den
+after its value a.val / den), so each has, at each point, the bits the
+rules give on that point's Python complex numbers.  These rules are the
+only ones: grid_jets applies them to trees, and analysis to jets.
+
+grid_jets is the one evaluator.  It takes a block of points as coordinate
+columns and returns the roots' jets and the block's PointEvents: per
+point, the first event at which evaluating that point alone would have
+raised.  jets_at is its one-point form, whose events raise there instead.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .expr import (
 )
 
 # A divisor d vanishes, and its quotient is refused, where |d|^2 is below
-# this.  vanishes reads it at each call, not as a default argument bound at
+# this.  jet_div reads it at each call, not as a default argument bound at
 # import, so a patched value takes effect.
 SINGULAR_SQ_TOL = 1e-12
 
@@ -87,9 +87,25 @@ class PointEvents:
     def __init__(self, n: int):
         self.code = np.zeros(n, dtype=np.int8)
         self.scope: np.ndarray | bool = True
+        self.at: Point4 | None = None
 
     def flag(self, where: np.ndarray | bool, code: int) -> None:
         self.code[(self.code == 0) & where & self.scope] = code
+        if self.at is not None:
+            self.raise_at(self.at)
+
+    def raise_at(self, p: Point4) -> None:
+        """Make the events of a one-point block at p raise at its first
+        event, as evaluating p alone does: at once if it has met one, else
+        at each later flag that meets one.  The event is cleared as it
+        raises, so the block's jets stay usable after a formula refuses.
+        "singular" raises SingularPointError, "overflow" OverflowError."""
+        self.at = p
+        code = int(self.code[0])
+        if code:
+            self.code[0] = 0
+            error = OverflowError if code == OVERFLOW else SingularPointError
+            raise error(f"{MASK_REASONS[code]} near {p}")
 
     @contextmanager
     def only(self, where: np.ndarray) -> Iterator[None]:
@@ -240,35 +256,45 @@ class CArray:
         return np.isfinite(self.real) & np.isfinite(self.imag)
 
 
-def maximum(*values):
-    """Python's max: the first value unless a later one is strictly
-    greater, elementwise when the values are arrays."""
-    if not isinstance(values[0], np.ndarray):
-        return max(values)
+# A decorator that runs a function under this error state, as the commands
+# evaluate: CPython's complex arithmetic, which CArray replays, never warns.
+# numpy keeps a decorated call's state per call, so one instance serves all.
+quiet = np.errstate(all="ignore")
+
+
+def maximum(*values: np.ndarray) -> np.ndarray:
+    """Python's max elementwise: the first value unless a later one is
+    strictly greater."""
     out = values[0]
     for v in values[1:]:
         out = np.where(v > out, v, out)
     return out
 
 
-def refuse(value, vanished, message: str) -> None:
-    """Refuse where `vanished` holds: for a grid value, flag those points
-    singular; for a scalar, raise SingularPointError."""
-    if isinstance(value, CArray):
-        value.events.flag(vanished, SINGULAR)
-    elif vanished:
-        raise SingularPointError(message)
+def _partial(barred: int, var: int) -> property:
+    """A read-only view of the partial at [barred, var] of a jet's gradient."""
+    return property(lambda j: CArray(j.grad.real[barred, var], j.grad.imag[barred, var], j.grad.events))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WirtingerJet:
-    val: complex
-    d_z1: complex
-    d_z1bar: complex
-    d_z2: complex
-    d_z2bar: complex
+    """A value at n points and its four first-order Wirtinger partials.
 
-    def magnitude(self) -> float:
+    val has shape (n,), grad stacks the partials as (2, 2, n) on axes
+    [unbarred, barred] x [z1, z2]; (1,) and (2, 2, 1) hold what all n
+    points share.  d_z1, d_z1bar, d_z2 and d_z2bar are views into grad.
+    """
+
+    val: CArray
+    grad: CArray
+
+    d_z1 = _partial(0, 0)
+    d_z1bar = _partial(1, 0)
+    d_z2 = _partial(0, 1)
+    d_z2bar = _partial(1, 1)
+
+    @quiet
+    def magnitude(self) -> np.ndarray:
         return maximum(
             abs(self.val),
             abs(self.d_z1),
@@ -278,62 +304,43 @@ class WirtingerJet:
         )
 
 
-# Where grid_jets' stacked gradient holds d_z1, d_z1bar, d_z2 and d_z2bar.
-_SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
 def jet_add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(
-        a.val + b.val,
-        a.d_z1 + b.d_z1,
-        a.d_z1bar + b.d_z1bar,
-        a.d_z2 + b.d_z2,
-        a.d_z2bar + b.d_z2bar,
-    )
+    return WirtingerJet(a.val + b.val, a.grad + b.grad)
+
+
+def jet_sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    return WirtingerJet(a.val - b.val, a.grad - b.grad)
 
 
 def jet_neg(a: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(-a.val, -a.d_z1, -a.d_z1bar, -a.d_z2, -a.d_z2bar)
+    return WirtingerJet(-a.val, -a.grad)
 
 
 def jet_mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(
-        a.val * b.val,
-        a.d_z1 * b.val + a.val * b.d_z1,
-        a.d_z1bar * b.val + a.val * b.d_z1bar,
-        a.d_z2 * b.val + a.val * b.d_z2,
-        a.d_z2bar * b.val + a.val * b.d_z2bar,
-    )
-
-
-def vanishes(den: complex) -> bool:
-    """True when den is too close to zero to divide by: |den|^2 below
-    SINGULAR_SQ_TOL."""
-    return den.real * den.real + den.imag * den.imag < SINGULAR_SQ_TOL
+    return WirtingerJet(a.val * b.val, a.grad * b.val + a.val * b.grad)
 
 
 def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    """Quotient jet; the caller checks vanishes(b.val) first."""
+    """Quotient jet.  First flags "singular" where the divisor vanishes,
+    |b.val|^2 below SINGULAR_SQ_TOL, read at each call so that a patched
+    value takes effect."""
     den = b.val
+    den.events.flag(den.real * den.real + den.imag * den.imag < SINGULAR_SQ_TOL, SINGULAR)
     val = a.val / den
-    return WirtingerJet(
-        val,
-        (a.d_z1 - val * b.d_z1) / den,
-        (a.d_z1bar - val * b.d_z1bar) / den,
-        (a.d_z2 - val * b.d_z2) / den,
-        (a.d_z2bar - val * b.d_z2bar) / den,
-    )
+    return WirtingerJet(val, (a.grad - val * b.grad) / den)
+
+
+def jet_pow(a: WirtingerJet, n: int) -> WirtingerJet:
+    """The n - 1 power, the factor of the partials, is taken first."""
+    factor = n * a.val ** (n - 1)
+    return WirtingerJet(a.val**n, factor * a.grad)
 
 
 def jet_conj(a: WirtingerJet) -> WirtingerJet:
-    """Conjugation swaps the barred and unbarred slots."""
-    return WirtingerJet(
-        a.val.conjugate(),
-        a.d_z1bar.conjugate(),
-        a.d_z1.conjugate(),
-        a.d_z2bar.conjugate(),
-        a.d_z2.conjugate(),
-    )
+    """Conjugation swaps the barred and unbarred partials and conjugates
+    them: it reverses the gradient's first axis."""
+    g = a.grad
+    return WirtingerJet(a.val.conjugate(), CArray(g.real[::-1], -g.imag[::-1], g.events))
 
 
 def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet], PointEvents]:
@@ -344,19 +351,11 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
     An iterative post-order walk, the trees in order and each node after
     its children, left before right: the order in which evaluating one
     point alone meets them, so each point keeps the event that evaluation
-    would have raised first.
-    A vanishing divisor is flagged "singular" on the returned events, an
-    overflowing power "overflow"; the jets' CArray slots share those
-    events, so a caller's further arithmetic on them flags there too.
-
-    A node's jet is a pair (value, gradient), the gradient stacking
-    d_z1, d_z1bar, d_z2 and d_z2bar on axes [unbarred, barred] x [z1, z2].
-    The rules keep the bits of the jet rules on one point's complex
-    numbers: a product's slot is a.d * b.val + a.val *
-    b.d, a quotient's (a.d - val * b.d) / den after its value a.val / den;
-    a power's n - 1 power is taken before its n power, and both powers
-    and quotients of values go through CArray, so flags and the n > 100
-    path are CArray's.  Only the roots are unpacked into WirtingerJets.
+    would have raised first.  Each node's jet comes from its children's by
+    the jet_* rule of its class.  A vanishing divisor is flagged
+    "singular" on the returned events, an overflowing power "overflow";
+    the jets' CArrays share those events, so a caller's further arithmetic
+    on them flags there too.
 
     Each distinct node is evaluated once: nodes are interned, so equal
     subtrees are one node, and the walk plans over the nodes themselves
@@ -366,63 +365,49 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
     """
     events = PointEvents(len(z[0]))
     z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
+    zero = np.zeros((2, 2, 1))
+    no_grad = CArray(zero, zero, events)
 
-    def const(c: complex) -> CArray:
-        return CArray(np.array([c.real]), np.array([c.imag]), events)
+    def const(c: complex) -> WirtingerJet:
+        return WirtingerJet(CArray(np.array([c.real]), np.array([c.imag]), events), no_grad)
 
-    def unit(barred: int, var: int) -> CArray:
-        """A variable's gradient: 1 at [barred, var], 0 elsewhere."""
+    def variable(val: CArray, barred: int, var: int) -> WirtingerJet:
+        """val with the partial 1 at [barred, var] and 0 elsewhere."""
         real = np.zeros((2, 2, 1))
         real[barred, var] = 1.0
-        return CArray(real, np.zeros((2, 2, 1)), events)
+        return WirtingerJet(val, CArray(real, zero, events))
 
-    no_grad = CArray(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), events)
-
-    def rule(e: QExpr, a: list[tuple[CArray, CArray]]) -> tuple[CArray, CArray]:
+    def rule(e: QExpr, a: list[WirtingerJet]) -> WirtingerJet:
         match e:
             case Var("z1"):
-                return z1, unit(0, 0)
+                return variable(z1, 0, 0)
             case Var("z2"):
-                return z2, unit(0, 1)
+                return variable(z2, 0, 1)
             case ConjVar("z1"):
-                return z1.conjugate(), unit(1, 0)
+                return variable(z1.conjugate(), 1, 0)
             case ConjVar("z2"):
-                return z2.conjugate(), unit(1, 1)
+                return variable(z2.conjugate(), 1, 1)
             case RealConst(v):
-                return const(complex(v)), no_grad
+                return const(complex(v))
             case UnitI():
-                return const(1j), no_grad
+                return const(1j)
             case UnitJ():
                 raise ValueError("j has no scalar jet; lower the expression first")
             case Add():
-                (av, ag), (bv, bg) = a
-                return av + bv, ag + bg
+                return jet_add(*a)
             case Sub():
-                (av, ag), (bv, bg) = a
-                return av - bv, ag - bg
+                return jet_sub(*a)
             case Neg():
-                ((av, ag),) = a
-                return -av, -ag
+                return jet_neg(*a)
             case Mul():
-                (av, ag), (bv, bg) = a
-                return av * bv, ag * bv + av * bg
+                return jet_mul(*a)
             case Div():
-                (av, ag), (bv, bg) = a
-                events.flag(vanishes(bv), SINGULAR)
-                val = av / bv
-                return val, (ag - val * bg) / bv
+                return jet_div(*a)
             case Pow(_, n):
-                ((av, ag),) = a
-                factor = n * av ** (n - 1)
-                return av**n, factor * ag
+                return jet_pow(*a, n)
             case Conj():
-                ((av, ag),) = a
-                return av.conjugate(), CArray(ag.real[::-1], -ag.imag[::-1], events)
+                return jet_conj(*a)
         raise TypeError(f"not an expression node: {e!r}")
-
-    def unpack(val: CArray, grad: CArray) -> WirtingerJet:
-        rows = [CArray(grad.real[i, k], grad.imag[i, k], events) for i, k in _SLOTS]
-        return WirtingerJet(val, *rows)
 
     plan = post_order(exprs)
     # A jet is dropped once its last user is evaluated, so only the walk's
@@ -430,25 +415,22 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
     uses = dict.fromkeys(plan, 0)
     for node in (*exprs, *(k for e in plan for k in e.kids)):
         uses[node] += 1
-    jets: dict[QExpr, tuple[CArray, CArray]] = {}
+    jets: dict[QExpr, WirtingerJet] = {}
     for e in plan:
         jets[e] = rule(e, [jets[k] for k in e.kids])
         for k in e.kids:
             uses[k] -= 1
             if not uses[k]:
                 del jets[k]
-    return [unpack(*jets[e]) for e in exprs], events
+    return [jets[e] for e in exprs], events
 
 
 def jets_at(exprs: tuple[QExpr, ...], p: Point4) -> list[WirtingerJet]:
-    """Jets of j-free trees at the one point p, with Python complex slots:
-    grid_jets on a one-point block.  Raises SingularPointError where its
-    first event is "singular" (a divisor vanishes) and OverflowError where
-    it is "overflow"."""
+    """Jets of j-free trees at the one point p: grid_jets on a one-point
+    block, its CArrays of shape (1,).  Its events raise at the first flag
+    (see PointEvents.raise_at): here where evaluating the trees meets an
+    event, or else where a formula on the jets does."""
     with np.errstate(all="ignore"):
         jets, events = grid_jets(exprs, columns_of([p.z1], [p.z2]))
-    code = int(events.code[0])
-    if code:
-        error = OverflowError if code == OVERFLOW else SingularPointError
-        raise error(f"{MASK_REASONS[code]} near {p}")
-    return [WirtingerJet(*(complex(s.real[0], s.imag[0]) for s in vars(j).values())) for j in jets]
+    events.raise_at(p)
+    return jets

@@ -4,6 +4,7 @@ and grid_jets and its one-point form jets_at against the recursive oracle."""
 from __future__ import annotations
 
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -11,14 +12,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qfc.jets
+from qfc.analysis import (
+    cauchy_fueter_from_jets,
+    hyperholomorphy_from_jets,
+    inverse_jets,
+    inverse_system_from_jets,
+    product_rule_from_jets,
+    product_system_from_jets,
+    sum_pde_from_jets,
+)
 from qfc.errors import OVERFLOW, SINGULAR, SingularPointError
-from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, RealConst, Sub, UnitI, UnitJ, Var
+from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, RealConst, Sub, UnitI, UnitJ, Var, parse
 from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
 from qfc.jets import Point4, columns_of, grid_jets, jets_at
 from qfc.lowering import QFunction, conj_qf, inverse_qf, lower
 from qfc.quaternion import Quaternion
 
-from jet_oracle import eval_jet, eval_qfunction, fd_jet
+from jet_oracle import eval_jet, eval_qfunction, fd_jet, jet_pair, scalar
 from qexpr_oracle import eval_qexpr
 from random_trees import random_scalar_tree, random_surface_tree
 
@@ -282,20 +292,76 @@ def test_the_point_entry_evaluates_a_sum_too_deep_to_recurse() -> None:
     for _ in range(10_000):
         chain = Add(chain, Var("z1"))
     p = Point4(0.3 + 0.7j, -0.2 + 0.1j)
-    (j,) = jets_at((chain,), p)
+    (one,) = jets_at((chain,), p)
     (g,), _ = grid_jets((chain,), columns_of([p.z1], [p.z2]))
+    j = scalar(one)
     assert j.val == complex(g.val.real[0], g.val.imag[0]) == sum([p.z1] * 10_001, 0j)
     assert j.val == pytest.approx(3000.3 + 7000.7j, rel=1e-12)
     assert (j.d_z1, j.d_z1bar, j.d_z2, j.d_z2bar) == (10_001 + 0j, 0j, 0j, 0j)
-    assert type(j.val) is complex and type(j.d_z1) is complex
+    assert one.val.real.shape == one.d_z1.real.shape == (1,)  # one-point jets
+    with pytest.raises(TypeError):  # one jet does not unpack as a function's pair
+        iter(one)
     with pytest.raises(RecursionError):
         eval_jet(chain, p)
 
 
 def test_the_point_entry_raises_where_grid_jets_flags() -> None:
+    """jets_at raises where its trees meet an event, and its one-point
+    jets' events raise at the first flag of a formula on them: at a zero
+    of z1 + z2*j, the inverse's divisor and the sum PDE's norm vanish.
+    Each raises before numpy divides, so no RuntimeWarning comes first,
+    even where warnings are errors."""
     with pytest.raises(SingularPointError, match=r"^singular near Point4"):
         jets_at((Var("z2"), Div(RealConst(1.0), Var("z1"))), Point4(0j, 1j))
     with pytest.raises(OverflowError, match=r"^overflow near Point4"):
         jets_at((Pow(Var("z1"), 2),), Point4(1e200 + 0j, 0j))
     q = Point4(0.5 + 0j, 1j)
-    assert jets_at((Div(RealConst(1.0), Var("z1")),), q) == [eval_jet(Div(RealConst(1.0), Var("z1")), q)]
+    assert scalar(jets_at((Div(RealConst(1.0), Var("z1")),), q)) == [eval_jet(Div(RealConst(1.0), Var("z1")), q)]
+    f = lower(parse("z1 + z2*j"))
+    origin = Point4(0j, 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularPointError, match=r"^singular near Point4"):
+            inverse_jets(jets_at((f.f1, f.f2), origin))
+        with pytest.raises(SingularPointError, match=r"^singular near Point4"):
+            sum_pde_from_jets(jets_at((f.f1, f.f2), origin), 1e-6)
+        # elsewhere both give a value, a one-element array
+        assert scalar(inverse_jets(jets_at((f.f1, f.f2), q))) == scalar(jet_pair(inverse_qf(f), q))
+        assert sum_pde_from_jets(jets_at((f.f1, f.f2), q), 1e-6).shape == (1,)
+
+
+def test_a_refusal_leaves_the_point_jets_usable() -> None:
+    """A formula that refuses on jets_at's jets leaves no event behind: at
+    a point where |f|^2 lies between SINGULAR_SQ_TOL and the sum PDE's
+    threshold, the sum PDE refuses, and further formulas and refusals on
+    the same jets give what they give on fresh ones."""
+    f = lower(parse("z1 + z2*j"))
+    p = Point4(1e-4 + 0j, 0j)
+    jets = jets_at((f.f1, f.f2), p)
+    for _ in range(2):
+        with pytest.raises(SingularPointError, match=r"^singular near Point4"):
+            sum_pde_from_jets(jets, 1e-6)
+        assert scalar(hyperholomorphy_from_jets(jets)) == scalar(hyperholomorphy_from_jets(jets_at((f.f1, f.f2), p)))
+        assert scalar(sum_pde_from_jets(jets, 1e-9)) == scalar(sum_pde_from_jets(jets_at((f.f1, f.f2), p), 1e-9))
+
+
+def test_formulas_on_point_jets_are_quiet() -> None:
+    """Formulas on jets_at's jets give NaN or inf where Python's complex
+    arithmetic does, without a RuntimeWarning, even where warnings are
+    errors: at this point the value's square is infinite, and products of
+    its infinite parts are NaN."""
+    f = lower(parse("1e200*z1*z1 + z2*j"))
+    jets = jets_at((f.f1, f.f2), Point4(1e200 + 1e200j, 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [
+            *inverse_system_from_jets(jets),
+            *hyperholomorphy_from_jets(jets),
+            cauchy_fueter_from_jets(jets).magnitude(),
+            *product_system_from_jets(jets, jets),
+            product_rule_from_jets(jets, jets, jets).gap,
+            sum_pde_from_jets(jets, 1e-6),
+            *(k.magnitude() for k in inverse_jets(jets)),
+        ]
+        assert all(math.isnan(v) for v in scalar(values))
+        assert scalar([j.magnitude() for j in jets]) == [math.inf, 1.0]

@@ -3,7 +3,7 @@
 analysis.sample evaluates the component jets, the mask reasons and every
 residual system once over arrays of all grid points.  The oracle here is
 a copy of the per-point loop: the recursive eval_jet (jet_oracle) at each point, the same systems on
-scalar jets, and the mask reason from the first exception.  Rows, read
+its jets as one-point jets, and the mask reason from the first exception.  Rows, read
 back from the sample's columns, and masked points must agree by repr,
 for classify's and for residuals' systems, over random functions,
 overflowing boxes and wide tolerances.
@@ -45,7 +45,7 @@ from qfc.generators import example_pair, random_polynomial_qf, random_rational_m
 from qfc.jets import Point4, columns_of, grid_jets
 from qfc.lowering import lower
 
-from jet_oracle import eval_jet, grid_points, jet_pair
+from jet_oracle import eval_jet, grid_points, one_point, scalar
 
 BOXES = {
     "default": (-1.0, 1.0) * 4,
@@ -72,11 +72,12 @@ FIXED = (
 def _probe(f, p, threshold, systems):
     values = None
     try:
-        j1, j2 = jet_pair(f, p)
+        j1, j2 = eval_jet(f.f1, p), eval_jet(f.f2, p)
         if abs(j1.val) ** 2 + abs(j2.val) ** 2 < threshold:
             return None, "norm_sq below threshold"
         if all(map(cmath.isfinite, (*vars(j1).values(), *vars(j2).values()))):
-            values = systems(j1, j2)
+            with np.errstate(all="ignore"):  # Python's arithmetic does not warn
+                values = scalar(systems(*one_point((j1, j2), p)))
     except SingularPointError:
         return None, "singular"
     except OverflowError:

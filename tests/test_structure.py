@@ -1,9 +1,12 @@
-"""The package's modules use one another only through public names, and
-no tree walk in it recurses."""
+"""The package's modules use one another only through public names, no
+tree walk in it recurses, jets and formulas have no scalar mode, and the
+jet oracle shares no function with the code it checks."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import qfc
@@ -95,3 +98,96 @@ def test_the_cycle_finder_sees_direct_and_mutual_recursion(tmp_path: Path) -> No
         encoding="utf-8",
     )
     assert _on_call_cycles(path) == ["P.atom", "P.expr", "walk"]
+
+
+ORACLE = Path(__file__).resolve().parent / "jet_oracle.py"
+_CHECKED = ("qfc.jets", "qfc.analysis")
+
+
+def _names_used_from(path: Path, modules: tuple[str, ...]) -> list[str]:
+    """The names the file takes from the modules: those it imports from
+    one, and the attributes it reads of one imported as a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases: dict[str, str] = {}  # a local name bound to a module, and its module
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if f"{node.module}.{a.name}" in modules:
+                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                elif node.module in modules:
+                    used.append(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner in aliases:
+                used.append(f"{aliases[owner]}.{node.attr}")
+    return sorted(set(used))
+
+
+def _functions(names: list[str]) -> list[str]:
+    found = []
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        if inspect.isroutine(getattr(importlib.import_module(module), attr)):
+            found.append(name)
+    return found
+
+
+def test_the_jet_oracle_uses_no_function_of_jets_or_analysis() -> None:
+    """The oracle's own slotwise rules stand against the jet_* rules of
+    src, so it may take only types, constants and node classes from the
+    modules it checks."""
+    used = _names_used_from(ORACLE, _CHECKED)
+    assert "qfc.jets.WirtingerJet" in used
+    assert _functions(used) == []
+
+
+def test_the_name_finder_sees_imports_and_module_attributes(tmp_path: Path) -> None:
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import qfc.jets\nimport qfc.analysis as an\nfrom qfc import jets as J\n"
+        "from qfc.jets import jet_add, CArray\n"
+        "x = qfc.jets.SINGULAR_SQ_TOL + an.REAL_TOL\ny = J.jet_mul\n",
+        encoding="utf-8",
+    )
+    used = _names_used_from(path, _CHECKED)
+    assert used == [
+        "qfc.analysis.REAL_TOL",
+        "qfc.jets.CArray",
+        "qfc.jets.SINGULAR_SQ_TOL",
+        "qfc.jets.jet_add",
+        "qfc.jets.jet_mul",
+    ]
+    assert _functions(used) == ["qfc.jets.jet_add", "qfc.jets.jet_mul"]
+
+
+def _ndarray_branches(path: Path) -> list[str]:
+    """The functions and methods of the module that call isinstance with
+    np.ndarray among the types."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for owner in ast.walk(tree):
+        if not isinstance(owner, ast.FunctionDef):
+            continue
+        for call in ast.walk(owner):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "isinstance"
+                and len(call.args) == 2
+                and "np.ndarray" in ast.unparse(call.args[1])
+            ):
+                found.append(owner.name)
+    return sorted(set(found))
+
+
+def test_jets_and_analysis_have_no_scalar_mode() -> None:
+    """Every jet and formula value is an array, a point's of shape (1,):
+    no function in jets or analysis branches on whether it holds one."""
+    assert {m: _ndarray_branches(SRC / f"{m}.py") for m in ("jets", "analysis")} == {"jets": [], "analysis": []}
+    assert _ndarray_branches(SRC / "quaternion.py") != []  # the finder sees quaternion's scalar arms

@@ -4,8 +4,9 @@ run_verify evaluates each check's functions with grid_jets, on its grids
 block by block from grid_blocks and on its sample points as one block.
 The oracle here is a copy of the per-point run_verify: each residual
 from analysis's jets-level formulas on the jets of the recursive eval_jet
-(jet_oracle), as the per-point functions it called computed it, and the
-points where they raise SingularPointError skipped where it caught them.  The items must be equal,
+(jet_oracle) as one-point jets, read back as floats, as the per-point
+functions it called computed it, and the points where they raise
+SingularPointError skipped where it caught them.  The items must be equal,
 every float bit for bit.
 """
 
@@ -62,7 +63,7 @@ from qfc.lowering import (
 from qfc.quaternion import Quaternion, modulus, quat_mul
 from qfc.verify import VerifyItem, _fold, _inverse_derivative, run_verify
 
-from jet_oracle import eval_jet, eval_qfunction, grid_points, jet_pair
+from jet_oracle import eval_jet, eval_qfunction, grid_points, jet_pair, scalar
 
 _FAIL_FLOOR = 1e-3
 
@@ -71,7 +72,7 @@ def _max_eq1(f: QFunction, pts: list[Point4]) -> float:
     worst = 0.0
     for p in pts:
         try:
-            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(f, p))))
+            worst = max(worst, max(scalar(hyperholomorphy_from_jets(jet_pair(f, p)))))
         except SingularPointError:
             continue
     return worst
@@ -105,10 +106,10 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         g = curated[int(rng.integers(0, len(curated)))]
         h = right_combination(f, g, random_quaternion(rng), random_quaternion(rng))
         for p in samples:
-            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(h, p))))
+            worst = max(worst, max(scalar(hyperholomorphy_from_jets(jet_pair(h, p)))))
     passed = worst <= tol
     control = max(
-        hyperholomorphy_from_jets(jet_pair(QFunction(ConjVar("z2"), zero), samples[0]))
+        scalar(hyperholomorphy_from_jets(jet_pair(QFunction(ConjVar("z2"), zero), samples[0])))
     )
     passed = passed and control >= _FAIL_FLOOR
     items.append(
@@ -129,15 +130,15 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         g = random_polynomial_qf(rng)
         for _ in range(3):
             p = random_point(rng)
-            worst = max(worst, product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g)))).gap)
+            worst = max(worst, scalar(product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g))))).gap)
     cor_worst = 0.0
     for _ in range(5):
         f = random_real_hyperholomorphic(rng)
         g = random_real_hyperholomorphic(rng)
         for _ in range(2):
             p = random_point(rng)
-            chk = product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g))))
-            expect = quat_mul(eval_qfunction(f, p), cauchy_fueter_from_jets(jet_pair(g, p)).as_quaternion())
+            chk = scalar(product_rule_from_jets(*(jet_pair(h, p) for h in (f, g, product_qf(f, g)))))
+            expect = quat_mul(eval_qfunction(f, p), scalar(cauchy_fueter_from_jets(jet_pair(g, p))).as_quaternion())
             cor_worst = max(cor_worst, modulus(chk.second_term - expect))
     worst = max(worst, cor_worst)
     items.append(
@@ -158,13 +159,13 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     for f in passing:
         for p in samples:
             try:
-                worst = max(worst, max(inverse_system_from_jets(jet_pair(f, p))))
-                worst = max(worst, cauchy_fueter_from_jets(jet_pair(inverse_qf(f), p)).magnitude())
+                worst = max(worst, max(scalar(inverse_system_from_jets(jet_pair(f, p)))))
+                worst = max(worst, scalar(cauchy_fueter_from_jets(jet_pair(inverse_qf(f), p)).magnitude()))
             except SingularPointError:
                 continue
     p_off = Point4(1 + 1j, 1 + 0j)
-    res_fail = max(inverse_system_from_jets(jet_pair(counter, p_off)))
-    dinv_fail = cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p_off)).magnitude()
+    res_fail = max(scalar(inverse_system_from_jets(jet_pair(counter, p_off))))
+    dinv_fail = scalar(cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p_off)).magnitude())
     passed = worst <= tol and res_fail >= _FAIL_FLOOR and dinv_fail >= _FAIL_FLOOR
     items.append(
         VerifyItem(
@@ -183,12 +184,12 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         real_members.append(random_real_hyperholomorphic(rng))
     for f in real_members:
         for p in coarse:
-            worst = max(worst, max(real_linear_from_jets(jet_pair(f, p))))
+            worst = max(worst, max(scalar(real_linear_from_jets(jet_pair(f, p)))))
     x1_tree = const(0.5) * (Var("z1") + ConjVar("z1"))
-    res = real_linear_from_jets(jet_pair(QFunction(x1_tree, zero), samples[1]))
+    res = scalar(real_linear_from_jets(jet_pair(QFunction(x1_tree, zero), samples[1])))
     value_ok = abs(res[1] - 0.5) <= 1e-12 and res[1] >= _FAIL_FLOOR
     try:
-        real_linear_from_jets(jet_pair(QFunction(Var("z1"), zero), Point4(0.3 + 0.4j, 0j)))
+        scalar(real_linear_from_jets(jet_pair(QFunction(Var("z1"), zero), Point4(0.3 + 0.4j, 0j))))
         precondition_ok = False
     except ValueError:
         precondition_ok = True
@@ -213,20 +214,20 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     for h in sum_members:
         for p in coarse:
             try:
-                worst = max(worst, sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD))
+                worst = max(worst, scalar(sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD)))
             except SingularPointError:
                 continue
     for _ in range(3):
         h = sum_qf(random_rational_meromorphic(rng), random_rational_meromorphic(rng))
         for p in samples[:6]:
-            worst = max(worst, sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD))
+            worst = max(worst, scalar(sum_pde_from_jets(jet_pair(h, p), DEFAULT_MASK_THRESHOLD)))
     ident_worst = 0.0
     for p in (p_off, Point4(0.5 - 0.7j, -0.3 + 0.4j)):
-        a = sum_pde_from_jets(jet_pair(counter, p), DEFAULT_MASK_THRESHOLD)
+        a = scalar(sum_pde_from_jets(jet_pair(counter, p), DEFAULT_MASK_THRESHOLD))
         n = eval_jet(norm_sq_expr(counter), p).val.real
-        b = 2.0 * n * n * cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p)).magnitude()
+        b = 2.0 * n * n * scalar(cauchy_fueter_from_jets(jet_pair(inverse_qf(counter), p)).magnitude())
         ident_worst = max(ident_worst, abs(a - b) / (1.0 + a + b))
-    neg = sum_pde_from_jets(jet_pair(counter, p_off), DEFAULT_MASK_THRESHOLD)
+    neg = scalar(sum_pde_from_jets(jet_pair(counter, p_off), DEFAULT_MASK_THRESHOLD))
     passed = worst <= tol and ident_worst <= tol and neg >= _FAIL_FLOOR
     worst = max(worst, ident_worst)
     items.append(
@@ -242,16 +243,16 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     # order-sensitive control with known residual value
     worst = 0.0
     for p in coarse:
-        worst = max(worst, max(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p))))
+        worst = max(worst, max(scalar(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p)))))
         worst = max(worst, _max_eq1(product_qf(m_const, e00), [p]))
     for _ in range(3):
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
         for p in samples[:6]:
-            worst = max(worst, max(product_system_from_jets(jet_pair(f, p), jet_pair(g, p))))
+            worst = max(worst, max(scalar(product_system_from_jets(jet_pair(f, p), jet_pair(g, p)))))
     g_anti = QFunction(ConjVar("z2"), zero)
     p0 = Point4(0.4 + 0.2j, 0.7 - 0.3j)
-    res = product_system_from_jets(jet_pair(e00, p0), jet_pair(g_anti, p0))
+    res = scalar(product_system_from_jets(jet_pair(e00, p0), jet_pair(g_anti, p0)))
     expected = 2.0 * abs(p0.z2)
     value_ok = (
         min(res) >= _FAIL_FLOOR
@@ -271,11 +272,11 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
     # combined system for real-component pairs closed under sum and product
     worst = 0.0
     for p in coarse:
-        worst = max(worst, max(real_combined_from_jets(jet_pair(e00, p), jet_pair(e12, p))))
-        worst = max(worst, max(real_combined_from_jets(jet_pair(e00, p), jet_pair(m_const, p))))
+        worst = max(worst, max(scalar(real_combined_from_jets(jet_pair(e00, p), jet_pair(e12, p)))))
+        worst = max(worst, max(scalar(real_combined_from_jets(jet_pair(e00, p), jet_pair(m_const, p)))))
     g_sq = QFunction(x1_tree**2, zero)
     p1 = Point4(0.7 + 0.4j, -0.2 + 0.1j)
-    five = real_combined_from_jets(jet_pair(e00, p1), jet_pair(g_sq, p1))
+    five = scalar(real_combined_from_jets(jet_pair(e00, p1), jet_pair(g_sq, p1)))
     bilinear = five[4]
     value_ok = bilinear >= _FAIL_FLOOR and abs(bilinear - 0.7) <= 1e-12
     items.append(
@@ -294,16 +295,16 @@ def per_point_run_verify(seed: int = 0, grid_n: int = 6, tol: float = 1e-8) -> l
         f = random_rational_meromorphic(rng)
         g = random_rational_meromorphic(rng)
         for p in samples[:4]:
-            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(f, p))))
-            worst = max(worst, max(inverse_system_from_jets(jet_pair(f, p))))
-            worst = max(worst, sum_pde_from_jets(jet_pair(sum_qf(f, g), p), DEFAULT_MASK_THRESHOLD))
-            worst = max(worst, max(product_system_from_jets(jet_pair(f, p), jet_pair(g, p))))
-            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(product_qf(f, g), p))))
+            worst = max(worst, max(scalar(hyperholomorphy_from_jets(jet_pair(f, p)))))
+            worst = max(worst, max(scalar(inverse_system_from_jets(jet_pair(f, p)))))
+            worst = max(worst, scalar(sum_pde_from_jets(jet_pair(sum_qf(f, g), p), DEFAULT_MASK_THRESHOLD)))
+            worst = max(worst, max(scalar(product_system_from_jets(jet_pair(f, p), jet_pair(g, p)))))
+            worst = max(worst, max(scalar(hyperholomorphy_from_jets(jet_pair(product_qf(f, g), p)))))
     for p in coarse:
         try:
-            worst = max(worst, max(hyperholomorphy_from_jets(jet_pair(sum_qf(m_const, e00), p))))
-            worst = max(worst, sum_pde_from_jets(jet_pair(sum_qf(m_const, e00), p), DEFAULT_MASK_THRESHOLD))
-            worst = max(worst, max(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p))))
+            worst = max(worst, max(scalar(hyperholomorphy_from_jets(jet_pair(sum_qf(m_const, e00), p)))))
+            worst = max(worst, scalar(sum_pde_from_jets(jet_pair(sum_qf(m_const, e00), p), DEFAULT_MASK_THRESHOLD)))
+            worst = max(worst, max(scalar(product_system_from_jets(jet_pair(m_const, p), jet_pair(e00, p)))))
         except SingularPointError:
             continue
     items.append(

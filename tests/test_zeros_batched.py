@@ -29,11 +29,11 @@ from qfc.domain import Domain, grid_axes
 from qfc.errors import InconclusiveError, SingularPointError
 from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, Sub, UnitI, UnitJ, Var, const, parse
 from qfc.generators import random_polynomial_qf, random_rational_meromorphic
-from qfc.jets import Point4, vanishes
+from qfc.jets import Point4
 from qfc.lowering import QFunction, inverse_qf, lower
 from qfc.zeros import _TINY, OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
 
-from jet_oracle import eval_jet, grid_points
+from jet_oracle import eval_jet, grid_points, vanishes
 
 Z1, Z2 = Var("z1"), Var("z2")
 # Each axis of a random box; the last one makes squares overflow.
