@@ -3,8 +3,11 @@
 Each item exercises one PDE system or operator identity on functions
 with known behavior, including negative controls with known nonzero
 residuals, and reports the worst residual among the checks expected to
-be small.  Everything is driven by one seeded generator, so a repeated
-run with the same seed produces identical numbers.
+be small.  Everything is driven by one seeded stream, so a repeated
+run with the same seed produces identical numbers.  The stream is
+generators.SeededStream(seed), numpy's default_rng(seed) stream replayed
+in Python, so the checks do not import numpy.random and a seed's numbers
+are those default_rng(seed) gave.
 
 Each check evaluates its functions' jets with grid_jets, streaming its
 grids from grid_blocks, on its sample points as one block and on a single
@@ -38,6 +41,7 @@ from .domain import DEFAULT_MASK_THRESHOLD, Domain, grid_blocks
 from .errors import MASK_REASONS, OVERFLOW, SingularPointError
 from .expr import ConjVar, RealConst, Var, const, parse
 from .generators import (
+    SeededStream,
     counterexample_pair,
     curated_hyperholomorphic,
     example_pair,
@@ -154,7 +158,7 @@ def _sum_pde_identity(h: Jets) -> tuple:
 
 def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list[VerifyItem]:
     """Run all verification items and return them in a fixed order."""
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     samples = [random_point(rng) for _ in range(12)]
     items: list[VerifyItem] = []
 

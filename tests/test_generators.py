@@ -12,6 +12,7 @@ from qfc.jets import Point4
 from qfc.lowering import QFunction
 from qfc.quaternion import ONE, Quaternion, norm_sq
 from qfc.generators import (
+    SeededStream,
     antiholomorphic_linear,
     counterexample_pair,
     curated_hyperholomorphic,
@@ -133,3 +134,54 @@ def test_random_quaternion_is_reproducible() -> None:
     a = random_quaternion(np.random.default_rng(3))
     b = random_quaternion(np.random.default_rng(3))
     assert a == b
+
+
+def _draws(rng, rounds: int) -> list:
+    """The generators' draws, interleaved: scalar uniform at each of their
+    half-widths, uniform(-1, 1, size=4), and integers(0, n) for n = 1 to 7.
+    Floats are compared by their hex text."""
+    out: list = []
+    for _ in range(rounds):
+        for half_width in (1.0, 0.8, 0.02, 0.01):
+            out.append(float(rng.uniform(-half_width, half_width)).hex())
+        out.append([float(x).hex() for x in rng.uniform(-1, 1, size=4)])
+        for n in range(1, 8):
+            out.append(int(rng.integers(0, n)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 5])
+def test_the_stream_replays_default_rng(seed: int) -> None:
+    """2**200 + 5 has seven 32-bit words, more than SeedSequence's pool of
+    four, so its second mixing loop runs."""
+    assert _draws(SeededStream(seed), 40) == _draws(np.random.default_rng(seed), 40)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**130 - 1))
+def test_the_stream_replays_default_rng_at_any_seed(seed: int) -> None:
+    assert _draws(SeededStream(seed), 3) == _draws(np.random.default_rng(seed), 3)
+
+
+def test_the_stream_at_seed_0_is_pinned() -> None:
+    """default_rng(0)'s first draws, written out, so that a numpy whose
+    Generator changes cannot change the reports unseen."""
+    s = SeededStream(0)
+    assert [s.uniform(-1.0, 1.0).hex() for _ in range(2)] == ["0x1.187f5e7ece140p-2", "-0x1.d77a103be9318p-2"]
+    assert (s.integers(0, 7), s.integers(0, 3)) == (2, 0)
+    assert [x.hex() for x in s.uniform(-1, 1, size=4)] == [
+        "-0x1.ef136127b2f44p-1", "0x1.40c9e9e0b3794p-1", "0x1.a6a965e699006p-1", "0x1.b4c7b7180edb0p-3",
+    ]
+    assert (s.integers(0, 1), s.integers(0, 6)) == (0, 5)
+
+
+def test_a_range_of_one_value_draws_nothing() -> None:
+    a, b = SeededStream(9), SeededStream(9)
+    assert [a.integers(4, 5) for _ in range(3)] == [4, 4, 4]
+    assert (a.integers(0, 5), a.uniform(0.0, 1.0)) == (b.integers(0, 5), b.uniform(0.0, 1.0))
+
+
+def test_a_negative_seed_is_refused_as_numpy_refuses_it() -> None:
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        SeededStream(-1)
