@@ -19,6 +19,7 @@ import numpy as np
 
 from .domain import Domain, grid_blocks
 from .errors import MASK_REASONS, OVERFLOW, SINGULAR, InconclusiveError
+from .generators import SeededStream
 from .jets import Columns, Point4, columns_of, grid_jets
 from .lowering import QFunction, inverse_qf
 
@@ -156,7 +157,9 @@ def estimate_order(
     """Fit log|f_i(q + r*u)| against log r over shrinking radii.
 
     Samples eight radii from 1e-1 down to 1e-4 along 16 random unit
-    directions (_DIRECTIONS) drawn from a generator seeded with seed.
+    directions (_DIRECTIONS), each four normal draws of SeededStream(seed)
+    scaled to unit length, so they are default_rng(seed)'s without
+    importing numpy.random.
     kind="zero" requires both components of f to vanish at q within
     zero_tol; kind="pole" requires q to be a point pole_set_scan would
     report.  A sample of a component counts where evaluating that
@@ -169,10 +172,10 @@ def estimate_order(
     _check_candidate(f, q, kind, zero_tol)
 
     radii = np.geomspace(1e-1, 1e-4, 8)
-    rng = np.random.default_rng(seed)
+    stream = SeededStream(seed)
     dirs: list[tuple[complex, complex]] = []
     for _ in range(_DIRECTIONS):
-        v = rng.normal(size=4)
+        v = np.array(stream.normal(size=4))
         v /= np.linalg.norm(v)
         dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
 

@@ -28,6 +28,8 @@ from jet_oracle import eval_qfunction, jet_pair, scalar
 from random_trees import random_scalar_tree, random_surface_tree
 
 SEED = 3301
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 5]  # of the stream replay tests
+ZIGGURAT_R = 3.6541528853610088  # where the ziggurat's tail starts
 COORDS = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 POINTS = st.builds(
     lambda a, b, c, d: Point4(complex(a, b), complex(c, d)),
@@ -150,7 +152,7 @@ def _draws(rng, rounds: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 5])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_the_stream_replays_default_rng(seed: int) -> None:
     """2**200 + 5 has seven 32-bit words, more than SeedSequence's pool of
     four, so its second mixing loop runs."""
@@ -172,6 +174,79 @@ def test_the_stream_at_seed_0_is_pinned() -> None:
         "-0x1.ef136127b2f44p-1", "0x1.40c9e9e0b3794p-1", "0x1.a6a965e699006p-1", "0x1.b4c7b7180edb0p-3",
     ]
     assert (s.integers(0, 1), s.integers(0, 6)) == (0, 5)
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normal_replays_default_rng(seed: int) -> None:
+    assert _hex(SeededStream(seed).normal(size=500)) == _hex(np.random.default_rng(seed).normal(size=500))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**130 - 1), n=st.integers(min_value=0, max_value=80))
+def test_normal_replays_default_rng_at_any_seed(seed: int, n: int) -> None:
+    assert _hex(SeededStream(seed).normal(size=n)) == _hex(np.random.default_rng(seed).normal(size=n))
+
+
+def _mixed(rng, rounds: int) -> list:
+    """normal between the draws of _draws, and between an integers draw
+    that leaves half of a 64-bit output buffered and the next one."""
+    out: list = []
+    for _ in range(rounds):
+        out += _draws(rng, 1)
+        out.append(_hex(rng.normal(size=3)))
+        out.append(int(rng.integers(0, 5)))
+        out.append(_hex(rng.normal(size=1)))
+        out.append(int(rng.integers(0, 5)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_normal_interleaves_with_uniform_and_integers(seed: int) -> None:
+    assert _mixed(SeededStream(seed), 30) == _mixed(np.random.default_rng(seed), 30)
+
+
+class _CountingStream(SeededStream):
+    """A SeededStream that counts the 64-bit outputs it takes."""
+
+    __slots__ = ("outputs",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.outputs = 0
+
+    def _next64(self) -> int:
+        self.outputs += 1
+        return super()._next64()
+
+
+def test_normal_takes_the_tail_and_rejects_in_a_wedge() -> None:
+    """A draw beyond R comes from the tail.  A draw within R takes one
+    output on the fast path and two when a wedge keeps it, so one that
+    took three or more had a wedge reject a point first.  Seed 15's
+    draws also reject a tail point three times."""
+    stream, values, tail, rejected = _CountingStream(15), [], 0, 0
+    for _ in range(20000):
+        before = stream.outputs
+        (x,) = stream.normal(size=1)
+        values.append(x)
+        tail += abs(x) > ZIGGURAT_R
+        rejected += abs(x) <= ZIGGURAT_R and stream.outputs - before >= 3
+    assert tail > 0 and rejected > 0
+    assert _hex(values) == _hex(np.random.default_rng(15).normal(size=20000))
+
+
+def test_normal_at_seed_0_is_pinned() -> None:
+    """default_rng(0)'s first normal draws, written out, so that a numpy
+    whose ziggurat changes cannot change order's reports unseen."""
+    assert [x.hex() for x in SeededStream(0).normal(size=16)] == [
+        "0x1.017ed89db8441p-3", "-0x1.0e8cfe9bd45ccp-3", "0x1.47e57a468b06dp-1", "0x1.adabbec84d4f0p-4",
+        "-0x1.1243418e643edp-1", "0x1.7245f95ced1e6p-2", "0x1.4dd2f26bd103cp+0", "0x1.e4e7cbc69bca3p-1",
+        "-0x1.684ffc1daaf28p-1", "-0x1.43f2a959cc8bbp+0", "-0x1.3f1dd4920f4fbp-1", "0x1.528adc38b0ce3p-5",
+        "-0x1.299a9bc1a2383p+1", "-0x1.c015d809d257ep-3", "-0x1.3ef405142e27ep+0", "-0x1.76ebbf28c26f7p-1",
+    ]
 
 
 def test_a_range_of_one_value_draws_nothing() -> None:

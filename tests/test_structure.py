@@ -1,6 +1,7 @@
 """The package's modules use one another only through public names, no
-tree walk in it recurses, jets and formulas have no scalar mode, and the
-jet oracle shares no function with the code it checks."""
+tree walk in it recurses, jets and formulas have no scalar mode, no module
+uses numpy.random, and the jet oracle shares no function with the code it
+checks."""
 
 from __future__ import annotations
 
@@ -191,3 +192,50 @@ def test_jets_and_analysis_have_no_scalar_mode() -> None:
     no function in jets or analysis branches on whether it holds one."""
     assert {m: _ndarray_branches(SRC / f"{m}.py") for m in ("jets", "analysis")} == {"jets": [], "analysis": []}
     assert _ndarray_branches(SRC / "quaternion.py") != []  # the finder sees quaternion's scalar arms
+
+
+def _numpy_random_uses(path: Path) -> list[str]:
+    """Where the module imports numpy.random or reads it as an attribute
+    of numpy, under any name it binds numpy to."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    numpy_names = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "numpy" or a.name.startswith("numpy.") and not a.asname:
+                    numpy_names.add(a.asname or "numpy")  # import numpy.linalg binds numpy too
+                if a.name.startswith("numpy.random"):
+                    found.append(f"{node.lineno}: import {a.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.random") or node.module == "numpy" and "random" in {a.name for a in node.names}:
+                found.append(f"{node.lineno}: from {node.module} import")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_no_module_uses_numpy_random() -> None:
+    """Every seeded draw comes from generators.SeededStream, and loading
+    numpy.random would cost each process about 6 MB of memory."""
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.name: _numpy_random_uses(p) for p in modules} == {p.name: [] for p in modules}
+
+
+def test_the_numpy_random_finder_sees_imports_and_attributes(tmp_path: Path) -> None:
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import numpy as np\nimport numpy.random\nfrom numpy import random\nfrom numpy.random import default_rng\n"
+        "import random as stdlib_random\nrng = np.random.default_rng(0)\nx = numpy.random.normal\n"
+        "y = stdlib_random.random()\nz = np.linalg.norm\n",
+        encoding="utf-8",
+    )
+    assert _numpy_random_uses(path) == [
+        "2: import numpy.random",
+        "3: from numpy import",
+        "4: from numpy.random import",
+        "6: np.random",
+        "7: numpy.random",
+    ]

@@ -52,17 +52,27 @@ def test_runs_are_deterministic() -> None:
 
 def test_verify_paper_does_not_import_numpy_random(tmp_path: Path) -> None:
     """In a process of its own, since other tests import numpy.random here:
-    its seeded stream is replayed in Python, and loading numpy.random
-    would cost each request about 6 MB of memory."""
+    verify-paper's and order's seeded draws are replayed in Python, and
+    loading numpy.random would cost each request about 6 MB of memory.
+    One interpreter runs verify-paper, and order with both kinds on the
+    planted zeros of tests/golden/zeros.txt and on a pole at the same node,
+    so that each kind fits one."""
     src = str(Path(qfc.__file__).resolve().parents[1])
-    out = tmp_path / "verify.json"
+    zeros = Path(__file__).resolve().parent / "golden" / "zeros.txt"
+    funcs = tmp_path / "funcs.txt"
+    funcs.write_text(zeros.read_text(encoding="utf-8") + "node = 1 / ((z1 - 0.5) + (z2 + 0.5)*j)\n", encoding="utf-8")
+    outs = [tmp_path / f"{name}.json" for name in ("verify", "zero", "pole")]
     code = (
         "import sys, qfc.cli\n"
-        f"assert qfc.cli.main(['verify-paper', '--format', 'json', '--out', {str(out)!r}]) == 0\n"
+        f"assert qfc.cli.main(['verify-paper', '--format', 'json', '--out', {str(outs[0])!r}]) == 0\n"
+        f"for kind, out in (('zero', {str(outs[1])!r}), ('pole', {str(outs[2])!r})):\n"
+        f"    args = ['order', '--input', {str(funcs)!r}, '--grid', '5', '--kind', kind, '--format', 'json', '--out', out]\n"
+        "    assert qfc.cli.main(args) == 0\n"
         "assert 'numpy.random' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
     )
     alone = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False
     )
     assert (alone.returncode, alone.stderr) == (0, "")
-    assert out.stat().st_size > 0
+    assert outs[0].stat().st_size > 0
+    assert [out.read_text(encoding="utf-8").count('"order":') for out in outs[1:]] == [2, 1]
