@@ -25,6 +25,11 @@ from .lowering import QFunction, inverse_qf
 
 _TINY = 1e-250
 _DIRECTIONS = 16  # random unit directions of an order fit
+# The radii of an order fit, np.geomspace(1e-1, 1e-4, 8) bit for bit.
+_RADII = (
+    0.1, 0.037275937203149395, 0.013894954943731374, 0.005179474679231213,
+    0.0019306977288832496, 0.0007196856730011522, 0.0002682695795279727, 0.0001,
+)
 
 # A block's candidates, each point's event code (0 where it was evaluated)
 # and the two magnitudes compared with the tolerance.
@@ -156,22 +161,23 @@ def estimate_order(
 ) -> OrderEstimate:
     """Fit log|f_i(q + r*u)| against log r over shrinking radii.
 
-    Samples eight radii from 1e-1 down to 1e-4 along 16 random unit
+    Samples eight radii from 1e-1 down to 1e-4 (_RADII) along 16 random unit
     directions (_DIRECTIONS), each four normal draws of SeededStream(seed)
     scaled to unit length, so they are default_rng(seed)'s without
     importing numpy.random.
     kind="zero" requires both components of f to vanish at q within
     zero_tol; kind="pole" requires q to be a point pole_set_scan would
     report.  A sample of a component counts where evaluating that
-    component alone is not singular and does not overflow.  Raises
-    ValueError when a component keeps fewer samples than there are radii,
-    or samples at one radius.
+    component alone is not singular and does not overflow, and where its
+    magnitude is finite.  Each component's order is the exact
+    least-squares slope of its samples' log magnitudes against log r,
+    rounded once (_slope).  Raises ValueError when a component keeps fewer
+    samples than there are radii, or samples at one radius.
     """
     if kind not in ("zero", "pole"):
         raise ValueError("kind must be 'zero' or 'pole'")
     _check_candidate(f, q, kind, zero_tol)
 
-    radii = np.geomspace(1e-1, 1e-4, 8)
     stream = SeededStream(seed)
     dirs: list[tuple[complex, complex]] = []
     for _ in range(_DIRECTIONS):
@@ -179,36 +185,49 @@ def estimate_order(
         v /= np.linalg.norm(v)
         dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
 
-    z1 = [q.z1 + r * u1 for u1, _ in dirs for r in radii]
-    z2 = [q.z2 + r * u2 for _, u2 in dirs for r in radii]
+    z1 = [q.z1 + r * u1 for u1, _ in dirs for r in _RADII]
+    z2 = [q.z2 + r * u2 for _, u2 in dirs for r in _RADII]
     z = columns_of(z1, z2)
-    log_r = [math.log(r) for _ in dirs for r in radii]
+    log_r = [math.log(r) for _ in dirs for r in _RADII]
     samples = []
     for comp in (f.f1, f.f2):
         with np.errstate(all="ignore"):
             (j,), events = grid_jets((comp,), z)
             counts = (events.code == 0).tolist()
             magnitudes = np.broadcast_to(abs(j.val), (len(z1),)).tolist()
-        samples.append(
-            [(lr, math.log(max(a, 1e-300))) for lr, a, ok in zip(log_r, magnitudes, counts) if ok]
-        )
+        kept = [(lr, a) for lr, a, ok in zip(log_r, magnitudes, counts) if ok and math.isfinite(a)]
+        samples.append([(lr, math.log(max(a, 1e-300))) for lr, a in kept])
 
     per: list[float] = []
     for bucket in samples:
-        if len(bucket) < len(radii):
+        if len(bucket) < len(_RADII):
             raise ValueError("too few valid samples around the candidate point")
         if len({lr for lr, _ in bucket}) < 2:  # a line fit needs two abscissae
             raise ValueError("valid samples around the candidate point at fewer than two radii")
         if all(lv < math.log(_TINY) for _, lv in bucket):
             per.append(math.inf if kind == "zero" else 0.0)
             continue
-        logr = np.array([lr for lr, _ in bucket])
-        logv = np.array([lv for _, lv in bucket])
-        slope = float(np.polyfit(logr, logv, 1)[0])
+        slope = _slope(bucket)
         per.append(max(0.0, slope if kind == "zero" else -slope))
 
     order = min(per) if kind == "zero" else max(per)
     return OrderEstimate(q, kind, order, (per[0], per[1]))
+
+
+def _slope(bucket: list[tuple[float, float]]) -> float:
+    """The least-squares slope of y against x over the (x, y) pairs,
+    exact and rounded once; the pairs must hold two distinct x.
+
+    Each float is an integer over a power of two, so over their largest
+    denominator every sum is a Python int, and CPython rounds the one
+    int/int true division correctly."""
+    ratios = [v.as_integer_ratio() for pair in bucket for v in pair]
+    shift = max(d for _, d in ratios).bit_length()
+    ints = [n << (shift - d.bit_length()) for n, d in ratios]
+    xs, ys = ints[0::2], ints[1::2]
+    n, sx, sy = len(bucket), sum(xs), sum(ys)
+    num = n * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    return num / (n * sum(x * x for x in xs) - sx * sx)
 
 
 def _check_candidate(f: QFunction, q: Point4, kind: str, zero_tol: float) -> None:

@@ -438,6 +438,23 @@ def test_an_order_fit_on_one_radius_is_refused(tmp_path: Path) -> None:
     assert est == {"cluster": 0, "error": "valid samples around the candidate point at fewer than two radii"}
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["z1 * ((z2 * 1e300) * 1e300) + z2*j", "(z1 + (z2*1e300)*1e300 - (z2*1e300)*1e300) + z2*j"],
+    ids=["infinite", "nan"],
+)
+def test_an_order_fit_on_non_finite_samples_is_refused(tmp_path: Path, text: str) -> None:
+    """f vanishes at grid nodes on the plane z2 = 0, but off it f1 is
+    infinite or NaN at every probe, with no event.  Those samples are
+    dropped, as the scan skips a point whose value is not finite, so the
+    cluster gets an error entry, not order 0."""
+    path = tmp_path / "overflow.txt"
+    path.write_text(f"f = {text}\n", encoding="utf-8")
+    code, out, err = _run_alone(["order", "--input", str(path), "--grid", "5"])
+    assert (code, err) == (0, "")
+    assert out == "f: 1 candidate cluster(s)\n  cluster 0: too few valid samples around the candidate point\n"
+
+
 
 @pytest.mark.parametrize(
     "argv, config",

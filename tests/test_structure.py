@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+from typing import Callable
 
 import qfc
 
@@ -194,34 +195,70 @@ def test_jets_and_analysis_have_no_scalar_mode() -> None:
     assert _ndarray_branches(SRC / "quaternion.py") != []  # the finder sees quaternion's scalar arms
 
 
-def _numpy_random_uses(path: Path) -> list[str]:
-    """Where the module imports numpy.random or reads it as an attribute
-    of numpy, under any name it binds numpy to."""
+def _dotted(node: ast.expr, bound: dict[str, str]) -> str | None:
+    """The numpy name an attribute chain reads, such as numpy.linalg.norm,
+    when it starts at a name bound to numpy or to one of its objects."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(attrs)])
+    return None
+
+
+def _numpy_uses(path: Path, wanted: Callable[[str], bool]) -> list[str]:
+    """Where the module imports a numpy name that wanted accepts, or reads
+    one as an attribute chain, under any name it binds numpy or a numpy
+    object to; a chain is reported at its shortest prefix wanted accepts."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    numpy_names = set()
+    bound: dict[str, str] = {}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
-                if a.name == "numpy" or a.name.startswith("numpy.") and not a.asname:
-                    numpy_names.add(a.asname or "numpy")  # import numpy.linalg binds numpy too
-                if a.name.startswith("numpy.random"):
-                    found.append(f"{node.lineno}: import {a.name}")
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("numpy.random") or node.module == "numpy" and "random" in {a.name for a in node.names}:
+                if a.name == "numpy" or a.name.startswith("numpy."):
+                    bound[a.asname or "numpy"] = a.name if a.asname else "numpy"  # import numpy.linalg binds numpy
+                    if wanted(a.name):
+                        found.append(f"{node.lineno}: import {a.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module and (node.module + ".").startswith("numpy."):
+            names = {a.asname or a.name: f"{node.module}.{a.name}" for a in node.names}
+            bound.update(names)
+            if any(wanted(name) for name in names.values()):
                 found.append(f"{node.lineno}: from {node.module} import")
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "random":
-            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node, bound)
+            if name and wanted(name) and not wanted(_dotted(node.value, bound) or ""):
                 found.append(f"{node.lineno}: {ast.unparse(node)}")
     return sorted(found)
+
+
+def _is_numpy_random(name: str) -> bool:
+    return (name + ".").startswith("numpy.random.")
+
+
+def _is_lapack_or_geomspace(name: str) -> bool:
+    """A least-squares fit, geomspace, or numpy.linalg but for its norm."""
+    return name.rsplit(".", 1)[-1] in ("polyfit", "lstsq", "geomspace") or (
+        name.startswith("numpy.linalg.") and name != "numpy.linalg.norm"
+    )
 
 
 def test_no_module_uses_numpy_random() -> None:
     """Every seeded draw comes from generators.SeededStream, and loading
     numpy.random would cost each process about 6 MB of memory."""
     modules = sorted(SRC.glob("*.py"))
-    assert {p.name: _numpy_random_uses(p) for p in modules} == {p.name: [] for p in modules}
+    assert {p.name: _numpy_uses(p, _is_numpy_random) for p in modules} == {p.name: [] for p in modules}
+
+
+def test_no_module_calls_lapack_or_geomspace() -> None:
+    """The order fit is zeros._slope and its radii are zeros._RADII: the
+    first np.polyfit pages in about 1.3 MB of OpenBLAS code, which every
+    order request's peak resident set would count.  np.linalg.norm, a
+    dot product, keeps the order directions' bits."""
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.name: _numpy_uses(p, _is_lapack_or_geomspace) for p in modules} == {p.name: [] for p in modules}
 
 
 def test_the_numpy_random_finder_sees_imports_and_attributes(tmp_path: Path) -> None:
@@ -232,10 +269,30 @@ def test_the_numpy_random_finder_sees_imports_and_attributes(tmp_path: Path) -> 
         "y = stdlib_random.random()\nz = np.linalg.norm\n",
         encoding="utf-8",
     )
-    assert _numpy_random_uses(path) == [
+    assert _numpy_uses(path, _is_numpy_random) == [
         "2: import numpy.random",
         "3: from numpy import",
         "4: from numpy.random import",
         "6: np.random",
         "7: numpy.random",
+    ]
+
+
+def test_the_lapack_finder_sees_imports_and_attributes(tmp_path: Path) -> None:
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import numpy as np\nimport numpy.linalg as la\nfrom numpy import polyfit\nfrom numpy.linalg import norm\n"
+        "from numpy.linalg import svd as s\nfrom numpy import linalg\na = np.polyfit(x, y, 1)\nb = np.linalg.lstsq\n"
+        "c = np.geomspace(1, 2, 3)\nd = np.linalg.norm(v)\ne = la.solve\nf = linalg.norm\n"
+        "g = np.polynomial.polynomial.polyfit\nh = scipy.linalg.lstsq\ni = np.linspace\n",
+        encoding="utf-8",
+    )
+    assert _numpy_uses(path, _is_lapack_or_geomspace) == [
+        "11: la.solve",
+        "13: np.polynomial.polynomial.polyfit",
+        "3: from numpy import",
+        "5: from numpy.linalg import",
+        "7: np.polyfit",
+        "8: np.linalg.lstsq",
+        "9: np.geomspace",
     ]

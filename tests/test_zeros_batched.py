@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
 
@@ -31,7 +32,7 @@ from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, QExpr, RealConst, S
 from qfc.generators import random_polynomial_qf, random_rational_meromorphic
 from qfc.jets import Point4
 from qfc.lowering import QFunction, inverse_qf, lower
-from qfc.zeros import _TINY, OrderEstimate, estimate_order, pole_set_scan, zero_set_scan
+from qfc.zeros import _RADII, _TINY, OrderEstimate, _slope, estimate_order, pole_set_scan, zero_set_scan
 
 from jet_oracle import eval_jet, grid_points, vanishes
 
@@ -195,10 +196,20 @@ def _per_point_scan(f, d, grid_n, tol, kind="zero"):
     return clusters
 
 
+def _fraction_slope(bucket: list[tuple[float, float]]) -> float:
+    """The least-squares slope of y against x, from the centred sums in
+    exact rational arithmetic, rounded once."""
+    xs = [Fraction(x) for x, _ in bucket]
+    ys = [Fraction(y) for _, y in bucket]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs))
+
+
 def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex):
     """estimate_order one probe at a time.  probe=complex evaluates with
     Python's complex arithmetic; the identity keeps the numpy.complex128
-    probes of the loop the array path replaced."""
+    probes of the loop the array path replaced.  A sample whose magnitude
+    is not finite is dropped, and the fit is _fraction_slope."""
     if _candidate(f, q, kind, zero_tol) is not True:
         raise ValueError("not a candidate")
     radii = np.geomspace(1e-1, 1e-4, 8)
@@ -214,10 +225,11 @@ def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex)
             p = Point4(probe(q.z1 + r * u1), probe(q.z2 + r * u2))
             for comp, bucket in ((f.f1, samples[0]), (f.f2, samples[1])):
                 try:
-                    v = _value(comp, p)
+                    a = abs(_value(comp, p))
                 except (SingularPointError, OverflowError):
                     continue
-                bucket.append((math.log(r), math.log(max(abs(v), 1e-300))))
+                if math.isfinite(a):
+                    bucket.append((math.log(r), math.log(max(a, 1e-300))))
     per = []
     for bucket in samples:
         if len(bucket) < len(radii) or len({lr for lr, _ in bucket}) < 2:
@@ -225,7 +237,7 @@ def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex)
         if all(lv < math.log(_TINY) for _, lv in bucket):
             per.append(math.inf if kind == "zero" else 0.0)
             continue
-        slope = float(np.polyfit([lr for lr, _ in bucket], [lv for _, lv in bucket], 1)[0])
+        slope = _fraction_slope(bucket)
         per.append(max(0.0, slope if kind == "zero" else -slope))
     return OrderEstimate(q, kind, min(per) if kind == "zero" else max(per), (per[0], per[1]))
 
@@ -319,6 +331,48 @@ def test_order_keeps_the_numpy_probes_bits_without_division() -> None:
                 for order_kind in ("zero", "pole"):
                     old = _outcome(_per_point_order, f, q, order_kind, probe=lambda z: z)
                     assert _outcome(estimate_order, f, q, order_kind) == old
+
+
+def test_the_order_radii_are_geomspaces() -> None:
+    assert _RADII == tuple(np.geomspace(1e-1, 1e-4, 8).tolist())
+
+
+LOG_RADII = [math.log(r) for r in _RADII]
+# Abscissae as the fits see them: the log radii themselves, so that
+# samples share them, or any float between and around them.
+ABSCISSAE = st.sampled_from(LOG_RADII) | st.floats(-10.0, -2.0)
+
+
+def _two_abscissae(bucket: list[tuple[float, float]]) -> bool:
+    return len({x for x, _ in bucket}) >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bucket=st.lists(
+        st.tuples(ABSCISSAE, st.floats(math.log(1e-300), math.log(1.7e308))), min_size=8, max_size=128
+    ).filter(_two_abscissae)
+)
+def test_the_slope_is_the_exact_least_squares_slope_rounded_once(bucket) -> None:
+    """Log magnitudes run from log(1e-300), the floor of a sample, to the
+    log of the largest float."""
+    assert _slope(bucket).hex() == _fraction_slope(bucket).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    noisy=st.lists(
+        st.tuples(st.sampled_from(LOG_RADII), st.floats(-0.01, 0.01)), min_size=8, max_size=128
+    ).filter(_two_abscissae),
+    slope=st.floats(0.25, 8.0) | st.floats(-8.0, -0.25),
+    intercept=st.floats(-5.0, 5.0),
+)
+def test_the_slope_agrees_with_polyfit_on_well_conditioned_lines(noisy, slope, intercept) -> None:
+    """Noisy lines through the log radii, whose slopes are far from zero."""
+    xs = [x for x, _ in noisy]
+    ys = [slope * x + intercept + e for x, e in noisy]
+    fit = _slope(list(zip(xs, ys)))
+    assert fit == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12, abs=0.0)
 
 
 def test_scans_are_evaluated_in_blocks(monkeypatch: pytest.MonkeyPatch) -> None:
