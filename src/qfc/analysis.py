@@ -327,7 +327,7 @@ def sample(f: QFunction, d: Domain, grid_n: int, systems: Systems) -> Sample:
     CPython's (see CArray), so every value equals the per-point one.
     Grids larger than BLOCK_POINTS are evaluated a block at a time.
     """
-    blocks = [_sample_block(f, z, d.excluded_threshold, systems) for _, z in grid_blocks(d, grid_n)]
+    blocks = [_sample_block(f, z, d.excluded_threshold, systems) for z in grid_blocks(d, grid_n)]
     code, *columns = (np.concatenate(parts) for parts in zip(*blocks))
     del blocks  # so the copies below can reuse the blocks' memory
     bad = code != 0

@@ -71,12 +71,15 @@ def grid_axes(domain: Domain, grid_n: int) -> list[list[float]]:
     return [np.linspace(lo, hi, grid_n).tolist() for (lo, hi) in domain.box]
 
 
-def grid_blocks(domain: Domain, grid_n: int) -> Iterator[tuple[tuple[np.ndarray, ...], Columns]]:
+def grid_blocks(domain: Domain, grid_n: int) -> Iterator[Columns]:
     """The grid_n**4 lattice of the box in blocks of at most BLOCK_POINTS
-    points, x1 varying slowest, y2 fastest: each block's indices into
-    grid_axes and its coordinate columns."""
+    points, x1 varying slowest, y2 fastest: each block's coordinate
+    columns.  A point's indices into grid_axes are its position in this
+    order, unravelled over (grid_n,) * 4."""
     axes = np.array(grid_axes(domain, grid_n))
     total, size = grid_n**4, BLOCK_POINTS
     for start in range(0, total, size):
         lattice = np.unravel_index(np.arange(start, min(start + size, total)), (grid_n,) * 4)
-        yield lattice, tuple(axes[k][i] for k, i in enumerate(lattice))
+        columns = tuple(axes[k][i] for k, i in enumerate(lattice))
+        del lattice  # so the block's indices are not held while it is evaluated
+        yield columns

@@ -19,6 +19,10 @@ grid_jets is the one evaluator.  It takes a block of points as coordinate
 columns and returns the roots' jets and the block's PointEvents: per
 point, the first event at which evaluating that point alone would have
 raised.  jets_at is its one-point form, whose events raise there instead.
+Its value-only form, partials=False, gives every jet an empty gradient of
+shape (0, n), on which the same rules compute nothing; the values and
+events are those of the full walk, since the value steps that flag the
+events are the same steps in the same order.
 """
 from __future__ import annotations
 
@@ -283,6 +287,9 @@ class WirtingerJet:
     val has shape (n,), grad stacks the partials as (2, 2, n) on axes
     [unbarred, barred] x [z1, z2]; (1,) and (2, 2, 1) hold what all n
     points share.  d_z1, d_z1bar, d_z2 and d_z2bar are views into grad.
+    A value-only jet (grid_jets with partials=False) has an empty grad of
+    shape (0, n) or (0, 1), and its partials and magnitude raise
+    IndexError.
     """
 
     val: CArray
@@ -343,7 +350,9 @@ def jet_conj(a: WirtingerJet) -> WirtingerJet:
     return WirtingerJet(a.val.conjugate(), CArray(g.real[::-1], -g.imag[::-1], g.events))
 
 
-def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet], PointEvents]:
+def grid_jets(
+    exprs: tuple[QExpr, ...], z: Columns, *, partials: bool = True
+) -> tuple[list[WirtingerJet], PointEvents]:
     """Jets of j-free trees at every point of a block at once, z holding
     the points' coordinate columns, and the first event evaluating them
     meets at each point.
@@ -362,17 +371,27 @@ def grid_jets(exprs: tuple[QExpr, ...], z: Columns) -> tuple[list[WirtingerJet],
     without recursion, so deep trees evaluate too.  The memory held grows
     with the number of points times the number of jets awaiting a user,
     so callers evaluate large grids in blocks.
+
+    With partials=False the leaves' gradients are empty, of shape (0, 1),
+    so every jet's is (0, 1) or (0, n) and the rules compute values alone
+    (forward mode with no tangent direction).  The events are the same,
+    since the value steps that flag them still run, in the same order:
+    jet_pow's n - 1 power before its n power, and jet_div's divisor test.
+    Reading a partial of such a jet raises IndexError.
     """
     events = PointEvents(len(z[0]))
     z1, z2 = CArray(z[0], z[1], events), CArray(z[2], z[3], events)
-    zero = np.zeros((2, 2, 1))
+    zero = np.zeros((2, 2, 1) if partials else (0, 1))
     no_grad = CArray(zero, zero, events)
 
     def const(c: complex) -> WirtingerJet:
         return WirtingerJet(CArray(np.array([c.real]), np.array([c.imag]), events), no_grad)
 
     def variable(val: CArray, barred: int, var: int) -> WirtingerJet:
-        """val with the partial 1 at [barred, var] and 0 elsewhere."""
+        """val with the partial 1 at [barred, var] and 0 elsewhere, or
+        with the empty gradient."""
+        if not partials:
+            return WirtingerJet(val, no_grad)
         real = np.zeros((2, 2, 1))
         real[barred, var] = 1.0
         return WirtingerJet(val, CArray(real, zero, events))

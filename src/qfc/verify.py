@@ -117,7 +117,7 @@ def _fold(worst: float, fs: list[QFunction], blocks: Iterable[Columns], *stages:
 
 def _grid(n: int) -> Iterator[Columns]:
     """The n**4 lattice of the default box, a block at a time."""
-    return (z for _, z in grid_blocks(Domain(), n))
+    return grid_blocks(Domain(), n)
 
 
 def _points(points: list[Point4]) -> list[Columns]:

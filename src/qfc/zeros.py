@@ -7,6 +7,11 @@ alone gives, and a point where that evaluation would raise (a vanishing
 divisor, an overflowing power or magnitude) carries that event instead
 and is skipped.  So is a point where a value the zero test reads is not
 finite.
+
+Zeros and poles are tests on values, so every call here is grid_jets'
+value-only form, partials=False: no gradient is computed or held, and
+the events are the full walk's, since the value steps that flag them are
+the same.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ def _zero_test(f: QFunction, tol: float) -> Test:
     where a value read is not finite is flagged "overflow"."""
 
     def test(z: Columns):
-        (j1, j2), events = grid_jets((f.f1, f.f2), z)
+        (j1, j2), events = grid_jets((f.f1, f.f2), z, partials=False)
         a1 = abs(j1.val)
         events.flag(~j1.val.isfinite(), OVERFLOW)
         with events.only(a1 <= tol):  # v2 is read only where |v1| passes
@@ -60,7 +65,7 @@ def _pole_test(f: QFunction, tol: float) -> Test:
 
     def test(z: Columns):
         hit, code, w1, w2 = inverse_zero(z)
-        _, events = grid_jets((f.f1, f.f2), z)
+        _, events = grid_jets((f.f1, f.f2), z, partials=False)
         node = (code == SINGULAR) & (events.code == SINGULAR)
         return hit | node, np.where(node, 0, code), w1, w2
 
@@ -91,15 +96,18 @@ def pole_set_scan(
 
 
 def _scan(d: Domain, grid_n: int, test: Test) -> list[list[Point4]]:
-    total = grid_n**4
+    total, start = grid_n**4, 0
     hits: dict[tuple[int, int, int, int], Point4] = {}
     skipped = np.zeros(max(MASK_REASONS) + 1, dtype=int)
-    for lattice, columns in grid_blocks(d, grid_n):
+    for columns in grid_blocks(d, grid_n):
         with np.errstate(all="ignore"):
             hit, code, _, _ = test(columns)
         skipped += np.bincount(code, minlength=len(skipped))
-        for i in np.flatnonzero(hit).tolist():
-            hits[tuple(int(k[i]) for k in lattice)] = Point4.from_reals(*(float(c[i]) for c in columns))
+        at = np.flatnonzero(hit)
+        lattice = zip(*(k.tolist() for k in np.unravel_index(start + at, (grid_n,) * 4)))
+        for i, idx in zip(at.tolist(), lattice):
+            hits[idx] = Point4.from_reals(*(float(c[i]) for c in columns))
+        start += len(code)
     if skipped[1:].sum() == total:
         reasons = ", ".join(f"{n} {MASK_REASONS[c]}" for c, n in enumerate(skipped.tolist()) if c and n)
         raise InconclusiveError(f"every grid point is skipped ({reasons})")
@@ -192,7 +200,7 @@ def estimate_order(
     samples = []
     for comp in (f.f1, f.f2):
         with np.errstate(all="ignore"):
-            (j,), events = grid_jets((comp,), z)
+            (j,), events = grid_jets((comp,), z, partials=False)
             counts = (events.code == 0).tolist()
             magnitudes = np.broadcast_to(abs(j.val), (len(z1),)).tolist()
         kept = [(lr, a) for lr, a, ok in zip(log_r, magnitudes, counts) if ok and math.isfinite(a)]

@@ -70,15 +70,15 @@ def test_grid_points_respect_the_box() -> None:
 
 @pytest.mark.parametrize("grid_n, size", [(2, 16), (2, 5), (5, 625), (5, 96), (5, 1000)])
 def test_grid_blocks_follow_the_lattice_order(monkeypatch: pytest.MonkeyPatch, grid_n: int, size: int) -> None:
-    """x1 slowest, y2 fastest, across blocks of any size, with each
-    block's indices pointing at its coordinates in grid_axes."""
+    """x1 slowest, y2 fastest, across blocks of any size: the columns
+    hold the grid_axes values at the lattice indices in product order."""
     monkeypatch.setattr(qfc.domain, "BLOCK_POINTS", size)
     d = Domain(box=((0.0, 1.0), (-2.0, 0.5), (3.0, 3.5), (-1.0, 1.0)))
     axes = grid_axes(d, grid_n)
     blocks = list(grid_blocks(d, grid_n))
-    assert [len(z[0]) for _, z in blocks[:-1]] == [size] * (len(blocks) - 1)
-    lattice = [idx for indices, _ in blocks for idx in zip(*(i.tolist() for i in indices))]
-    coords = [p for _, z in blocks for p in zip(*(c.tolist() for c in z))]
-    assert lattice == list(product(range(grid_n), repeat=4))
+    assert all(len(z) == 4 for z in blocks)
+    assert [len(z[0]) for z in blocks[:-1]] == [size] * (len(blocks) - 1)
+    coords = [p for z in blocks for p in zip(*(c.tolist() for c in z))]
+    lattice = product(range(grid_n), repeat=4)
     assert coords == [tuple(axes[k][i] for k, i in enumerate(idx)) for idx in lattice]
     assert [Point4.from_reals(*p) for p in coords] == grid_points(d, grid_n)

@@ -21,6 +21,7 @@ from qfc.analysis import (
     product_system_from_jets,
     sum_pde_from_jets,
 )
+from qfc.domain import Domain, grid_blocks
 from qfc.errors import OVERFLOW, SINGULAR, SingularPointError
 from qfc.expr import Add, Conj, ConjVar, Div, Mul, Neg, Pow, RealConst, Sub, UnitI, UnitJ, Var, parse
 from qfc.generators import random_point, random_polynomial_qf, random_rational_meromorphic
@@ -198,12 +199,15 @@ def test_quaternion_evaluator_handles_units() -> None:
 Z1, Z2, CZ1, CZ2 = Var("z1"), Var("z2"), ConjVar("z1"), ConjVar("z2")
 # Fixed trees: binary powering and CPython's general power (n > 100), a
 # conjugated quotient, singular where x2 = 0, a quotient singular where
-# y2 = 0, a double conjugate, and a constants-only tree.
+# y2 = 0, a double conjugate, a constants-only tree, and a fourth power,
+# nan+nanj where its cube overflows (z1 = +-1e200j), with a quotient
+# singular everywhere.
 GRID_FIXED = {
     "powers": (Pow(Add(Z1, CZ2), 2), Pow(Mul(Z1, Z2), 3), Pow(Sub(Z1, RealConst(0.5)), 101), Pow(CZ2, 150)),
     "conj_quotient": (Conj(Div(Pow(Z1, 2), Add(Z2, CZ2))), Div(Conj(Z1), Pow(Sub(Z2, CZ2), 2))),
     "conj_conj": (Conj(Conj(Add(Mul(Z1, CZ2), Pow(CZ1, 2)))), Neg(Conj(Conj(Z2)))),
     "constants": (Add(Mul(RealConst(2.0), UnitI()), Div(RealConst(-0.0), Pow(RealConst(3.0), 2))),),
+    "value_steps": (Pow(Z1, 4), Div(Z2, Sub(Z1, Z1))),
 }
 GRID_KINDS = ("scalar", "surface", "polynomial", "meromorphic", *GRID_FIXED)
 # Exact zeros make quotients singular, and 1e200 makes powers overflow.
@@ -282,6 +286,48 @@ def test_grid_jets_equal_eval_jet_at_every_point(kind, seed, form, points, tol) 
                 continue
             assert events.code[i] == 0
             assert [[column[i] for column in js] for js in slots] == expected
+
+
+# A box whose lattice holds exact zeros, so quotients are singular, and
+# +-1e200, so powers and magnitudes overflow.
+VALUE_BOX = Domain(box=((-1.0, 1.0), (-1e200, 1e200), (0.0, 1.0), (-0.5, 0.5)))
+
+
+def _bits(c) -> tuple:
+    return c.real.shape, c.real.tobytes(), c.imag.tobytes()
+
+
+def test_value_only_jets_equal_full_jets() -> None:
+    """partials=False gives every tree the full walk's value bits and
+    every point its event, on random trees, their inverses and their
+    conjugates, across blocks with singular and overflowing points."""
+    drawn = [
+        _grid_trees(kind, seed, form)
+        for kind in ("scalar", "surface")
+        for seed in range(12)
+        for form in ("plain", "inverse", "conj")
+    ]
+    seen = set()
+    for trees in (*drawn, *GRID_FIXED.values()):
+        for z in grid_blocks(VALUE_BOX, 5):
+            with np.errstate(all="ignore"):
+                full, full_events = grid_jets(trees, z)
+                values, events = grid_jets(trees, z, partials=False)
+            assert events.code.tobytes() == full_events.code.tobytes()
+            assert [_bits(j.val) for j in values] == [_bits(j.val) for j in full]
+            assert all(j.grad.real.shape[0] == j.grad.imag.shape[0] == 0 for j in values)
+            seen.update(events.code.tolist())
+    assert {0, SINGULAR, OVERFLOW} <= seen
+
+
+def test_a_value_only_jet_refuses_its_partials() -> None:
+    (j,), _ = grid_jets((Mul(Z1, CZ2),), columns_of([0.5j, 1.0 + 0j], [2.0 + 0j, -1j]), partials=False)
+    assert (j.val.real.tolist(), j.val.imag.tolist()) == ([0.0, 0.0], [1.0, 1.0])
+    for name in _FIELDS[1:]:
+        with pytest.raises(IndexError):
+            getattr(j, name)
+    with pytest.raises(IndexError):
+        j.magnitude()
 
 
 def test_the_point_entry_evaluates_a_sum_too_deep_to_recurse() -> None:

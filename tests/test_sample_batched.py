@@ -38,7 +38,7 @@ from qfc.analysis import (
     sample,
     sum_pde_from_jets,
 )
-from qfc.domain import Domain
+from qfc.domain import Domain, grid_blocks
 from qfc.errors import MASK_REASONS, SingularPointError
 from qfc.expr import parse
 from qfc.generators import example_pair, random_polynomial_qf, random_rational_meromorphic
@@ -225,3 +225,25 @@ def test_grid_jets_holds_only_the_jets_awaiting_a_user() -> None:
     assert j1.val.real.tolist() == [eval_jet(f.f1, Point4(p, p)).val.real] * n
     jet_bytes = 10 * 8 * n  # five complex slots of n points
     assert peak < 20 * jet_bytes
+
+
+def _walk_peak(f, z, partials: bool) -> int:
+    """The tracemalloc peak of a grid_jets walk of f's components."""
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):
+            grid_jets((f.f1, f.f2), z, partials=partials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_value_only_walk_holds_no_gradient() -> None:
+    """partials=False gives every jet an empty gradient, so a walk of a
+    4,096-point block peaks at a few value arrays, where the same walk with
+    partials holds (2, 2, n) gradients and peaks above that bound."""
+    f = lower(parse("(z1 - 0.3)^3 + (z2 - 0.1)^3 * j"))
+    (z,) = grid_blocks(Domain(), 8)
+    value_bytes = 2 * 8 * len(z[0])  # one complex value of n points
+    assert len(z[0]) == 4096
+    assert _walk_peak(f, z, False) < 10 * value_bytes < _walk_peak(f, z, True)

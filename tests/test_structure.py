@@ -1,7 +1,7 @@
 """The package's modules use one another only through public names, no
 tree walk in it recurses, jets and formulas have no scalar mode, no module
-uses numpy.random, and the jet oracle shares no function with the code it
-checks."""
+uses numpy.random, zeros evaluates values only, and the jet oracle shares
+no function with the code it checks."""
 
 from __future__ import annotations
 
@@ -295,4 +295,70 @@ def test_the_lapack_finder_sees_imports_and_attributes(tmp_path: Path) -> None:
         "7: np.polyfit",
         "8: np.linalg.lstsq",
         "9: np.geomspace",
+    ]
+
+
+_PARTIALS = ("grad", "d_z1", "d_z1bar", "d_z2", "d_z2bar", "magnitude")
+
+
+def _value_only_call(node: ast.AST) -> bool:
+    """A call that passes partials=False, the literal, by keyword."""
+    return isinstance(node, ast.Call) and any(
+        k.arg == "partials" and isinstance(k.value, ast.Constant) and k.value.value is False for k in node.keywords
+    )
+
+
+def _partial_uses(path: Path) -> list[str]:
+    """Where the module reads a jet's partials or magnitude, as an
+    attribute or through getattr with a literal name, and where it names
+    grid_jets other than as the callee of a call with partials=False."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callees = {id(node.func) for node in ast.walk(tree) if _value_only_call(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _PARTIALS:
+            found.append(node)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value in _PARTIALS for a in node.args[1:])
+        ):
+            found.append(node)
+        elif (
+            (isinstance(node, ast.Name) and node.id == "grid_jets")
+            or (isinstance(node, ast.Attribute) and node.attr == "grid_jets")
+        ) and id(node) not in callees:
+            found.append(node)
+    return sorted(f"{node.lineno}: {ast.unparse(node)}" for node in found)
+
+
+def test_zeros_evaluates_values_only() -> None:
+    """Zero and pole tests and the order fit read values and events: each
+    grid_jets call in zeros passes partials=False, so no block computes or
+    holds a gradient, and no partial is read there."""
+    assert _partial_uses(SRC / "zeros.py") == []
+    tree = ast.parse((SRC / "zeros.py").read_text(encoding="utf-8"))
+    assert sum(map(_value_only_call, ast.walk(tree))) == 3  # the zero test, the pole test's walk of f, the fit
+
+
+def test_the_partials_finder_sees_reads_and_full_walks(tmp_path: Path) -> None:
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from qfc import jets\nfrom qfc.jets import grid_jets\n"
+        "(a,), e = grid_jets(t, z, partials=False)\nb = jets.grid_jets(t, z, partials=False)\n"
+        "c = grid_jets(t, z)\nd = jets.grid_jets(t, z, partials=True)\ne = grid_jets(t, z, partials=flag)\n"
+        "f = grid_jets\ng = a.grad.real\nh = a.d_z1bar\ni = a.magnitude()\nk = getattr(a, 'd_z2')\n"
+        "grad = a.val.real\nm = abs(a.val)\n",
+        encoding="utf-8",
+    )
+    assert _partial_uses(path) == [
+        "10: a.d_z1bar",
+        "11: a.magnitude",
+        "12: getattr(a, 'd_z2')",
+        "5: grid_jets",
+        "6: jets.grid_jets",
+        "7: grid_jets",
+        "8: grid_jets",
+        "9: a.grad",
     ]
