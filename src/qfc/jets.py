@@ -330,10 +330,13 @@ def jet_mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
 def jet_div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     """Quotient jet.  First flags "singular" where the divisor vanishes,
     |b.val|^2 below SINGULAR_SQ_TOL, read at each call so that a patched
-    value takes effect."""
+    value takes effect.  A value-only jet's empty gradient is returned
+    as it is, for dividing it would only rerun the value's quotient."""
     den = b.val
     den.events.flag(den.real * den.real + den.imag * den.imag < SINGULAR_SQ_TOL, SINGULAR)
     val = a.val / den
+    if not len(a.grad.real):
+        return WirtingerJet(val, a.grad)
     return WirtingerJet(val, (a.grad - val * b.grad) / den)
 
 

@@ -5,8 +5,11 @@ A document is the dict of JSON values one command produces, with each
 residual table held as a ResidualReport.  write_report renders it a piece
 at a time.  Its JSON is json's own encoder, sort_keys=True, indent=2,
 allow_nan=False, plus a newline.  Only each report is laid out here and
-spliced in where the encoder meets it: its point rows and masked rows are
-formatted from one fixed template each and written _BATCH_ROWS at a time.
+spliced in where the encoder meets it.  Both table writers hold one batch
+of _BATCH_ROWS rows at a time: they format each distinct coordinate of the
+batch once, take the batch's residuals as floats, and lay out its rows
+from one fixed template, so their memory does not grow with the table or
+the number of functions.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Iterable, Iterator
 
@@ -55,16 +58,19 @@ class ResidualReport:
         if unknown := set(self.reasons.tolist()) - MASK_REASONS.keys():
             raise ValueError(f"mask reasons must be MASK_REASONS codes, got {sorted(unknown)}")
 
+    def _flat(self) -> Iterator[float]:
+        """The residuals in row order, one batch's floats at a time."""
+        return chain.from_iterable(batch.ravel().tolist() for batch in _batches(self.residuals))
+
     @cached_property
     def max_residual(self) -> float:
-        return max(self.residuals.ravel().tolist(), default=0.0)
+        return max(self._flat(), default=0.0)
 
     @cached_property
     def mean_residual(self) -> float:
-        # Python's left-to-right sum: numpy's pairwise summation can move
-        # the last bit of the reported mean.
-        flat = self.residuals.ravel().tolist()
-        return sum(flat) / len(flat) if flat else 0.0
+        # One left-to-right sum: numpy's pairwise summation, or partial sums
+        # added together, can move the last bit of the reported mean.
+        return sum(self._flat()) / self.residuals.size if self.residuals.size else 0.0
 
 
 def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
@@ -78,19 +84,18 @@ def write_report(doc: dict, fmt: str, out: IO[str]) -> None:
         out.writelines(text(doc))
 
 
-def _coord_text(points: np.ndarray, last: dict, layout: str | None = None) -> list:
-    """Each row of points as its coordinates' reprs, put into layout if
-    given, formatting each distinct value (by bits: -0.0 is not 0.0) once.
-    A function's reports share their points and masked arrays; last keeps
-    the last array's result only, and a writer keeps one last for each."""
-    key = (id(points), layout)
-    if key not in last or last[key][0] is not points:
-        last.clear()
-        bits, inverse = np.unique(points.view(np.int64), return_inverse=True)
+def _batches(rows: np.ndarray) -> Iterator[np.ndarray]:
+    return (rows[start : start + _BATCH_ROWS] for start in range(0, len(rows), _BATCH_ROWS))
+
+
+def _coord_text(points: np.ndarray) -> Iterator[list]:
+    """Each batch of points as its four columns of coordinate reprs,
+    formatting each distinct value of the batch (by bits: -0.0 is not
+    0.0) once."""
+    for batch in _batches(points):
+        bits, inverse = np.unique(batch.view(np.int64), return_inverse=True)
         text = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        rows = map(tuple, text[inverse.reshape(points.shape)].tolist())
-        last[key] = (points, list(rows if layout is None else map(layout.__mod__, rows)))
-    return last[key][1]
+        yield text[inverse.reshape(batch.shape).T].tolist()
 
 
 def _json_pieces(doc: dict) -> Iterator[str]:
@@ -112,56 +117,55 @@ def _json_pieces(doc: dict) -> Iterator[str]:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default)
-    indent, memos = "", ({}, {})
+    indent = ""
     for piece in encoder.iterencode(doc):
         if reports:
-            yield from _report_json(reports.pop(), indent, memos)
+            yield from _report_json(reports.pop(), indent)
             continue
         yield piece
         if "\n" in piece:  # the newline and indent before a report are a piece of their own
             indent = piece.rpartition("\n")[2]
 
 
-def _row_template(indent: str, fields: tuple[tuple[str, int | None], ...]) -> str:
+def _row_template(indent: str, fields: tuple[tuple[str, str, int | None], ...]) -> str:
     """The layout at indent of a dict whose sorted keys are fields' names,
-    each value a list of n floats (a %r slot each) or, for n None, one
-    encoded string (a %s slot)."""
+    each value a list of n slots or, for n None, the one slot."""
     inner, leaf = indent + "  ", indent + "    "
     body = []
-    for key, n in fields:
-        value = "%s" if n is None else "".join(_json_rows([leaf + "%r"] * n, inner))
+    for key, slot, n in fields:
+        value = slot if n is None else "".join(_json_rows([[leaf + slot] * n], inner))
         body.append(f'{inner}"{key}": {value}')
     return f"{indent}{{\n" + ",\n".join(body) + f"\n{indent}}}"
 
 
-def _json_rows(rows: Iterable[str], indent: str) -> Iterator[str]:
-    """A list at indent of rows already laid out, _BATCH_ROWS rows a piece."""
-    rows, opening = iter(rows), "[\n"
-    while batch := ",\n".join(islice(rows, _BATCH_ROWS)):
-        yield opening + batch
+def _json_rows(batches: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
+    """A list at indent of rows already laid out, one batch a piece."""
+    opening = "[\n"
+    for batch in batches:
+        yield opening + ",\n".join(batch)
         opening = ",\n"
     yield "[]" if opening == "[\n" else f"\n{indent}]"
 
 
-def _report_json(rep: ResidualReport, indent: str, memos: tuple[dict, dict]) -> Iterator[str]:
+def _report_json(rep: ResidualReport, indent: str) -> Iterator[str]:
     inner, item = indent + "  ", indent + "    "
     if not (np.isfinite(rep.points).all() and np.isfinite(rep.masked).all()):
         raise ValueError("Out of range float values are not JSON compliant")
     max_text, mean_text = (json.dumps(x, allow_nan=False) for x in (rep.max_residual, rep.mean_residual))
-    coords = "".join(_json_rows([item + "    %s"] * 4, item + "  "))
-    masked_row = _row_template(item, (("point", None), ("reason", None)))
-    point_row = _row_template(item, (("point", None), ("residuals", rep.residuals.shape[1])))
-    masked_lists = _coord_text(rep.masked, memos[1], coords)
-    reasons = map({c: _json_str(r) for c, r in MASK_REASONS.items()}.__getitem__, rep.reasons.tolist())
+    point = ("point", "%s", 4)  # coordinate reprs
+    masked_row = _row_template(item, (point, ("reason", "%s", None))).__mod__
+    point_row = _row_template(item, (point, ("residuals", "%r", rep.residuals.shape[1]))).__mod__
+    reason = {c: _json_str(r) for c, r in MASK_REASONS.items()}.__getitem__
+    masked = zip(_coord_text(rep.masked), _batches(rep.reasons))
     yield f'{{\n{inner}"masked": '
-    yield from _json_rows(map(masked_row.__mod__, zip(masked_lists, reasons)), inner)
+    yield from _json_rows((map(masked_row, zip(*c, map(reason, r.tolist()))) for c, r in masked), inner)
     yield (
         f',\n{inner}"max_residual": {max_text},\n'
         f'{inner}"mean_residual": {mean_text},\n'
         f'{inner}"points": '
     )
-    lists = _coord_text(rep.points, memos[0], coords)
-    yield from _json_rows(map(point_row.__mod__, zip(lists, *rep.residuals.T.tolist())), inner)
+    points = zip(_coord_text(rep.points), _batches(rep.residuals))
+    yield from _json_rows((map(point_row, zip(*c, *r.T.tolist())) for c, r in points), inner)
     yield f',\n{inner}"system": {_json_str(rep.system)}\n{indent}}}'
 
 
@@ -183,20 +187,16 @@ def _residual_csv(doc: dict) -> Iterator[str]:
     templates, for no repr of a number and no MASK_REASONS text needs quoting."""
     labelled = doc["command"] == "classify"
     yield _csv_row(["function", *(["label"] if labelled else []), *CSV_HEADER])
-    last, last_masked = {}, {}
     for fn in doc["functions"]:
         prefix = (fn["name"], fn["label"]) if labelled else (fn["name"],)
         for rep in fn["reports"]:
             head = _csv_row([*prefix, rep.system])[:-1].replace("%", "%%")
-            coords = _coord_text(rep.points, last, "%s,%s,%s,%s")
-            columns = rep.residuals.T.tolist()
-            row = "".join(f"{head},%s,{k},%r,\n" for k in range(len(columns)))
-            rows = map(row.__mod__, zip(*chain.from_iterable((coords, col) for col in columns)))
-            masked = _coord_text(rep.masked, last_masked, "%s,%s,%s,%s")
-            reasons = map(MASK_REASONS.__getitem__, rep.reasons.tolist())
-            rows = chain(rows, map(f"{head},%s,,,%s\n".__mod__, zip(masked, reasons)))
-            while batch := "".join(islice(rows, _BATCH_ROWS)):
-                yield batch
+            row = "".join(f"{head},%s,%s,%s,%s,{k},%r,\n" for k in range(rep.residuals.shape[1])).__mod__
+            for coords, res in zip(_coord_text(rep.points), _batches(rep.residuals)):
+                yield "".join(map(row, zip(*chain.from_iterable((*coords, col) for col in res.T.tolist()))))
+            masked_row = f"{head},%s,%s,%s,%s,,,%s\n".__mod__
+            for coords, codes in zip(_coord_text(rep.masked), _batches(rep.reasons)):
+                yield "".join(map(masked_row, zip(*coords, map(MASK_REASONS.__getitem__, codes.tolist()))))
 
 
 def _verify_csv(doc: dict) -> Iterator[str]:

@@ -426,6 +426,28 @@ def test_negative_zero_keeps_its_sign_in_shared_coordinates() -> None:
     csv_rows = ["f,signs,0.0,-0.0,0.0,-0.0,0,0.0,", "f,signs,-0.0,0.0,-0.0,0.0,0,0.0,"]
     assert _write(doc, "csv").splitlines()[1:] == csv_rows * 2
     assert _write(doc, "json") == _old_json(doc)
+    # -0.0 only in the second batch and 0.0 only in the first
+    points = np.full((_BATCH_ROWS + 2, 4), 0.5)
+    points[0], points[-1] = 0.0, -0.0
+    rep = ResidualReport("signs", points, np.zeros((len(points), 1)))
+    doc = _doc("residuals", [{"name": "f", "reports": [rep]}])
+    rows = json.loads(_write(doc, "json"))["functions"][0]["reports"][0]["points"]
+    assert [np.copysign(1.0, row["point"][0]) for row in (rows[0], rows[-1])] == [1, -1]
+    lines = _write(doc, "csv").splitlines()
+    assert (lines[1], lines[-1]) == ("f,signs,0.0,0.0,0.0,0.0,0,0.0,", "f,signs,-0.0,-0.0,-0.0,-0.0,0,0.0,")
+    assert _write(doc, "json") == _old_json(doc)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BATCH_ROWS - 1, _BATCH_ROWS + 1, 2 * _BATCH_ROWS + 1])
+def test_aggregates_across_batches_equal_one_sum_over_the_list(rows: int) -> None:
+    """Residuals of many magnitudes, so adding per-batch sums together
+    would move the last bit of the mean."""
+    rng = np.random.default_rng(rows)
+    residuals = rng.random((rows, 3)) * 10.0 ** rng.integers(-12, 12, size=(rows, 3))
+    rep = ResidualReport("batched", np.zeros((rows, 4)), residuals)
+    flat = residuals.ravel().tolist()
+    assert rep.max_residual.hex() == max(flat, default=0.0).hex()
+    assert rep.mean_residual.hex() == (sum(flat) / len(flat) if flat else 0.0).hex()
 
 
 def _write_peak(doc: dict, fmt: str) -> int:
@@ -441,10 +463,19 @@ def _write_peak(doc: dict, fmt: str) -> int:
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_writer_memory_holds_one_points_array(fmt: str) -> None:
-    """The writers keep the coordinate text of the last points array only,
-    so eight functions peak about as high as one."""
+    """The writers keep nothing of one report for the next, so eight
+    functions peak about as high as one."""
     one = _doc("residuals", [_shared_function("f0", 1296, 0)])
     eight = _doc("residuals", [_shared_function(f"f{i}", 1296, i) for i in range(8)])
     for doc in (one, eight):  # caches the reports' aggregates
         _write(doc, fmt)
     assert _write_peak(eight, fmt) < 2 * _write_peak(one, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_memory_is_flat_in_table_length(fmt: str) -> None:
+    """The writers, and the aggregates they print, hold one batch of rows
+    at a time, so a table of 10,000 rows peaks about as high as one of
+    1,296."""
+    short, long = (_doc("residuals", [_shared_function("f", rows, 0)]) for rows in (1296, 10_000))
+    assert _write_peak(long, fmt) < 1.5 * _write_peak(short, fmt)
