@@ -170,9 +170,10 @@ def estimate_order(
     """Fit log|f_i(q + r*u)| against log r over shrinking radii.
 
     Samples eight radii from 1e-1 down to 1e-4 (_RADII) along 16 random unit
-    directions (_DIRECTIONS), each four normal draws of SeededStream(seed)
-    scaled to unit length, so they are default_rng(seed)'s without
-    importing numpy.random.
+    directions (_DIRECTIONS).  Each is a point uniform in the unit ball of
+    R^4, drawn by rejection from uniform(-1, 1, size=4) draws of
+    SeededStream(seed), scaled to unit length, so it is uniform on the
+    sphere (Marsaglia, Ann. Math. Statist. 43(2), 1972).
     kind="zero" requires both components of f to vanish at q within
     zero_tol; kind="pole" requires q to be a point pole_set_scan would
     report.  A sample of a component counts where evaluating that
@@ -188,10 +189,12 @@ def estimate_order(
 
     stream = SeededStream(seed)
     dirs: list[tuple[complex, complex]] = []
-    for _ in range(_DIRECTIONS):
-        v = np.array(stream.normal(size=4))
-        v /= np.linalg.norm(v)
-        dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    while len(dirs) < _DIRECTIONS:
+        v = stream.uniform(-1.0, 1.0, size=4)
+        h = math.hypot(*v)
+        if 0.0 < h <= 1.0:
+            a, b, c, d = (x / h for x in v)
+            dirs.append((complex(a, b), complex(c, d)))
 
     z1 = [q.z1 + r * u1 for u1, _ in dirs for r in _RADII]
     z2 = [q.z2 + r * u2 for _, u2 in dirs for r in _RADII]

@@ -1,7 +1,8 @@
 """The package's modules use one another only through public names, no
 tree walk in it recurses, jets and formulas have no scalar mode, no module
-uses numpy.random, zeros evaluates values only, and the jet oracle shares
-no function with the code it checks."""
+uses numpy.random, the seeded stream draws only what generators.Draws
+names, zeros evaluates values only, and the jet oracle shares no function
+with the code it checks."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 import qfc
+from qfc.generators import Draws, SeededStream
 
 SRC = Path(qfc.__file__).resolve().parent
 
@@ -239,10 +241,8 @@ def _is_numpy_random(name: str) -> bool:
 
 
 def _is_lapack_or_geomspace(name: str) -> bool:
-    """A least-squares fit, geomspace, or numpy.linalg but for its norm."""
-    return name.rsplit(".", 1)[-1] in ("polyfit", "lstsq", "geomspace") or (
-        name.startswith("numpy.linalg.") and name != "numpy.linalg.norm"
-    )
+    """A least-squares fit, geomspace, or anything of numpy.linalg."""
+    return name.rsplit(".", 1)[-1] in ("polyfit", "lstsq", "geomspace") or name.startswith("numpy.linalg.")
 
 
 def test_no_module_uses_numpy_random() -> None:
@@ -252,11 +252,22 @@ def test_no_module_uses_numpy_random() -> None:
     assert {p.name: _numpy_uses(p, _is_numpy_random) for p in modules} == {p.name: [] for p in modules}
 
 
+def _public_methods(cls: type) -> list[str]:
+    return sorted(name for name, value in vars(cls).items() if not name.startswith("_") and inspect.isfunction(value))
+
+
+def test_the_seeded_stream_draws_only_what_draws_names() -> None:
+    """SeededStream replays default_rng's uniform and integers, the two
+    draws of the generators.Draws protocol, and no other distribution."""
+    assert _public_methods(SeededStream) == _public_methods(Draws) == ["integers", "uniform"]
+
+
 def test_no_module_calls_lapack_or_geomspace() -> None:
     """The order fit is zeros._slope and its radii are zeros._RADII: the
     first np.polyfit pages in about 1.3 MB of OpenBLAS code, which every
-    order request's peak resident set would count.  np.linalg.norm, a
-    dot product, keeps the order directions' bits."""
+    order request's peak resident set would count.  The order directions
+    are scaled to unit length with math.hypot, so no module needs
+    numpy.linalg at all."""
     modules = sorted(SRC.glob("*.py"))
     assert {p.name: _numpy_uses(p, _is_lapack_or_geomspace) for p in modules} == {p.name: [] for p in modules}
 
@@ -288,9 +299,12 @@ def test_the_lapack_finder_sees_imports_and_attributes(tmp_path: Path) -> None:
         encoding="utf-8",
     )
     assert _numpy_uses(path, _is_lapack_or_geomspace) == [
+        "10: np.linalg.norm",
         "11: la.solve",
+        "12: linalg.norm",
         "13: np.polynomial.polynomial.polyfit",
         "3: from numpy import",
+        "4: from numpy.linalg import",
         "5: from numpy.linalg import",
         "7: np.polyfit",
         "8: np.linalg.lstsq",

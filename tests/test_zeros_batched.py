@@ -215,10 +215,11 @@ def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex)
     radii = np.geomspace(1e-1, 1e-4, 8)
     rng = np.random.default_rng(seed)
     dirs = []
-    for _ in range(16):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        dirs.append((complex(v[0], v[1]), complex(v[2], v[3])))
+    while len(dirs) < 16:  # points uniform in the unit ball, scaled to the sphere
+        v = rng.uniform(-1, 1, size=4).tolist()
+        h = math.hypot(*v)
+        if 0 < h <= 1:
+            dirs.append((complex(v[0] / h, v[1] / h), complex(v[2] / h, v[3] / h)))
     samples = ([], [])
     for u1, u2 in dirs:
         for r in radii:
