@@ -239,23 +239,6 @@ def product_system_from_jets(f: Jets, g: Jets) -> tuple[np.ndarray, np.ndarray]:
 
 
 @quiet
-def real_combined_from_jets(f: Jets, g: Jets) -> tuple[np.ndarray, ...]:
-    """Five residuals for real-component f and g, from their jets, with _k
-    for d/dzk: |f2_z1 + f1_z2|, |f1_z1 - f2_z2|, the same two for g, and
-    |f1_z1 g1_z1 - f1_z2 g1_z2|.  The first four take d/dz2 where
-    real_linear_from_jets takes d/dzbar2.  Raises ValueError unless real."""
-    (jf1, jf2), (jg1, jg2) = f, g
-    _require_real([jf1.val, jf2.val, jg1.val, jg2.val], "real_combined_from_jets")
-    return (
-        abs(jf2.d_z1 + jf1.d_z2),
-        abs(jf1.d_z1 - jf2.d_z2),
-        abs(jg2.d_z1 + jg1.d_z2),
-        abs(jg1.d_z1 - jg2.d_z2),
-        abs(jf1.d_z1 * jg1.d_z1 - jf1.d_z2 * jg1.d_z2),
-    )
-
-
-@quiet
 def product_rule_from_jets(f: Jets, g: Jets, fg: Jets) -> ProductRuleCheck:
     """Both sides of D(f*g) = D(f)*g + (correction term), from the jets of
     f, g and product_qf(f, g).

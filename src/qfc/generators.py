@@ -1,14 +1,14 @@
 """Seeded generators of expression trees and component pairs.
 
 Everything draws from a caller-supplied stream with the two methods of
-Draws, numpy Generator's uniform and integers, so that runs with the same
-seed produce identical functions, points, and constants.  SeededStream(S)
-is numpy's default_rng(S) stream for those two draws, replayed in Python
-without importing numpy.random; every seeded draw of the package comes
-from it.
+Draws, uniform and integers, so that runs with the same seed produce
+identical functions, points, and constants.  numpy's Generator has both;
+SeededStream(S) is Python's random.Random(S) with integers added, and
+every seeded draw of the package comes from it.
 """
 from __future__ import annotations
 
+import random
 from typing import Protocol
 
 from .expr import ConjVar, QExpr, RealConst, Var, const, parse
@@ -25,125 +25,42 @@ _ZERO = RealConst(0.0)
 
 
 class Draws(Protocol):
-    """The draws the generators make: numpy Generator's uniform(lo, hi)
-    and uniform(lo, hi, size=n), and integers(lo, hi)."""
+    """The draws the generators make: uniform(lo, hi) and integers(lo, hi),
+    as numpy's Generator and SeededStream both give them."""
 
-    def uniform(self, lo: float, hi: float, size: int | None = None): ...
+    def uniform(self, lo: float, hi: float) -> float: ...
 
     def integers(self, lo: int, hi: int) -> int: ...
 
 
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+class SeededStream(random.Random):
+    """Python's random.Random(seed), MT19937 (Matsumoto and Nishimura, ACM
+    TOMACS 8(1), 1998), with the integers draw of Draws.
 
-
-def _seed_state(seed: int) -> tuple[int, int]:
-    """SeedSequence(seed).generate_state(4, uint64), read as PCG64 reads
-    it: the 128-bit initial state and stream selector."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _M32]
-    while seed >> 32 * len(entropy):
-        entropy.append(seed >> 32 * len(entropy) & _M32)
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
-        words.append(value ^ value >> 16)
-    u = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]  # little-endian pairs
-    return u[0] << 64 | u[1], u[2] << 64 | u[3]
-
-
-class SeededStream:
-    """numpy's default_rng(seed) stream for the draws of Draws, bit for bit.
-
-    default_rng(seed) is PCG64 seeded through SeedSequence(seed).  Each
-    64-bit output steps the 128-bit LCG and applies XSL-RR (O'Neill, PCG,
-    HMC-CS-2014-0905).  uniform is lo + (hi - lo) * (next64 >> 11) * 2**-53.
-    integers is Lemire's bounded draw on 32-bit outputs, which take the low
-    half of a 64-bit output and then its buffered high half.  A range of one
-    value draws nothing.
+    Python promises that random() repeats its sequence for a given seed
+    across versions, and uniform(lo, hi) is lo + (hi - lo) * random(), as
+    in numpy.  integers is randrange, whose sequence Python does not
+    promise to keep.  A negative seed is refused, where random.Random
+    would seed with its absolute value.
     """
 
-    __slots__ = ("_state", "_inc", "_half")
-
     def __init__(self, seed: int) -> None:
-        initstate, initseq = _seed_state(seed)
-        self._inc = (initseq << 1 | 1) & _M128
-        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _M128
-        self._half: int | None = None
-
-    def _next64(self) -> int:
-        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        word = self._next64()
-        self._half = word >> 32
-        return word & _M32
-
-    def _next_double(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float, size: int | None = None):
-        """A float in [lo, hi), or a list of size of them."""
-        lo, span = float(lo), float(hi) - float(lo)
-        if size is None:
-            return lo + span * self._next_double()
-        return [lo + span * self._next_double() for _ in range(size)]
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        super().__init__(seed)
 
     def integers(self, lo: int, hi: int) -> int:
-        """An int in [lo, hi), for ranges of at most 2**32 values."""
-        n = hi - lo
-        if not 0 < n <= 1 << 32:
-            raise ValueError(f"integers needs 0 < hi - lo <= 2**32, got {lo}, {hi}")
-        if n == 1:
-            return lo
-        m = self._next32() * n
-        if m & _M32 < n:
-            threshold = (1 << 32) % n
-            while m & _M32 < threshold:
-                m = self._next32() * n
-        return lo + (m >> 32)
+        """An int in [lo, hi)."""
+        return self.randrange(lo, hi)
 
 
 def random_point(rng: Draws, lo: float = -1.0, hi: float = 1.0) -> Point4:
-    x = rng.uniform(lo, hi, size=4)
-    return Point4.from_reals(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
+    return Point4.from_reals(*(rng.uniform(lo, hi) for _ in range(4)))
 
 
 def random_quaternion(rng: Draws) -> Quaternion:
-    a = rng.uniform(-1.0, 1.0, size=4)
-    return Quaternion(complex(a[0], a[1]), complex(a[2], a[3]))
+    a, b, c, d = (rng.uniform(-1.0, 1.0) for _ in range(4))
+    return Quaternion(complex(a, b), complex(c, d))
 
 
 def _random_complex(rng: Draws, half_width: float) -> complex:

@@ -5,9 +5,7 @@ with known behavior, including negative controls with known nonzero
 residuals, and reports the worst residual among the checks expected to
 be small.  Everything is driven by one seeded stream, so a repeated
 run with the same seed produces identical numbers.  The stream is
-generators.SeededStream(seed), numpy's default_rng(seed) stream replayed
-in Python, so the checks do not import numpy.random and a seed's numbers
-are those default_rng(seed) gave.
+generators.SeededStream(seed), Python's random.Random(seed).
 
 Each check evaluates its functions' jets with grid_jets, streaming its
 grids from grid_blocks, on its sample points as one block and on a single
@@ -33,7 +31,6 @@ from .analysis import (
     norm_sq_jet,
     product_rule_from_jets,
     product_system_from_jets,
-    real_combined_from_jets,
     real_linear_from_jets,
     sum_pde_from_jets,
 )
@@ -328,25 +325,35 @@ def run_verify(seed: int = 0, grid_n: int = 6, tol: float = DEFAULT_TOL) -> list
         )
     )
 
-    # combined system for real-component pairs closed under sum and product
-    worst = _fold(
-        0.0,
-        [e00, e12, m_const],
-        _grid(3),
-        (lambda e, f, m: real_combined_from_jets(e, f), False),
-        (lambda e, f, m: real_combined_from_jets(e, m), False),
-    )
-    g_sq = QFunction(x1_tree**2, zero)
+    # real-component members are closed under sum and product.  With E1,
+    # E2 the linear system's equations and fg = (f1 g1 - f2 g2, f1 g2 + f2 g1),
+    # the product rule gives E1(fg) = g1 E1(f) + f1 E1(g) + g2 E2(f) + f2 E2(g)
+    # and E2(fg) = g1 E2(f) + f1 E2(g) - g2 E1(f) - f2 E1(g), so f + g and
+    # f*g satisfy the linear system with no coupling equation.  The random
+    # members depend on y1 and y2, where d/dz2 and d/dzbar2 differ.  The
+    # control e00 * x1**2 has residuals (|f2| x1, |f1| x1) of e00 = (f1, f2).
+    pairs = [(e00, e12), (e00, m_const)]
+    for _ in range(3):
+        pairs.append((random_real_hyperholomorphic(rng), random_real_hyperholomorphic(rng)))
+    worst = 0.0
+    for f, g in pairs:
+        worst = _fold(
+            worst,
+            [sum_qf(f, g), product_qf(f, g)],
+            _grid(3),
+            (lambda s, fg: real_linear_from_jets(s), False),
+            (lambda s, fg: real_linear_from_jets(fg), False),
+        )
     p1 = Point4(0.7 + 0.4j, -0.2 + 0.1j)
-    five = _at([e00, g_sq], p1, real_combined_from_jets)
-    bilinear = five[4]
-    value_ok = bilinear >= _FAIL_FLOOR and abs(bilinear - 0.7) <= 1e-12
+    res = _at([product_qf(e00, QFunction(x1_tree**2, zero))], p1, real_linear_from_jets)
+    value_ok = min(res) >= _FAIL_FLOOR and abs(res[0] - 1.26) <= 1e-12 and abs(res[1] - 0.7) <= 1e-12
     items.append(
         VerifyItem(
             "real_combined",
             worst <= tol and value_ok,
             worst,
-            f"bilinear control {bilinear:.6f} (expected 0.7)",
+            f"sums and products of {len(pairs)} pairs over 81 grid points; "
+            f"control residuals ({res[0]:.6f}, {res[1]:.6f}) (expected 1.26, 0.7)",
         )
     )
 

@@ -171,7 +171,7 @@ def estimate_order(
 
     Samples eight radii from 1e-1 down to 1e-4 (_RADII) along 16 random unit
     directions (_DIRECTIONS).  Each is a point uniform in the unit ball of
-    R^4, drawn by rejection from uniform(-1, 1, size=4) draws of
+    R^4, drawn by rejection from four uniform(-1, 1) draws of
     SeededStream(seed), scaled to unit length, so it is uniform on the
     sphere (Marsaglia, Ann. Math. Statist. 43(2), 1972).
     kind="zero" requires both components of f to vanish at q within
@@ -190,7 +190,7 @@ def estimate_order(
     stream = SeededStream(seed)
     dirs: list[tuple[complex, complex]] = []
     while len(dirs) < _DIRECTIONS:
-        v = stream.uniform(-1.0, 1.0, size=4)
+        v = [stream.uniform(-1.0, 1.0) for _ in range(4)]
         h = math.hypot(*v)
         if 0.0 < h <= 1.0:
             a, b, c, d = (x / h for x in v)

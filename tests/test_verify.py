@@ -41,7 +41,7 @@ def test_coarse_grid_also_passes() -> None:
 def test_impossible_tolerance_fails_the_roundoff_limited_checks() -> None:
     items = run_verify(seed=0, grid_n=3, tol=1e-16)
     failed = [i.name for i in items if not i.passed]
-    assert failed == ["product_rule", "inverse_system"]
+    assert failed == ["product_rule", "inverse_system", "real_combined"]
 
 
 def test_runs_are_deterministic() -> None:
@@ -52,7 +52,7 @@ def test_runs_are_deterministic() -> None:
 
 def test_verify_paper_does_not_import_numpy_random(tmp_path: Path) -> None:
     """In a process of its own, since other tests import numpy.random here:
-    verify-paper's and order's seeded draws are replayed in Python, and
+    verify-paper's and order's seeded draws come from Python's random, and
     loading numpy.random would cost each request about 6 MB of memory.
     One interpreter runs verify-paper, and order with both kinds on the
     planted zeros of tests/golden/zeros.txt and on a pole at the same node,

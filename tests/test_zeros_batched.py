@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
@@ -213,10 +214,10 @@ def _per_point_order(f, q, kind="zero", *, seed=0, zero_tol=1e-9, probe=complex)
     if _candidate(f, q, kind, zero_tol) is not True:
         raise ValueError("not a candidate")
     radii = np.geomspace(1e-1, 1e-4, 8)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     dirs = []
     while len(dirs) < 16:  # points uniform in the unit ball, scaled to the sphere
-        v = rng.uniform(-1, 1, size=4).tolist()
+        v = [rng.uniform(-1, 1) for _ in range(4)]
         h = math.hypot(*v)
         if 0 < h <= 1:
             dirs.append((complex(v[0] / h, v[1] / h), complex(v[2] / h, v[3] / h)))
