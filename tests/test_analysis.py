@@ -187,6 +187,23 @@ def test_real_component_members_are_closed_under_sum_and_product(monkeypatch: py
     assert not item.passed and item.worst_residual > 1e-3
 
 
+def test_the_real_combined_control_has_the_derived_residuals() -> None:
+    """g = (x1**2, 0) has E1(g) = 0 and E2(g) = x1, so by the product rule
+    e00 * g has residuals (|f2| x1, |f1| x1) of e00 = (f1, f2): at
+    verify-paper's point p1, (1.26, 0.7)."""
+    e00 = example_pair()
+    g = QFunction(X1 ** 2, RealConst(0.0))
+    assert scalar(real_linear_from_jets(jet_pair(g, EXACT_POINTS[0]))) == (0.0, pytest.approx(0.3, abs=1e-15))
+    for p in EXACT_POINTS:
+        q = eval_qfunction(e00, p)
+        f1, f2 = q.z1.real, q.z2.real
+        x1 = p.z1.real
+        got = scalar(real_linear_from_jets(jet_pair(product_qf(e00, g), p)))
+        assert got == (pytest.approx(abs(f2 * x1), abs=1e-12), pytest.approx(abs(f1 * x1), abs=1e-12))
+    got = scalar(real_linear_from_jets(jet_pair(product_qf(e00, g), Point4(0.7 + 0.4j, -0.2 + 0.1j))))
+    assert got == (pytest.approx(1.26, abs=1e-12), pytest.approx(0.7, abs=1e-12))
+
+
 def test_product_rule_is_exact_for_holomorphic_factors() -> None:
     f = lower(parse("z1*z2"))
     g = lower(parse("z1^2 + z2"))

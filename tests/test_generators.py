@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +30,7 @@ from jet_oracle import eval_qfunction, jet_pair, scalar
 from random_trees import random_scalar_tree, random_surface_tree
 
 SEED = 3301
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 5]  # of the stream tests
 COORDS = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 POINTS = st.builds(
     lambda a, b, c, d: Point4(complex(a, b), complex(c, d)),
@@ -147,6 +150,56 @@ def test_the_stream_at_seed_0_is_pinned() -> None:
         "-0x1.edbd0e08d74b4p-2", "0x1.717337c65c1c0p-6", "-0x1.8563c829dd310p-3", "0x1.229c18ea389eap-1",
     ]
     assert (s.integers(0, 1), s.integers(0, 6)) == (0, 3)
+
+
+def _draws(rng, rounds: int) -> list:
+    """The generators' draws, interleaved: uniform at each of their
+    half-widths and integers(0, n) for n = 1 to 8, with random.Random's
+    randrange standing in for integers.  Floats are compared by their hex
+    text."""
+    integers = getattr(rng, "integers", rng.randrange)
+    out: list = []
+    for _ in range(rounds):
+        for half_width in (1.0, 0.8, 0.02, 0.01):
+            out.append(float(rng.uniform(-half_width, half_width)).hex())
+        for n in range(1, 9):
+            out.append(int(integers(0, n)))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_stream_is_python_random(seed: int) -> None:
+    """Seeds past 32 and 64 bits reach random.Random whole, not reduced."""
+    assert _draws(SeededStream(seed), 20) == _draws(random.Random(seed), 20)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**130 - 1))
+def test_the_stream_is_python_random_at_any_seed(seed: int) -> None:
+    assert _draws(SeededStream(seed), 2) == _draws(random.Random(seed), 2)
+
+
+def test_a_range_of_one_value_returns_it() -> None:
+    """integers(4, 5) returns 4, though randrange consumes draws for it."""
+    s = SeededStream(9)
+    assert [s.integers(4, 5) for _ in range(3)] == [4, 4, 4]
+
+
+def test_an_empty_range_is_refused_as_numpy_refuses_it() -> None:
+    with pytest.raises(ValueError):
+        np.random.default_rng(9).integers(3, 3)
+    with pytest.raises(ValueError):
+        SeededStream(9).integers(3, 3)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_four_scalar_uniforms_are_numpy_s_uniform_of_size_4(seed: int) -> None:
+    """random_point and random_quaternion draw four scalar uniforms; from a
+    numpy Generator those are the doubles of uniform(size=4), so tests that
+    draw their members from default_rng keep them."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [float(a.uniform(-1.0, 1.0)).hex() for _ in range(4)] == [float(x).hex() for x in b.uniform(-1, 1, size=4)]
+    p, q = random_point(np.random.default_rng(seed)), np.random.default_rng(seed).uniform(-1, 1, size=4)
+    assert p == Point4.from_reals(*q)
 
 
 def test_a_negative_seed_is_refused_as_numpy_refuses_it() -> None:
